@@ -174,15 +174,15 @@ def cmd_bench(args) -> int:
         stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64))
     )
     results = {}
-    for mode in ("dilated_os8", "stride_os32_plus_jpu"):
+    for mode in costmod.MODES:
         results[mode] = exp.bench_forward(
             config, mode, input_hw=tuple(args.input), repeats=args.repeats, seed=args.seed
         )
     doc = {"command": "bench", "repeats": args.repeats, "input_hw": list(args.input), "results": results}
-    doc["dilated_slower"] = results["dilated_os8"]["mean_ms"] > results["stride_os32_plus_jpu"]["mean_ms"]
+    doc["dilated_slower"] = results[costmod.DILATED_MODE]["mean_ms"] > results[costmod.STRIDE_JPU_MODE]["mean_ms"]
     if args.no_timing:
         for r in doc["results"].values():
-            for key in ("mean_ms", "std_ms", "min_ms", "max_ms", "per_stage_ms"):
+            for key in ("mean_ms", "std_ms", "min_ms", "max_ms"):
                 r.pop(key, None)
         doc.pop("dilated_slower")
     _emit(doc, args)

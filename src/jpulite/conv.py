@@ -177,12 +177,6 @@ def separable_spec(channels: int, out_channels: int, dilation: int) -> tuple[Con
     return depthwise, pointwise
 
 
-def separable_conv2d(x: Tensor, depthwise: ConvWeights, pointwise: ConvWeights, dilation: int) -> Tensor:
-    c = x.shape[1]
-    dspec, pspec = separable_spec(c, pointwise.weight.shape[0], dilation)
-    return conv2d(conv2d(x, depthwise, dspec), pointwise, pspec)
-
-
 def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0))
 

@@ -52,11 +52,9 @@ def conv_cost(kernel, in_channels, out_channels, out_hw, groups=1, with_bias=Fal
     return LayerCost(macs, params, act, act if with_bias else 0)
 
 
-def conv_cost_from_spec(spec, in_hw, with_bias=None) -> LayerCost:
+def conv_cost_from_spec(spec, in_hw, with_bias=False) -> LayerCost:
     """LayerCost for a runtime ConvSpec (used to cross-check against instrumented convs)."""
     out_hw = spec.out_hw(in_hw)
-    if with_bias is None:
-        with_bias = False
     return conv_cost(spec.kernel, spec.in_channels, spec.out_channels, out_hw, spec.groups, with_bias)
 
 
@@ -144,20 +142,16 @@ def _bottleneck_entries(stage_name: str, stage: StageSpec, out_hw) -> list[CostE
 
 
 def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
+    """The JPU's layer table on a pyramid at output strides 8/16/32, with the
+    bilinear upsampling of the two coarser levels charged after the level convs."""
     h, w = input_hw
-    hw = {8: (h // 8, w // 8), 16: (h // 16, w // 16), 32: (h // 32, w // 32)}
     entries = []
-    for i, (c, os) in enumerate(zip(config.in_channels, (8, 16, 32))):
-        entries.append(CostEntry(f"jpu.level{i}", "jpu", conv_cost((3, 3), c, config.width, hw[os], with_bias=True)))
-    resize_elems = 2 * config.width * hw[8][0] * hw[8][1]
-    entries.append(CostEntry("jpu.upsample", "jpu", LayerCost(macs=RESIZE_MACS_PER_ELEM * resize_elems, activation_elems=resize_elems)))
-    cc = config.concat_channels
-    for i in range(len(config.dilation_rates)):
-        entries.append(CostEntry(f"jpu.branch{i}.depthwise", "jpu", conv_cost((3, 3), cc, cc, hw[8], groups=cc, with_bias=True)))
-        entries.append(CostEntry(f"jpu.branch{i}.pointwise", "jpu", conv_cost((1, 1), cc, config.width, hw[8], with_bias=True)))
-    entries.append(
-        CostEntry("jpu.fusion", "jpu", conv_cost((3, 3), len(config.dilation_rates) * config.width, config.out_channels, hw[8], with_bias=True))
-    )
+    for name, spec, level in config.layers():
+        grid = (h // (8 << level), w // (8 << level))
+        entries.append(CostEntry(f"jpu.{name}", "jpu", conv_cost_from_spec(spec, grid, with_bias=True)))
+    resize_elems = 2 * config.width * (h // 8) * (w // 8)
+    upsample = CostEntry("jpu.upsample", "jpu", LayerCost(macs=RESIZE_MACS_PER_ELEM * resize_elems, activation_elems=resize_elems))
+    entries.insert(len(config.in_channels), upsample)
     return entries
 
 
@@ -165,6 +159,8 @@ def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_config
     if mode not in MODES:
         raise KeyError(f"unknown mode {mode!r}")
     h, w = input_hw
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        raise ValueError(f"input dims must be positive multiples of 32, got {(h, w)}")
     report = CostReport(spec.name, mode, (h, w))
     report.entries.append(
         CostEntry("stem.conv", "stem", conv_cost((7, 7), spec.image_channels, spec.stem_channels, (h // 2, w // 2)))

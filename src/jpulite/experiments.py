@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights, relu
+from .cost import DILATED_MODE, STRIDE_JPU_MODE
 from .decomp import StageWeights, dilated_stage, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
 from .tensor import Rng, ShapeError, Tensor, bilinear_resize, random_uniform
 
-DILATED = "dilated_os8"
+DILATED = DILATED_MODE
 STRIDE = "stride_os32"
 
 
@@ -72,7 +73,6 @@ def mini_backbone_forward(
     params: MiniBackboneParams,
     config: MiniBackboneConfig,
     mode: str,
-    timings: dict | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Emit the (level-3, level-4, level-5) features.
 
@@ -85,24 +85,16 @@ def mini_backbone_forward(
     n, c, h, w = x.shape
     if h % 32 or w % 32:
         raise ShapeError(f"input dims must be divisible by 32, got {(h, w)}")
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        if timings is not None:
-            timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
-        return out
-
     stem_spec = ConvSpec(config.in_channels, config.stem_channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
-    a = timed("stem", lambda: relu(conv2d(x, params.stem, stem_spec)))
-    a = timed("stage2", lambda: relu(stride_stage(a, params.stages[0]).y))
-    c3 = timed("stage3", lambda: relu(stride_stage(a, params.stages[1]).y))
+    a = relu(conv2d(x, params.stem, stem_spec))
+    a = relu(stride_stage(a, params.stages[0]).y)
+    c3 = relu(stride_stage(a, params.stages[1]).y)
     if mode == STRIDE:
-        c4 = timed("stage4", lambda: relu(stride_stage(c3, params.stages[2]).y))
-        c5 = timed("stage5", lambda: relu(stride_stage(c4, params.stages[3]).y))
+        c4 = relu(stride_stage(c3, params.stages[2]).y)
+        c5 = relu(stride_stage(c4, params.stages[3]).y)
     else:
-        c4 = timed("stage4", lambda: relu(dilated_stage(c3, params.stages[2], body_dilation=2).y))
-        c5 = timed("stage5", lambda: relu(dilated_stage(c4, params.stages[3], head_dilation=2, body_dilation=4).y))
+        c4 = relu(dilated_stage(c3, params.stages[2], body_dilation=2).y)
+        c5 = relu(dilated_stage(c4, params.stages[3], head_dilation=2, body_dilation=4).y)
     return c3, c4, c5
 
 
@@ -151,9 +143,8 @@ class TrainRun:
     param_count: int
 
 
-def _sgd(w: ConvWeights, gw: Tensor, gb, lr: float) -> ConvWeights:
-    bias = w.bias if gb is None else w.bias - lr * gb
-    return ConvWeights(Tensor(w.weight.data - lr * gw.data), bias)
+def _sgd(w: ConvWeights, gw: np.ndarray, gb: np.ndarray, lr: float) -> ConvWeights:
+    return ConvWeights(Tensor(w.weight.data - lr * gw), w.bias - lr * gb)
 
 
 def _mse(pred: Tensor, target: Tensor) -> float:
@@ -205,7 +196,7 @@ def train_approximator(
     for step in range(steps):
         g_head_w = np.zeros_like(head.weight.data)
         g_head_b = np.zeros_like(head.bias)
-        jpu_grad_acc: JpuParams | None = None
+        jpu_grads: list[JpuParams] = []  # one per training sample
         total_loss = 0.0
         for sample in train:
             pred, feat, cache = forward(sample)
@@ -216,44 +207,24 @@ def train_approximator(
             g_head_w += g_w.data
             g_head_b += g_b
             if method == "jpu":
-                pgrads, _ = jpu_backward(cache, g_feat)
-                jpu_grad_acc = pgrads if jpu_grad_acc is None else _add_jpu_grads(jpu_grad_acc, pgrads)
+                jpu_grads.append(jpu_backward(cache, g_feat)[0])
         loss = total_loss / len(train)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         loss_curve.append(loss)
         scale = lr / len(train)
-        head = ConvWeights(Tensor(head.weight.data - scale * g_head_w), head.bias - scale * g_head_b)
-        if method == "jpu" and steps:
-            jpu_params = _apply_jpu_sgd(jpu_params, jpu_grad_acc, scale)
+        head = _sgd(head, g_head_w, g_head_b, scale)
+        if jpu_grads:
+            jpu_params = JpuParams.from_convs(
+                _sgd(w, sum(g.weight.data for _, g in gs), sum(g.bias for _, g in gs), scale)
+                for (_, w), *gs in zip(jpu_params.convs(), *(g.convs() for g in jpu_grads))
+            )
 
     final = float(np.mean([_mse(forward(s)[0], s.target) for s in held]))
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":
         n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())
     return TrainRun(method, steps, lr, seed, loss_curve, final, int(n_params))
-
-
-def _add_jpu_grads(a: JpuParams, b: JpuParams) -> JpuParams:
-    def add(x: ConvWeights, y: ConvWeights) -> ConvWeights:
-        return ConvWeights(Tensor(x.weight.data + y.weight.data), x.bias + y.bias)
-
-    return JpuParams(
-        [add(x, y) for x, y in zip(a.levels, b.levels)],
-        [(add(xd, yd), add(xp, yp)) for (xd, xp), (yd, yp) in zip(a.branches, b.branches)],
-        add(a.fusion, b.fusion),
-    )
-
-
-def _apply_jpu_sgd(p: JpuParams, g: JpuParams, lr: float) -> JpuParams:
-    def step(w: ConvWeights, gw: ConvWeights) -> ConvWeights:
-        return ConvWeights(Tensor(w.weight.data - lr * gw.weight.data), w.bias - lr * gw.bias)
-
-    return JpuParams(
-        [step(w, gw) for w, gw in zip(p.levels, g.levels)],
-        [(step(wd, gd), step(wp, gp)) for (wd, wp), (gd, gp) in zip(p.branches, g.branches)],
-        step(p.fusion, g.fusion),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +244,7 @@ def bench_forward(
     appends the pyramid upsampling module to the stride backbone."""
     if repeats < 10:
         raise ValueError("need at least 10 repeats")
-    with_jpu = mode == "stride_os32_plus_jpu"
+    with_jpu = mode == STRIDE_JPU_MODE
     bb_mode = STRIDE if with_jpu else DILATED
     if not with_jpu and mode != DILATED:
         raise KeyError(f"unknown bench mode {mode!r}")
@@ -283,21 +254,17 @@ def bench_forward(
     jpu_params = jpu_init(jpu_cfg, rng)
     img = random_uniform((1, config.in_channels, *input_hw), rng, -1.0, 1.0)
 
-    def run(timings=None):
-        c3, c4, c5 = mini_backbone_forward(img, params, config, bb_mode, timings=timings)
+    def run():
+        c3, c4, c5 = mini_backbone_forward(img, params, config, bb_mode)
         if with_jpu:
-            t0 = time.perf_counter()
             jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
-            if timings is not None:
-                timings["jpu"] = timings.get("jpu", 0.0) + (time.perf_counter() - t0)
 
     for _ in range(warmup):
         run()
     times_ms = []
-    stage_acc: dict[str, float] = {}
     for _ in range(repeats):
         t0 = time.perf_counter()
-        run(stage_acc)
+        run()
         times_ms.append((time.perf_counter() - t0) * 1e3)
     arr = np.array(times_ms)
     return {
@@ -309,5 +276,4 @@ def bench_forward(
         "std_ms": float(arr.std()),
         "min_ms": float(arr.min()),
         "max_ms": float(arr.max()),
-        "per_stage_ms": {k: v * 1e3 / repeats for k, v in stage_acc.items()},
     }

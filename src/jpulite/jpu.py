@@ -65,6 +65,19 @@ class JpuConfig:
     def fusion_spec(self) -> ConvSpec:
         return ConvSpec(len(self.dilation_rates) * self.width, self.out_channels, kernel=(3, 3), padding=(1, 1))
 
+    def layers(self) -> list[tuple[str, ConvSpec, int]]:
+        """The module's convs in execution order, as (name, spec, input pyramid level).
+
+        Level 0 is the finest grid; every conv after the three level convs runs
+        there. Init, checkpoints, training and the cost model all read this table.
+        """
+        table = [(f"level{i}", self.level_spec(i), i) for i in range(3)]
+        for i, rate in enumerate(self.dilation_rates):
+            dspec, pspec = self.branch_specs(rate)
+            table += [(f"branch{i}.depthwise", dspec, 0), (f"branch{i}.pointwise", pspec, 0)]
+        table.append(("fusion", self.fusion_spec(), 0))
+        return table
+
 
 @dataclass(frozen=True, eq=False)
 class JpuParams:
@@ -72,27 +85,29 @@ class JpuParams:
     branches: list[tuple[ConvWeights, ConvWeights]]  # (depthwise, pointwise) per rate
     fusion: ConvWeights
 
-    def named_tensors(self):
+    def convs(self):
+        """(name, ConvWeights) in the order of JpuConfig.layers()."""
         for i, lw in enumerate(self.levels):
-            yield f"level{i}.weight", lw.weight.data
-            yield f"level{i}.bias", lw.bias
+            yield f"level{i}", lw
         for i, (dw, pw) in enumerate(self.branches):
-            yield f"branch{i}.depthwise.weight", dw.weight.data
-            yield f"branch{i}.depthwise.bias", dw.bias
-            yield f"branch{i}.pointwise.weight", pw.weight.data
-            yield f"branch{i}.pointwise.bias", pw.bias
-        yield "fusion.weight", self.fusion.weight.data
-        yield "fusion.bias", self.fusion.bias
+            yield f"branch{i}.depthwise", dw
+            yield f"branch{i}.pointwise", pw
+        yield "fusion", self.fusion
+
+    @classmethod
+    def from_convs(cls, weights) -> JpuParams:
+        """Inverse of convs(): the structure from ConvWeights in layers() order."""
+        w = list(weights)
+        return cls(w[:3], list(zip(w[3:-1:2], w[4:-1:2])), w[-1])
+
+    def named_tensors(self):
+        for name, cw in self.convs():
+            yield f"{name}.weight", cw.weight.data
+            yield f"{name}.bias", cw.bias
 
 
 def jpu_init(config: JpuConfig, rng: Rng, dtype=np.float64) -> JpuParams:
-    levels = [init_weights(config.level_spec(i), rng, dtype=dtype) for i in range(3)]
-    branches = []
-    for rate in config.dilation_rates:
-        dspec, pspec = config.branch_specs(rate)
-        branches.append((init_weights(dspec, rng, dtype=dtype), init_weights(pspec, rng, dtype=dtype)))
-    fusion = init_weights(config.fusion_spec(), rng, dtype=dtype)
-    return JpuParams(levels, branches, fusion)
+    return JpuParams.from_convs(init_weights(spec, rng, dtype=dtype) for _, spec, _ in config.layers())
 
 
 @dataclass(eq=False)
@@ -221,25 +236,27 @@ def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
+def _load_shaped(dirpath, name: str, shape) -> Tensor:
+    t = load_jt(os.path.join(dirpath, name + ".jt"))
+    if t.shape != shape:
+        raise ValueError(f"{name}.jt holds a {t.shape} tensor, the manifest config needs {shape}")
+    return t
+
+
 def load_jpu_params(dirpath) -> tuple[JpuParams, JpuConfig]:
+    """Read a checkpoint written by save_jpu_params; raises ValueError when a
+    tensor's shape disagrees with the manifest config."""
     with open(os.path.join(dirpath, "manifest.json")) as f:
         manifest = json.load(f)
     c = manifest["config"]
     config = JpuConfig(
         tuple(c["in_channels"]), c["width"], tuple(c["dilation_rates"]), c["out_channels"]
     )
-    raw = {}
-    for name in manifest["tensors"]:
-        raw[name] = load_jt(os.path.join(dirpath, name + ".jt"))
-
-    def conv_w(prefix):
-        w = raw[prefix + ".weight"]
-        b = raw[prefix + ".bias"].data.reshape(-1).copy()
-        return ConvWeights(w, b)
-
-    levels = [conv_w(f"level{i}") for i in range(3)]
-    branches = [
-        (conv_w(f"branch{i}.depthwise"), conv_w(f"branch{i}.pointwise"))
-        for i in range(len(config.dilation_rates))
-    ]
-    return JpuParams(levels, branches, conv_w("fusion")), config
+    params = JpuParams.from_convs(
+        ConvWeights(
+            _load_shaped(dirpath, f"{name}.weight", spec.weight_shape),
+            _load_shaped(dirpath, f"{name}.bias", (1, spec.out_channels, 1, 1)).data.reshape(-1).copy(),
+        )
+        for name, spec, _ in config.layers()
+    )
+    return params, config

@@ -59,10 +59,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype))
 
-    def offset(self, n: int, c: int, y: int, x: int) -> int:
-        N, C, H, W = self.shape
-        return ((n * C + c) * H + y) * W + x
-
 
 def zeros(shape, dtype=np.float64) -> Tensor:
     if any(d < 1 for d in shape):

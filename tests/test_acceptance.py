@@ -172,13 +172,9 @@ def test_criterion_6_gradient_correctness():
         from jpulite.conv import ConvWeights
         from jpulite.jpu import JpuParams
 
-        def cw(prefix):
-            return ConvWeights(Tensor(mutable[prefix + ".weight"].copy()), mutable[prefix + ".bias"].copy())
-
-        return JpuParams(
-            [cw(f"level{i}") for i in range(3)],
-            [(cw(f"branch{i}.depthwise"), cw(f"branch{i}.pointwise")) for i in range(len(TINY.dilation_rates))],
-            cw("fusion"),
+        return JpuParams.from_convs(
+            ConvWeights(Tensor(mutable[f"{name}.weight"].copy()), mutable[f"{name}.bias"].copy())
+            for name, _, _ in TINY.layers()
         )
 
     def jloss():

@@ -55,6 +55,13 @@ def test_cost_compare(capsys):
     assert ratios["total_ratio"] > 0
 
 
+@pytest.mark.parametrize("hw", [(500, 500), (512, 500), (48, 64)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_cost_rejects_input_not_multiple_of_32(capsys, hw):
+    code, out = run_cli(capsys, "cost", "--backbone", "resnet101", "--compare", "--input", *map(str, hw))
+    assert code == 2
+    assert out == ""
+
+
 def test_cost_report_additive(capsys):
     code, out = run_cli(capsys, "cost", "--backbone", "resnet50", "--mode", "dilated")
     doc = json.loads(out)

@@ -9,7 +9,6 @@ from jpulite.conv import (
     init_weights,
     relu,
     relu_backward,
-    separable_conv2d,
     separable_spec,
 )
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
@@ -117,7 +116,8 @@ def test_separable_delta_identity():
     dw[:, 0, 1, 1] = 1.0
     pw = np.eye(c).reshape(c, c, 1, 1)
     x = random_uniform((1, c, 6, 6), Rng(2), -1, 1)
-    y = separable_conv2d(x, ConvWeights(Tensor(dw)), ConvWeights(Tensor(pw)), dilation=2)
+    dspec, pspec = separable_spec(c, c, 2)
+    y = conv2d(conv2d(x, ConvWeights(Tensor(dw)), dspec), ConvWeights(Tensor(pw)), pspec)
     assert max_abs_diff(y, x) == 0.0
 
 
@@ -129,19 +129,8 @@ def test_separable_shape_preserved(dilation):
     dw = init_weights(dspec, rng)
     pw = init_weights(pspec, rng)
     x = random_uniform((2, c, 16, 16), rng, -1, 1)
-    y = separable_conv2d(x, dw, pw, dilation)
+    y = conv2d(conv2d(x, dw, dspec), pw, pspec)
     assert y.shape == (2, out, 16, 16)
-
-
-def test_separable_equals_composition():
-    rng = Rng(77)
-    c, out, d = 3, 5, 2
-    dspec, pspec = separable_spec(c, out, d)
-    dw, pw = init_weights(dspec, rng), init_weights(pspec, rng)
-    x = random_uniform((1, c, 8, 8), rng, -1, 1)
-    fused = separable_conv2d(x, dw, pw, d)
-    explicit = conv2d(conv2d(x, dw, dspec), pw, pspec)
-    assert fused.data.tobytes() == explicit.data.tobytes()
 
 
 # --- backward ----------------------------------------------------------------

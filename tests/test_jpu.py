@@ -11,7 +11,7 @@ from jpulite.jpu import (
     load_jpu_params,
     save_jpu_params,
 )
-from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
+from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform, save_jt
 
 from reference import central_difference
 
@@ -55,6 +55,19 @@ def test_init_shapes():
     for _, arr in p.named_tensors():
         if np.asarray(arr).ndim == 1:
             assert not np.asarray(arr).any()  # biases start at zero
+
+
+def test_layer_table_matches_params():
+    cfg = JpuConfig((3, 4, 5), width=3, dilation_rates=(1, 2, 4))
+    p = jpu_init(cfg, Rng(21))
+    table = cfg.layers()
+    assert [(name, spec.weight_shape) for name, spec, _ in table] == [
+        (name, w.weight.shape) for name, w in p.convs()
+    ]
+    assert [level for _, _, level in table] == [0, 1, 2] + [0] * 7
+    rebuilt = JpuParams.from_convs(w for _, w in p.convs())
+    assert [id(w) for _, w in rebuilt.convs()] == [id(w) for _, w in p.convs()]
+    assert [n for n, _ in rebuilt.named_tensors()] == [n for n, _ in p.named_tensors()]
 
 
 def test_init_weight_std():
@@ -167,13 +180,9 @@ def test_backward_finite_differences():
     mutable = {name: np.asarray(arr).copy() for name, arr in p.named_tensors()}
 
     def rebuild():
-        def cw(prefix):
-            return ConvWeights(Tensor(mutable[prefix + ".weight"].copy()), mutable[prefix + ".bias"].copy())
-
-        return JpuParams(
-            [cw(f"level{i}") for i in range(3)],
-            [(cw(f"branch{i}.depthwise"), cw(f"branch{i}.pointwise")) for i in range(len(cfg.dilation_rates))],
-            cw("fusion"),
+        return JpuParams.from_convs(
+            ConvWeights(Tensor(mutable[f"{name}.weight"].copy()), mutable[f"{name}.bias"].copy())
+            for name, _, _ in cfg.layers()
         )
 
     def loss():
@@ -212,3 +221,12 @@ def test_serialization_round_trip(tmp_path):
     y1, _ = jpu_forward(*pyramid(cfg, 20), p, cfg)
     y2, _ = jpu_forward(*pyramid(cfg, 20), p2, cfg)
     assert y1.data.tobytes() == y2.data.tobytes()
+
+
+@pytest.mark.parametrize("name, shape", [("fusion.weight", (12, 12, 1, 1)), ("branch1.pointwise.bias", (1, 2, 1, 1))])
+def test_load_rejects_tensor_shape_mismatch(tmp_path, name, shape):
+    cfg = JpuConfig((3, 4, 5), width=3, dilation_rates=(1, 2, 4))
+    save_jpu_params(tmp_path, jpu_init(cfg, Rng(22)), cfg)
+    save_jt(tmp_path / f"{name}.jt", Tensor(np.zeros(shape)))
+    with pytest.raises(ValueError, match=name):
+        load_jpu_params(tmp_path)

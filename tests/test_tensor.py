@@ -39,21 +39,6 @@ def test_zeros_sum(shape):
     assert zeros(shape).data.sum() == 0.0
 
 
-@given(shapes, st.integers(min_value=0, max_value=2**32))
-def test_index_offset_round_trip(shape, seed):
-    t = zeros(shape)
-    n, c, h, w = shape
-    rng = np.random.default_rng(seed)
-    ni, ci, yi, xi = (int(rng.integers(0, d)) for d in shape)
-    off = t.offset(ni, ci, yi, xi)
-    # invert the row-major offset
-    xi2 = off % w
-    yi2 = (off // w) % h
-    ci2 = (off // (w * h)) % c
-    ni2 = off // (w * h * c)
-    assert (ni2, ci2, yi2, xi2) == (ni, ci, yi, xi)
-
-
 def test_rng_determinism():
     a = random_uniform((2, 3, 4, 5), Rng(0))
     b = random_uniform((2, 3, 4, 5), Rng(0))
