@@ -2,9 +2,10 @@
 
 Every subcommand prints one JSON document (schema 1) to stdout; `--output`
 additionally writes it to a file. Exit codes: 0 success, 1 a numerical check
-failed, 2 usage error. All randomness is derived from `--seed`, so repeated
-runs are byte-identical (the benchmark's timing fields are the exception and
-can be stripped with `--no-timing`).
+or computation failed (diverged training, degenerate least squares), 2 usage
+error. All randomness is derived from `--seed`, so repeated runs are
+byte-identical (the benchmark's timing fields are the exception and can be
+stripped with `--no-timing`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .decomp import (
     dilated_stage_decomposed,
     reduce_even,
 )
-from .jointup import solve_joint_upsample
+from .jointup import DegenerateProblemError, solve_joint_upsample
 from .jpu import JpuConfig
 from .tensor import Rng, Tensor, max_abs_diff, random_uniform
 
@@ -241,6 +242,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (exp.TrainingDiverged, DegenerateProblemError) as e:  # numerical failures
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -141,10 +141,19 @@ def _bottleneck_entries(stage_name: str, stage: StageSpec, out_hw) -> list[CostE
     return entries
 
 
+def _check_input_hw(input_hw) -> tuple[int, int]:
+    """The runtime backbone takes only positive multiples of 32; flooring any
+    other size would cost geometry that no forward pass produces."""
+    h, w = input_hw
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        raise ValueError(f"input dims must be positive multiples of 32, got {(h, w)}")
+    return h, w
+
+
 def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
     """The JPU's layer table on a pyramid at output strides 8/16/32, with the
     bilinear upsampling of the two coarser levels charged after the level convs."""
-    h, w = input_hw
+    h, w = _check_input_hw(input_hw)
     entries = []
     for name, spec, level in config.layers():
         grid = (h // (8 << level), w // (8 << level))
@@ -158,9 +167,7 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
 def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_config: JpuConfig | None = None) -> CostReport:
     if mode not in MODES:
         raise KeyError(f"unknown mode {mode!r}")
-    h, w = input_hw
-    if h < 32 or w < 32 or h % 32 or w % 32:
-        raise ValueError(f"input dims must be positive multiples of 32, got {(h, w)}")
+    h, w = _check_input_hw(input_hw)
     report = CostReport(spec.name, mode, (h, w))
     report.entries.append(
         CostEntry("stem.conv", "stem", conv_cost((7, 7), spec.image_channels, spec.stem_channels, (h // 2, w // 2)))

@@ -147,8 +147,16 @@ def _sgd(w: ConvWeights, gw: np.ndarray, gb: np.ndarray, lr: float) -> ConvWeigh
     return ConvWeights(Tensor(w.weight.data - lr * gw), w.bias - lr * gb)
 
 
-def _mse(pred: Tensor, target: Tensor) -> float:
-    return float(np.mean((pred.data - target.data) ** 2))
+def _sample_mses(diff: np.ndarray) -> list[float]:
+    """Mean squared error of each sample of an N-batched prediction error."""
+    return [float(np.mean(d**2)) for d in diff]
+
+
+def _stack(samples) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The samples' (c3, c4, c5, target), each stacked along N."""
+    return tuple(
+        Tensor(np.concatenate([getattr(s, f).data for s in samples])) for f in ("c3", "c4", "c5", "target")
+    )
 
 
 def train_approximator(
@@ -184,43 +192,39 @@ def train_approximator(
     head_spec = ConvSpec(head_in, target_ch, kernel=(3, 3), padding=(1, 1))
     head = init_weights(head_spec, rng)
 
-    def forward(sample):
+    def forward(c3, c4, c5):
         if method == "bilinear":
-            feat = bilinear_resize(sample.c5, out_h, out_w)
+            feat = bilinear_resize(c5, out_h, out_w)
             cache = None
         else:
-            feat, cache = jpu_forward(sample.c3, sample.c4, sample.c5, jpu_params, jpu_cfg)
+            feat, cache = jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
         return conv2d(feat, head, head_spec), feat, cache
 
+    # One batched forward and backward per step. The loss is the mean of the
+    # per-sample MSEs, so each sample's error is scaled by its own size and the
+    # batch gradient is the sum of the per-sample gradients.
+    *pyramid, target = _stack(train)
+    sample_size = target.data[0].size
+    scale = lr / len(train)
     loss_curve: list[float] = []
     for step in range(steps):
-        g_head_w = np.zeros_like(head.weight.data)
-        g_head_b = np.zeros_like(head.bias)
-        jpu_grads: list[JpuParams] = []  # one per training sample
-        total_loss = 0.0
-        for sample in train:
-            pred, feat, cache = forward(sample)
-            diff = pred.data - sample.target.data
-            total_loss += float(np.mean(diff**2))
-            g_pred = Tensor(2.0 * diff / diff.size)
-            g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, g_pred)
-            g_head_w += g_w.data
-            g_head_b += g_b
-            if method == "jpu":
-                jpu_grads.append(jpu_backward(cache, g_feat)[0])
-        loss = total_loss / len(train)
+        pred, feat, cache = forward(*pyramid)
+        diff = pred.data - target.data
+        with np.errstate(over="ignore"):  # an overflow is reported as TrainingDiverged below
+            loss = sum(_sample_mses(diff)) / len(train)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         loss_curve.append(loss)
-        scale = lr / len(train)
-        head = _sgd(head, g_head_w, g_head_b, scale)
-        if jpu_grads:
+        g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, Tensor(2.0 * diff / sample_size))
+        head = _sgd(head, g_w.data, g_b, scale)
+        if method == "jpu":
+            grads = jpu_backward(cache, g_feat)[0]
             jpu_params = JpuParams.from_convs(
-                _sgd(w, sum(g.weight.data for _, g in gs), sum(g.bias for _, g in gs), scale)
-                for (_, w), *gs in zip(jpu_params.convs(), *(g.convs() for g in jpu_grads))
+                _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
             )
 
-    final = float(np.mean([_mse(forward(s)[0], s.target) for s in held]))
+    *pyramid, target = _stack(held)
+    final = float(np.mean(_sample_mses(forward(*pyramid)[0].data - target.data)))
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":
         n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())

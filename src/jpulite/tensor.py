@@ -23,6 +23,7 @@ import numpy as np
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _JT_MAGIC = b"JT01"
+_JT_HEADER = "<4sB4I"  # struct format: magic, dtype code, four dims
 _JT_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _JT_DTYPE_FROM_CODE = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
@@ -173,21 +174,31 @@ def max_abs_diff(a: Tensor, b: Tensor) -> float:
 
 
 def save_jt(path, x: Tensor) -> None:
-    code = _JT_DTYPE_CODES[x.dtype]
     with open(path, "wb") as f:
-        f.write(_JT_MAGIC)
-        f.write(struct.pack("<B4I", code, *x.shape))
+        f.write(struct.pack(_JT_HEADER, _JT_MAGIC, _JT_DTYPE_CODES[x.dtype], *x.shape))
         f.write(x.data.astype(x.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def load_jt(path) -> Tensor:
+    """Read a file written by save_jt; raises ValueError for any file that is
+    not exactly one well-formed tensor (bad magic, short header, unknown dtype
+    code, zero dims, or a payload of the wrong size)."""
+    header_size = struct.calcsize(_JT_HEADER)
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _JT_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        code, n, c, h, w = struct.unpack("<B4I", f.read(17))
-        dtype = _JT_DTYPE_FROM_CODE[code]
-        data = np.frombuffer(f.read(), dtype=dtype.newbyteorder("<"))
-    if data.size != n * c * h * w:
-        raise ValueError(f"truncated tensor file {path}")
+        header = f.read(header_size)
+        payload = f.read()
+    if header[:4] != _JT_MAGIC:
+        raise ValueError(f"bad magic {header[:4]!r} in {path}")
+    if len(header) < header_size:
+        raise ValueError(f"truncated header in {path}: {len(header)} of {header_size} bytes")
+    _, code, n, c, h, w = struct.unpack(_JT_HEADER, header)
+    dtype = _JT_DTYPE_FROM_CODE.get(code)
+    if dtype is None:
+        raise ValueError(f"unknown dtype code {code} in {path}")
+    expected = n * c * h * w * dtype.itemsize
+    if len(payload) != expected:
+        raise ValueError(
+            f"size mismatch in {path}: a {(n, c, h, w)} {dtype} tensor needs {expected} bytes, found {len(payload)}"
+        )
+    data = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
     return Tensor(data.astype(dtype).reshape(n, c, h, w))

@@ -71,3 +71,72 @@ def central_difference(f, arr, eps=1e-5):
         arr[idx] = orig
         g[idx] = (fp - fm) / (2 * eps)
     return g
+
+
+def per_sample_train_approximator(method, dataset, steps, lr, seed, jpu_width=8, holdout=None):
+    """Oracle for experiments.train_approximator: the same SGD run one sample at
+    a time (n=1 forward and backward per sample, gradients summed in Python).
+
+    Built from the library's n=1 conv, JPU and resize primitives, which have
+    their own oracles above; what this checks is the batching along N.
+    Returns (loss_curve, final_mse, param_count).
+    """
+    from jpulite.conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights
+    from jpulite.jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
+    from jpulite.tensor import Rng, Tensor, bilinear_resize
+
+    samples = dataset.samples
+    if holdout is None:
+        holdout = max(1, len(samples) // 4)
+    train, held = samples[: len(samples) - holdout], samples[len(samples) - holdout :]
+    target_ch, out_h, out_w = train[0].target.shape[1:]
+    rng = Rng(seed)
+    jpu_cfg = jpu_params = None
+    if method == "jpu":
+        jpu_cfg = JpuConfig(dataset.config.level_channels, width=jpu_width)
+        jpu_params = jpu_init(jpu_cfg, rng)
+        head_in = jpu_cfg.out_channels
+    else:
+        head_in = dataset.config.level_channels[2]
+    head_spec = ConvSpec(head_in, target_ch, kernel=(3, 3), padding=(1, 1))
+    head = init_weights(head_spec, rng)
+
+    def sgd(w, gw, gb, scale):
+        return ConvWeights(Tensor(w.weight.data - scale * gw), w.bias - scale * gb)
+
+    def forward(sample):
+        if method == "bilinear":
+            feat, cache = bilinear_resize(sample.c5, out_h, out_w), None
+        else:
+            feat, cache = jpu_forward(sample.c3, sample.c4, sample.c5, jpu_params, jpu_cfg)
+        return conv2d(feat, head, head_spec), feat, cache
+
+    loss_curve = []
+    for _ in range(steps):
+        g_head_w = np.zeros_like(head.weight.data)
+        g_head_b = np.zeros_like(head.bias)
+        jpu_grads = []
+        total_loss = 0.0
+        for sample in train:
+            pred, feat, cache = forward(sample)
+            diff = pred.data - sample.target.data
+            total_loss += float(np.mean(diff**2))
+            g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, Tensor(2.0 * diff / diff.size))
+            g_head_w += g_w.data
+            g_head_b += g_b
+            if method == "jpu":
+                jpu_grads.append(jpu_backward(cache, g_feat)[0])
+        loss_curve.append(total_loss / len(train))
+        scale = lr / len(train)
+        head = sgd(head, g_head_w, g_head_b, scale)
+        if jpu_grads:
+            jpu_params = JpuParams.from_convs(
+                sgd(w, sum(g.weight.data for _, g in gs), sum(g.bias for _, g in gs), scale)
+                for (_, w), *gs in zip(jpu_params.convs(), *(g.convs() for g in jpu_grads))
+            )
+
+    final = float(np.mean([np.mean((forward(s)[0].data - s.target.data) ** 2) for s in held]))
+    n_params = head.weight.data.size + head.bias.size
+    if method == "jpu":
+        n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())
+    return loss_curve, final, int(n_params)

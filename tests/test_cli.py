@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from jpulite import cli
 from jpulite.cli import main
+from jpulite.jointup import DegenerateProblemError
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,24 @@ def test_train_demo_deterministic(capsys):
     _, a = run_cli(capsys, *args)
     _, b = run_cli(capsys, *args)
     assert a == b
+
+
+def test_train_divergence_exits_1(capsys):
+    code = main(["train-demo", "--seeds", "1", "--steps", "30", "--samples", "4", "--image", "32", "--lr", "1e8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: non-finite loss inf at step 23"]
+
+
+def test_degenerate_problem_exits_1(capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateProblemError("singular normal equations")
+
+    monkeypatch.setattr(cli, "solve_joint_upsample", degenerate)
+    code = main(["jointup-demo"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: singular normal equations\n"
 
 
 def test_bench_no_timing_deterministic(capsys):

@@ -120,6 +120,12 @@ def test_jpu_cost_entries_structure():
     assert up.cost.macs == 8 * 2 * 512 * 64 * 64
 
 
+@pytest.mark.parametrize("hw", [(500, 500), (512, 500), (48, 64), (0, 32)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_jpu_cost_entries_rejects_input_not_multiple_of_32(hw):
+    with pytest.raises(ValueError, match="multiples of 32"):
+        jpu_cost_entries(JpuConfig((512, 1024, 2048), width=512), hw)
+
+
 def test_compare_identity():
     r = backbone_cost(resnet_preset("resnet50"), DILATED_MODE, (512, 512))
     cmp = compare_costs(r, r, per_layer=True)

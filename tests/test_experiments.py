@@ -14,6 +14,8 @@ from jpulite.experiments import (
 )
 from jpulite.tensor import Rng, ShapeError, max_abs_diff, random_uniform
 
+from reference import per_sample_train_approximator
+
 CFG = MiniBackboneConfig()
 
 
@@ -117,6 +119,16 @@ def test_capacity_reported(small_dataset):
     b = train_approximator("bilinear", small_dataset, steps=1, lr=0.1, seed=0)
     j = train_approximator("jpu", small_dataset, steps=1, lr=0.1, seed=0)
     assert j.param_count >= b.param_count
+
+
+@pytest.mark.parametrize("method", ["bilinear", "jpu"])
+@pytest.mark.parametrize("holdout", [None, 2, 3])  # 3 of 4 samples held out leaves one to train on
+def test_batched_step_matches_per_sample_loop(small_dataset, method, holdout):
+    run = train_approximator(method, small_dataset, steps=6, lr=0.5, seed=3, holdout=holdout)
+    curve, final, n_params = per_sample_train_approximator(method, small_dataset, 6, 0.5, 3, holdout=holdout)
+    assert run.loss_curve == pytest.approx(curve, rel=1e-12, abs=0)
+    assert run.final_mse == pytest.approx(final, rel=1e-12, abs=0)
+    assert run.param_count == n_params
 
 
 def test_unknown_method_rejected(small_dataset):

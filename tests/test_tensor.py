@@ -145,6 +145,26 @@ def test_jt_rejects_bad_magic(tmp_path):
         load_jt(p)
 
 
+@given(shape=st.tuples(*[st.integers(1, 2)] * 4), dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=10, deadline=None)
+def test_jt_rejects_every_malformed_file(tmp_path_factory, shape, dtype):
+    d = tmp_path_factory.mktemp("jt")
+    save_jt(d / "good.jt", random_uniform(shape, Rng(5), -1.0, 1.0, dtype=dtype))
+    good = (d / "good.jt").read_bytes()
+    bad = d / "bad.jt"
+    for cut in range(len(good)):
+        bad.write_bytes(good[:cut])
+        with pytest.raises(ValueError):
+            load_jt(bad)
+    for code in range(2, 256):
+        bad.write_bytes(good[:4] + bytes([code]) + good[5:])
+        with pytest.raises(ValueError, match=f"unknown dtype code {code}"):
+            load_jt(bad)
+    bad.write_bytes(good + b"\x00")
+    with pytest.raises(ValueError, match="size mismatch"):
+        load_jt(bad)
+
+
 def test_tensor_immutable():
     t = zeros((1, 1, 2, 2))
     with pytest.raises(ValueError):
