@@ -27,7 +27,6 @@ from .decomp import (
     reduce_even,
 )
 from .jointup import DegenerateProblemError, solve_joint_upsample
-from .jpu import JpuConfig
 from .tensor import Rng, Tensor, max_abs_diff, random_uniform
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -89,12 +88,8 @@ def cmd_equiv(args) -> int:
 def cmd_cost(args) -> int:
     spec = costmod.resnet_preset(args.backbone)
     input_hw = tuple(args.input)
-    jpu_cfg = JpuConfig(
-        (spec.stages[-3].out_channels, spec.stages[-2].out_channels, spec.stages[-1].out_channels),
-        width=args.jpu_width,
-    )
     dilated = costmod.backbone_cost(spec, costmod.DILATED_MODE, input_hw)
-    jpu = costmod.backbone_cost(spec, costmod.STRIDE_JPU_MODE, input_hw, jpu_config=jpu_cfg)
+    jpu = costmod.backbone_cost(spec, costmod.STRIDE_JPU_MODE, input_hw, jpu_width=args.jpu_width)
     if args.compare:
         doc = {
             "command": "cost",

@@ -164,7 +164,7 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
     return entries
 
 
-def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_config: JpuConfig | None = None) -> CostReport:
+def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_width: int = 512) -> CostReport:
     if mode not in MODES:
         raise KeyError(f"unknown mode {mode!r}")
     h, w = _check_input_hw(input_hw)
@@ -178,12 +178,8 @@ def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_config
         eff_os = min(os, 8) if mode == DILATED_MODE else os
         report.entries.extend(_bottleneck_entries(f"stage{i + 1}", st, (h // eff_os, w // eff_os)))
     if mode == STRIDE_JPU_MODE:
-        if jpu_config is None:
-            jpu_config = JpuConfig(
-                (spec.stages[-3].out_channels, spec.stages[-2].out_channels, spec.stages[-1].out_channels),
-                width=512,
-            )
-        report.entries.extend(jpu_cost_entries(jpu_config, (h, w)))
+        levels = tuple(st.out_channels for st in spec.stages[-3:])
+        report.entries.extend(jpu_cost_entries(JpuConfig(levels, width=jpu_width), (h, w)))
     return report
 
 

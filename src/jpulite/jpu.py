@@ -36,6 +36,10 @@ from .tensor import (
 )
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class JpuConfig:
     in_channels: tuple[int, int, int]  # channels of the three input levels, fine to coarse
@@ -44,39 +48,33 @@ class JpuConfig:
     out_channels: int | None = None  # defaults to 4 * width
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ShapeError("width must be positive")
+        c = self.in_channels
+        if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_count, c))):
+            raise ShapeError(f"in_channels must be three positive ints, got {c!r}")
+        if not _is_count(self.width):
+            raise ShapeError(f"width must be a positive int, got {self.width!r}")
         r = self.dilation_rates
-        if not r or any(d < 1 for d in r) or any(a >= b for a, b in zip(r, r[1:])):
-            raise ShapeError(f"dilation rates must be non-empty strictly increasing >= 1, got {r}")
+        if not (isinstance(r, tuple) and r and all(map(_is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
+            raise ShapeError(f"dilation rates must be non-empty strictly increasing >= 1, got {r!r}")
         if self.out_channels is None:
             object.__setattr__(self, "out_channels", 4 * self.width)
-
-    @property
-    def concat_channels(self) -> int:
-        return 3 * self.width
-
-    def level_spec(self, level: int) -> ConvSpec:
-        return ConvSpec(self.in_channels[level], self.width, kernel=(3, 3), padding=(1, 1))
-
-    def branch_specs(self, rate: int) -> tuple[ConvSpec, ConvSpec]:
-        return separable_spec(self.concat_channels, self.width, rate)
-
-    def fusion_spec(self) -> ConvSpec:
-        return ConvSpec(len(self.dilation_rates) * self.width, self.out_channels, kernel=(3, 3), padding=(1, 1))
+        elif not _is_count(self.out_channels):
+            raise ShapeError(f"out_channels must be a positive int, got {self.out_channels!r}")
 
     def layers(self) -> list[tuple[str, ConvSpec, int]]:
         """The module's convs in execution order, as (name, spec, input pyramid level).
 
         Level 0 is the finest grid; every conv after the three level convs runs
-        there. Init, checkpoints, training and the cost model all read this table.
+        there. This is the one place the conv geometry is written: init,
+        checkpoints, forward, backward, training and the cost model read it.
         """
-        table = [(f"level{i}", self.level_spec(i), i) for i in range(3)]
+        w = self.width
+        table = [(f"level{i}", ConvSpec(c, w, kernel=(3, 3), padding=(1, 1)), i) for i, c in enumerate(self.in_channels)]
         for i, rate in enumerate(self.dilation_rates):
-            dspec, pspec = self.branch_specs(rate)
+            dspec, pspec = separable_spec(3 * w, w, rate)
             table += [(f"branch{i}.depthwise", dspec, 0), (f"branch{i}.pointwise", pspec, 0)]
-        table.append(("fusion", self.fusion_spec(), 0))
-        return table
+        fusion = ConvSpec(len(self.dilation_rates) * w, self.out_channels, kernel=(3, 3), padding=(1, 1))
+        return table + [("fusion", fusion, 0)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,18 +110,9 @@ def jpu_init(config: JpuConfig, rng: Rng, dtype=np.float64) -> JpuParams:
 
 @dataclass(eq=False)
 class JpuCache:
-    config: JpuConfig
-    params: JpuParams
-    inputs: tuple[Tensor, Tensor, Tensor]
-    level_pre: list[Tensor]
-    level_act: list[Tensor]
-    y_c: Tensor
-    branch_dw: list[Tensor]
-    branch_pre: list[Tensor]
-    branch_act: list[Tensor]
-    fused_in: Tensor
-    fusion_pre: Tensor
-    output: Tensor
+    layers: dict[str, tuple[ConvSpec, ConvWeights]]  # the layer table with this pass's weights
+    inputs: dict[str, Tensor]  # each conv's input, by layer name
+    acts: dict[str, Tensor]  # ReLU output of each conv followed by one (levels, pointwise, fusion)
 
 
 def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> None:
@@ -141,30 +130,25 @@ def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> Non
 def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: JpuConfig) -> tuple[Tensor, JpuCache]:
     _check_pyramid(c3, c4, c5, config)
     h, w = c3.shape[2], c3.shape[3]
-    level_pre, level_act = [], []
-    for i, x in enumerate((c3, c4, c5)):
-        z = conv2d(x, params.levels[i], config.level_spec(i))
-        level_pre.append(z)
-        level_act.append(relu(z))
-    up4 = bilinear_resize(level_act[1], h, w)
-    up5 = bilinear_resize(level_act[2], h, w)
-    y_c = concat_channels([level_act[0], up4, up5])
-    branch_dw, branch_pre, branch_act = [], [], []
-    for rate, (dw, pw) in zip(config.dilation_rates, params.branches):
-        dspec, pspec = config.branch_specs(rate)
-        d = conv2d(y_c, dw, dspec)
-        z = conv2d(d, pw, pspec)
-        branch_dw.append(d)
-        branch_pre.append(z)
-        branch_act.append(relu(z))
-    fused_in = concat_channels(branch_act)
-    fusion_pre = conv2d(fused_in, params.fusion, config.fusion_spec())
-    out = relu(fusion_pre)
-    cache = JpuCache(
-        config, params, (c3, c4, c5), level_pre, level_act, y_c,
-        branch_dw, branch_pre, branch_act, fused_in, fusion_pre, out,
-    )
-    return out, cache
+    layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
+    inputs, acts = {}, {}
+
+    def conv(name: str, x: Tensor, with_relu: bool = True) -> Tensor:
+        spec, cw = layers[name]
+        inputs[name] = x
+        y = conv2d(x, cw, spec)
+        if with_relu:
+            y = acts[name] = relu(y)
+        return y
+
+    a3, a4, a5 = (conv(f"level{i}", x) for i, x in enumerate((c3, c4, c5)))
+    y_c = concat_channels([a3, bilinear_resize(a4, h, w), bilinear_resize(a5, h, w)])
+    fused_in = concat_channels([
+        conv(f"branch{i}.pointwise", conv(f"branch{i}.depthwise", y_c, with_relu=False))
+        for i in range(len(config.dilation_rates))
+    ])
+    out = conv("fusion", fused_in)
+    return out, JpuCache(layers, inputs, acts)
 
 
 def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tensor, Tensor, Tensor]]:
@@ -173,38 +157,33 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     Parameter gradients come back in a JpuParams with the same structure as
     the parameters themselves.
     """
-    cfg, params = cache.config, cache.params
-    if grad_y.shape != cache.output.shape:
-        raise ShapeError(f"grad shape {grad_y.shape} vs output {cache.output.shape}")
-    width = cfg.width
-    g_fpre = relu_backward(cache.fusion_pre, grad_y)
-    g_fused, g_fw, g_fb = conv2d_backward(cache.fused_in, params.fusion, cfg.fusion_spec(), g_fpre)
-    fusion_grad = ConvWeights(g_fw, g_fb)
+    layers, inputs, acts = cache.layers, cache.inputs, cache.acts
+    if grad_y.shape != acts["fusion"].shape:
+        raise ShapeError(f"grad shape {grad_y.shape} vs output {acts['fusion'].shape}")
+    grads = {}
 
-    g_yc = np.zeros_like(cache.y_c.data)
-    branch_grads = []
-    for bi, (rate, (dw, pw)) in enumerate(zip(cfg.dilation_rates, params.branches)):
-        dspec, pspec = cfg.branch_specs(rate)
-        g_act = Tensor(np.ascontiguousarray(g_fused.data[:, bi * width : (bi + 1) * width]))
-        g_pre = relu_backward(cache.branch_pre[bi], g_act)
-        g_d, g_pww, g_pwb = conv2d_backward(cache.branch_dw[bi], pw, pspec, g_pre)
-        g_in, g_dww, g_dwb = conv2d_backward(cache.y_c, dw, dspec, g_d)
-        g_yc += g_in.data
-        branch_grads.append((ConvWeights(g_dww, g_dwb), ConvWeights(g_pww, g_pwb)))
+    def back(name: str, g: Tensor) -> Tensor:
+        """Mirror of the forward conv: takes the gradient of the layer's output
+        (after its ReLU, if it has one) and returns that of its input."""
+        spec, cw = layers[name]
+        if name in acts:  # relu(z) > 0 exactly where z > 0
+            g = relu_backward(acts[name], g)
+        g_x, g_w, g_b = conv2d_backward(inputs[name], cw, spec, g)
+        grads[name] = ConvWeights(g_w, g_b)
+        return g_x
 
-    level_grads, input_grads = [], []
-    h4w4 = cache.level_act[1].shape[2:]
-    h5w5 = cache.level_act[2].shape[2:]
-    g_a3 = g_yc[:, :width]
-    g_a4 = bilinear_resize_backward(g_yc[:, width : 2 * width], *h4w4)
-    g_a5 = bilinear_resize_backward(g_yc[:, 2 * width :], *h5w5)
-    for i, g_act_arr in enumerate((g_a3, g_a4, g_a5)):
-        g_pre = relu_backward(cache.level_pre[i], Tensor(np.ascontiguousarray(g_act_arr)))
-        g_x, g_w, g_b = conv2d_backward(cache.inputs[i], params.levels[i], cfg.level_spec(i), g_pre)
-        level_grads.append(ConvWeights(g_w, g_b))
-        input_grads.append(g_x)
+    width = layers["level0"][0].out_channels  # every level and branch emits `width` channels
+    g_fused = back("fusion", grad_y).data
+    g_yc = np.zeros_like(inputs["branch0.depthwise"].data)
+    for i in range(g_fused.shape[1] // width):
+        g_act = Tensor(np.ascontiguousarray(g_fused[:, i * width : (i + 1) * width]))
+        g_yc += back(f"branch{i}.depthwise", back(f"branch{i}.pointwise", g_act)).data
 
-    return JpuParams(level_grads, branch_grads, fusion_grad), tuple(input_grads)
+    g_levels = [g_yc[:, :width]] + [
+        bilinear_resize_backward(g_yc[:, i * width : (i + 1) * width], *acts[f"level{i}"].shape[2:]) for i in (1, 2)
+    ]
+    input_grads = tuple(back(f"level{i}", Tensor(np.ascontiguousarray(g))) for i, g in enumerate(g_levels))
+    return JpuParams.from_convs(grads[name] for name in layers), input_grads
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +194,9 @@ def _bias_to_tensor(b: np.ndarray) -> Tensor:
     return Tensor(b.reshape(1, b.size, 1, 1))
 
 
-def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for name, arr in params.named_tensors():
-        t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)
-        save_jt(os.path.join(dirpath, name + ".jt"), t)
-        names.append(name)
-    manifest = {
+def _manifest(config: JpuConfig) -> dict:
+    """The manifest save_jpu_params writes for a config: load_jpu_params accepts exactly this."""
+    return {
         "schema": 1,
         "config": {
             "in_channels": list(config.in_channels),
@@ -230,10 +204,17 @@ def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
             "dilation_rates": list(config.dilation_rates),
             "out_channels": config.out_channels,
         },
-        "tensors": names,
+        "tensors": [f"{name}.{part}" for name, _, _ in config.layers() for part in ("weight", "bias")],
     }
+
+
+def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
+    os.makedirs(dirpath, exist_ok=True)
+    for name, arr in params.named_tensors():
+        t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)
+        save_jt(os.path.join(dirpath, name + ".jt"), t)
     with open(os.path.join(dirpath, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(_manifest(config), f, indent=2, sort_keys=True)
 
 
 def _load_shaped(dirpath, name: str, shape) -> Tensor:
@@ -243,15 +224,21 @@ def _load_shaped(dirpath, name: str, shape) -> Tensor:
     return t
 
 
+def _manifest_config(manifest) -> JpuConfig:
+    c = manifest.get("config") if isinstance(manifest, dict) else None
+    if not (isinstance(c, dict) and isinstance(c.get("in_channels"), list) and isinstance(c.get("dilation_rates"), list)):
+        raise ValueError(f"malformed checkpoint manifest config {c!r}")
+    config = JpuConfig(tuple(c["in_channels"]), c.get("width"), tuple(c["dilation_rates"]), c.get("out_channels"))
+    if type(manifest.get("schema")) is not int or manifest != _manifest(config):
+        raise ValueError(f"checkpoint manifest is not a schema-1 manifest of {config}")
+    return config
+
+
 def load_jpu_params(dirpath) -> tuple[JpuParams, JpuConfig]:
-    """Read a checkpoint written by save_jpu_params; raises ValueError when a
-    tensor's shape disagrees with the manifest config."""
+    """Read a checkpoint written by save_jpu_params; raises ValueError for a
+    malformed manifest and when a tensor's shape disagrees with its config."""
     with open(os.path.join(dirpath, "manifest.json")) as f:
-        manifest = json.load(f)
-    c = manifest["config"]
-    config = JpuConfig(
-        tuple(c["in_channels"]), c["width"], tuple(c["dilation_rates"]), c["out_channels"]
-    )
+        config = _manifest_config(json.load(f))
     params = JpuParams.from_convs(
         ConvWeights(
             _load_shaped(dirpath, f"{name}.weight", spec.weight_shape),

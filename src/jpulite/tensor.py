@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FLOAT_DTYPES = (np.float32, np.float64)
-
 _JT_MAGIC = b"JT01"
 _JT_HEADER = "<4sB4I"  # struct format: magic, dtype code, four dims
 _JT_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -56,9 +54,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
 
 
 def zeros(shape, dtype=np.float64) -> Tensor:
@@ -100,11 +95,6 @@ class Rng:
             raise ValueError(f"need lo < hi, got {lo} >= {hi}")
         u = (self.next_u64(count) >> _U64(11)).astype(np.float64) * 2.0**-53
         return lo + u * (hi - lo)
-
-    def spawn(self, key: int) -> "Rng":
-        """Derive an independent stream; used to give each weight tensor its own stream."""
-        child = _mix64(np.array([self.seed], dtype=np.uint64) ^ _mix64(np.array([key], dtype=np.uint64)))[0]
-        return Rng(int(child))
 
 
 def random_uniform(shape, rng: Rng, lo: float = 0.0, hi: float = 1.0, dtype=np.float64) -> Tensor:

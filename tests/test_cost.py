@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpulite.conv import conv2d
 from jpulite.cost import (
@@ -68,9 +70,7 @@ def _block_macs(report, stage):
     return blocks
 
 
-@pytest.mark.parametrize("name", ["resnet50", "resnet101"])
-@pytest.mark.parametrize("input_hw", [(512, 512), (256, 256)])
-def test_stage_block_ratios(name, input_hw):
+def _assert_block_ratios(name, input_hw):
     spec = resnet_preset(name)
     d = backbone_cost(spec, DILATED_MODE, input_hw)
     s = backbone_cost(spec, STRIDE_JPU_MODE, input_hw)
@@ -81,6 +81,23 @@ def test_stage_block_ratios(name, input_hw):
             assert bd[block] == factor * bs[block], block
     for stage in ("stem", "stage1", "stage2"):
         assert d.stage_totals()[stage].macs == s.stage_totals()[stage].macs
+
+
+@pytest.mark.parametrize("name", ["resnet50", "resnet101"])
+@pytest.mark.parametrize("input_hw", [(512, 512), (256, 256)])
+def test_stage_block_ratios(name, input_hw):
+    _assert_block_ratios(name, input_hw)
+
+
+@given(
+    name=st.sampled_from(["resnet50", "resnet101"]),
+    h=st.integers(1, 64).map(lambda k: 32 * k),
+    w=st.integers(1, 64).map(lambda k: 32 * k),
+)
+@settings(max_examples=60, deadline=None)
+def test_stage_block_ratios_every_accepted_size(name, h, w):
+    # every positive multiple of 32 is accepted, and freezing one (two) strides costs exactly 4x (16x)
+    _assert_block_ratios(name, (h, w))
 
 
 def test_stage5_activation_memory_ratio():

@@ -1,7 +1,12 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jpulite.conv import ConvWeights
+from jpulite.conv import ConvWeights, conv2d
 from jpulite.jpu import (
     JpuConfig,
     JpuParams,
@@ -34,6 +39,18 @@ def test_config_validation():
     with pytest.raises(ShapeError):
         JpuConfig((1, 2, 3), width=4, dilation_rates=(0, 1))
     assert JpuConfig((1, 2, 3), width=4).out_channels == 16
+
+
+_FIELD_VALUES = st.one_of(st.integers(-1, 6), st.floats(-1, 6), st.booleans(), st.none(), st.text(max_size=2))
+
+
+@given(in_channels=st.lists(_FIELD_VALUES, max_size=5), width=_FIELD_VALUES)
+def test_config_accepts_only_three_positive_int_channels(in_channels, width):
+    if len(in_channels) == 3 and all(type(v) is int and v >= 1 for v in in_channels + [width]):
+        assert JpuConfig(tuple(in_channels), width).in_channels == tuple(in_channels)
+    else:
+        with pytest.raises(ShapeError):
+            JpuConfig(tuple(in_channels), width)
 
 
 def test_init_deterministic():
@@ -87,7 +104,7 @@ def test_forward_shapes():
     c4 = random_uniform((1, 16, 8, 8), rng, -1, 1)
     c5 = random_uniform((1, 32, 4, 4), rng, -1, 1)
     y, cache = jpu_forward(c3, c4, c5, p, cfg)
-    assert cache.y_c.shape == (1, 24, 16, 16)
+    assert cache.inputs["branch0.depthwise"].shape == (1, 24, 16, 16)  # the concatenated pyramid
     assert y.shape == (1, 32, 16, 16)
 
 
@@ -120,10 +137,15 @@ def test_input_doubling_scales_concat_stage():
     _, cache1 = jpu_forward(c3, c4, c5, p, TINY)
     double = [Tensor(2 * t.data) for t in (c3, c4, c5)]
     _, cache2 = jpu_forward(*double, p, TINY)
+
+    def level_pre(cache):  # the level convs' pre-activations, recomputed from their cached inputs
+        return [conv2d(cache.inputs[name], w, spec) for name, (spec, w) in cache.layers.items() if name.startswith("level")]
+
     # pre-activation level outputs double exactly (biases are zero at init)
-    for z1, z2 in zip(cache1.level_pre, cache2.level_pre):
+    for z1, z2 in zip(level_pre(cache1), level_pre(cache2), strict=True):
         assert max_abs_diff(Tensor(2 * z1.data), z2) <= 1e-12
-    assert max_abs_diff(Tensor(2 * cache1.y_c.data), cache2.y_c) <= 1e-12
+    y_c1, y_c2 = cache1.inputs["branch0.depthwise"], cache2.inputs["branch0.depthwise"]
+    assert max_abs_diff(Tensor(2 * y_c1.data), y_c2) <= 1e-12
 
 
 def test_determinism():
@@ -141,9 +163,7 @@ def test_branch_receptive_field(rate):
     probe = np.zeros((1, 3, size, size))
     probe[0, :, size // 2, size // 2] = 1.0
     p = jpu_init(cfg, Rng(8))
-    from jpulite.conv import conv2d
-
-    dspec, _ = cfg.branch_specs(rate)
+    dspec = {name: spec for name, spec, _ in cfg.layers()}["branch0.depthwise"]
     resp = conv2d(Tensor(probe), p.branches[0][0], dspec).data
     nz = np.argwhere(np.abs(resp).sum(axis=(0, 1)) > 0)
     offsets = {tuple(v) for v in (nz - size // 2)}
@@ -156,7 +176,7 @@ def test_single_rate_degenerate_config():
     p = jpu_init(cfg, Rng(9))
     y, cache = jpu_forward(*pyramid(cfg, 10, h=8, w=8), p, cfg)
     assert y.shape == (1, 4, 8, 8)
-    assert cache.fused_in.shape == (1, 4, 8, 8)
+    assert cache.inputs["fusion"].shape == (1, 4, 8, 8)
 
 
 def test_backward_zero_grad():
@@ -230,3 +250,53 @@ def test_load_rejects_tensor_shape_mismatch(tmp_path, name, shape):
     save_jt(tmp_path / f"{name}.jt", Tensor(np.zeros(shape)))
     with pytest.raises(ValueError, match=name):
         load_jpu_params(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    d = tmp_path_factory.mktemp("checkpoint")
+    save_jpu_params(d, jpu_init(TINY, Rng(24)), TINY)
+    return d, json.loads((d / "manifest.json").read_text())
+
+
+def _manifest_edits(good):
+    """Strategy: `good` with one key dropped, one value swapped for one of
+    another type, or a drawn schema value or in_channels list."""
+    paths = [(k,) for k in good] + [("config", k) for k in good["config"]]
+
+    def parent(m, path):
+        return m if len(path) == 1 else m[path[0]]
+
+    def drop(path):
+        m = copy.deepcopy(good)
+        del parent(m, path)[path[-1]]
+        return m
+
+    def swap(path, value):
+        m = copy.deepcopy(good)
+        parent(m, path)[path[-1]] = value
+        return m
+
+    def retyped(path):
+        old = type(parent(good, path)[path[-1]])
+        return _FIELD_VALUES.filter(lambda v: type(v) is not old).map(lambda v: swap(path, v))
+
+    return st.one_of(
+        st.sampled_from(paths).map(drop),
+        st.sampled_from(paths).flatmap(retyped),
+        _FIELD_VALUES.map(lambda v: swap(("schema",), v)),
+        st.lists(st.integers(1, 6), max_size=6).map(lambda v: swap(("config", "in_channels"), v)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_rejects_every_malformed_manifest(checkpoint, data):
+    path, good = checkpoint
+    manifest = data.draw(_manifest_edits(good))
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    if json.dumps(manifest, sort_keys=True) == json.dumps(good, sort_keys=True):
+        assert load_jpu_params(path)[1] == TINY
+    else:
+        with pytest.raises(ValueError):
+            load_jpu_params(path)
