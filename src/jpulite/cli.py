@@ -4,14 +4,16 @@ Every subcommand prints one JSON document (schema 1) to stdout; `--output`
 additionally writes it to a file. Exit codes: 0 success, 1 a numerical check
 or computation failed (diverged training, degenerate least squares), 2 usage
 error. All randomness is derived from `--seed`, so repeated runs are
-byte-identical (the benchmark's timing fields are the exception and can be
-stripped with `--no-timing`).
+byte-identical (the benchmark's timing and environment fields are the
+exception and can be stripped with `--no-timing`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 
 import numpy as np
@@ -55,26 +57,31 @@ def _random_stage(rng: Rng, dtype) -> tuple[Tensor, StageWeights]:
     return x, StageWeights(head, body)
 
 
+def _family_diffs(x: Tensor, sw: StageWeights) -> dict[str, float]:
+    """Max abs diff of each identity family on one random stage."""
+    spec_full = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), padding=(1, 1))
+    spec_strided = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    return {
+        "dilated_decomp": max_abs_diff(dilated_stage(x, sw).y, dilated_stage_decomposed(x, sw).y),
+        "stride_reduce": max_abs_diff(conv2d(x, sw.head, spec_strided), reduce_even(conv2d(x, sw.head, spec_full))),
+        "phase_consistency": check_phase_consistency(x, sw).max_abs_diff,
+    }
+
+
 def cmd_equiv(args) -> int:
+    """Each family reports its worst diff with the seed and case index it came
+    from: case i is the (i+1)-th `_random_stage` drawn from `Rng(seed)`."""
     dtype = DTYPES[args.dtype]
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL[args.dtype]
     rng = Rng(args.seed)
-    families = {name: {"cases": args.cases, "max_abs_diff": 0.0} for name in
-                ("dilated_decomp", "stride_reduce", "phase_consistency")}
-    for _ in range(args.cases):
-        x, sw = _random_stage(rng, dtype)
-        d = max_abs_diff(dilated_stage(x, sw).y, dilated_stage_decomposed(x, sw).y)
-        families["dilated_decomp"]["max_abs_diff"] = max(families["dilated_decomp"]["max_abs_diff"], d)
-
-        spec_full = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), padding=(1, 1))
-        spec_strided = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
-        d = max_abs_diff(conv2d(x, sw.head, spec_strided), reduce_even(conv2d(x, sw.head, spec_full)))
-        families["stride_reduce"]["max_abs_diff"] = max(families["stride_reduce"]["max_abs_diff"], d)
-
-        rep = check_phase_consistency(x, sw, tolerance=tol)
-        families["phase_consistency"]["max_abs_diff"] = max(
-            families["phase_consistency"]["max_abs_diff"], rep.max_abs_diff
-        )
+    families = {name: {"cases": args.cases, "max_abs_diff": 0.0, "worst_seed": args.seed, "worst_case": None}
+                for name in ("dilated_decomp", "stride_reduce", "phase_consistency")}
+    for i in range(args.cases):
+        for name, d in _family_diffs(*_random_stage(rng, dtype)).items():
+            fam = families[name]
+            if fam["worst_case"] is None or d > fam["max_abs_diff"]:
+                fam["worst_case"] = i
+            fam["max_abs_diff"] = max(fam["max_abs_diff"], d)
     all_pass = True
     for fam in families.values():
         fam["tolerance"] = tol
@@ -165,6 +172,24 @@ def cmd_train_demo(args) -> int:
     return 0 if doc["jpu_beats_bilinear"] else 1
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What the timings depend on besides the code: the interpreter, numpy, its BLAS and threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def cmd_bench(args) -> int:
     config = exp.MiniBackboneConfig(
         stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64))
@@ -181,6 +206,8 @@ def cmd_bench(args) -> int:
             for key in ("mean_ms", "std_ms", "min_ms", "max_ms"):
                 r.pop(key, None)
         doc.pop("dilated_slower")
+    else:
+        doc["environment"] = _environment()
     _emit(doc, args)
     return 0
 

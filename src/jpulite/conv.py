@@ -1,8 +1,20 @@
-"""Direct 2-D convolution (regular / dilated / strided / grouped / separable) with exact gradients.
+"""2-D convolution (regular / dilated / strided / grouped / depthwise) with exact gradients.
 
-The forward accumulates contributions in a fixed loop nest (in-channel, then
-kernel row, then kernel column), so per-element summation order is defined and
-results are reproducible bit-for-bit. Padding is always zero padding.
+Forward and backward share one tap walk ("shift-GEMM", no column matrix). The
+zero-padded input is written once into a buffer of its stride phases, each
+flattened to rows of one common width, and the output is computed on a "wide"
+grid of that width. Each kernel tap then reads one contiguous slice of one
+phase and is one BLAS `matmul` (a broadcast multiply when a group has one
+input channel), accumulated in a fixed tap order; the wide grid's extra
+columns are dropped. The backward reads the same slices: a tap's weight
+gradient is `grad @ sliceᵀ`, and `Wᵀ @ grad` is added back into the phase
+buffer of the input gradient. Padding is always zero padding.
+
+Sums inside a tap are up to BLAS: results are byte-identical on one machine at
+a fixed BLAS thread count and agree to rounding elsewhere. Every sample of a
+batch goes through GEMMs of the same sizes, so its output does not depend on
+the rest of the batch. `count_macs=True` runs a plain loop nest instead and
+also returns the number of weight multiplies it performed.
 """
 
 from __future__ import annotations
@@ -12,7 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import Rng, ShapeError, Tensor, is_count
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(isinstance(e, int) and not isinstance(e, bool) for e in v)
 
 
 @dataclass(frozen=True)
@@ -26,12 +42,16 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ShapeError("channel counts must be positive")
+        for name in ("in_channels", "out_channels", "groups"):
+            if not is_count(getattr(self, name)):
+                raise ShapeError(f"{name} must be a positive int, got {getattr(self, name)!r}")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ShapeError(
                 f"channels ({self.in_channels}, {self.out_channels}) not divisible by groups={self.groups}"
             )
+        for name in ("kernel", "stride", "dilation", "padding"):
+            if not _is_pair(getattr(self, name)):
+                raise ShapeError(f"{name} must be a tuple of two ints, got {getattr(self, name)!r}")
         for name in ("kernel", "stride", "dilation"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ShapeError(f"{name} must be >= 1")
@@ -40,7 +60,7 @@ class ConvSpec:
 
     def out_hw(self, in_hw: tuple[int, int]) -> tuple[int, int]:
         out = []
-        for size, k, s, d, p in zip(in_hw, self.kernel, self.stride, self.dilation, self.padding):
+        for size, k, s, d, p in zip(in_hw, self.kernel, self.stride, self.dilation, self.padding, strict=True):
             o = (size + 2 * p - d * (k - 1) - 1) // s + 1
             if o < 1:
                 raise ShapeError(f"non-positive output dim for input {in_hw} with {self}")
@@ -83,88 +103,161 @@ def _check_input(x: Tensor, w: ConvWeights, spec: ConvSpec) -> None:
         raise ShapeError(f"weight shape {w.weight.shape} vs spec {spec.weight_shape}")
 
 
-def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+class _TapWalk:
+    """The geometry conv2d and conv2d_backward share for one (spec, input shape).
+
+    `phases(x)` writes the zero-padded input, split into its sh x sw stride
+    phases, into a new buffer of shape (sh, sw, n, groups, cg_in, (hq + 1) * wq):
+    each phase is hq rows of wq columns plus one zero slack row, so every tap
+    can read whole rows of the wide output grid. `taps` lists each kernel tap
+    as (row, column, phase row, phase column, flat offset in the phase), in
+    the order the forward accumulates them.
+    """
+
+    def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int]):
+        (kh, kw), (sh, sw), (dh, dw), (ph, pw) = spec.kernel, spec.stride, spec.dilation, spec.padding
+        n, c, h, w = x_shape
+        self.n, self.h, self.w = n, h, w
+        self.oh, self.ow = spec.out_hw((h, w))
+        hq, self.wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
+        self.shape = (sh, sw, n, spec.groups, c // spec.groups, hq + 1, self.wq)
+        self.taps = [
+            (u, v, u * dh % sh, v * dw % sw, (u * dh // sh) * self.wq + v * dw // sw)
+            for u in range(kh)
+            for v in range(kw)
+        ]
+        # per phase: (where it holds input, the grouped-input view of what it holds)
+        self.views = [
+            ((a, b, ..., rows, cols), (..., in_rows, in_cols))
+            for a, rows, in_rows in _phase_ranges(h, sh, ph)
+            for b, cols, in_cols in _phase_ranges(w, sw, pw)
+        ]
+
+    def phases(self, x: np.ndarray) -> np.ndarray:
+        buf = np.zeros(self.shape, dtype=x.dtype)
+        xg = x.reshape(self.shape[2:5] + x.shape[2:])
+        for at, src in self.views:
+            buf[at] = xg[src]
+        return buf.reshape(*self.shape[:5], -1)
+
+    def unphase(self, buf: np.ndarray) -> np.ndarray:
+        """Inverse of phases(): the (n, c, h, w) array read back out of a phase buffer."""
+        buf = buf.reshape(self.shape)
+        xg = np.empty(self.shape[2:5] + (self.h, self.w), dtype=buf.dtype)
+        for at, src in self.views:
+            xg[src] = buf[at]
+        return xg.reshape(self.n, -1, self.h, self.w)
+
+    def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
+        """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
+        return buf[a, b, ..., off + r0 * self.wq : off + r1 * self.wq]
+
+
+def _phase_ranges(size: int, stride: int, pad: int):
+    """Per stride phase a of one padded axis: (a, its indices that hold input, the input indices they hold)."""
+    for a in range(stride):
+        t0 = max(0, -(-(pad - a) // stride))  # first index of phase a inside the unpadded input
+        start = a + t0 * stride - pad
+        yield a, slice(t0, t0 + len(range(start, size, stride))), slice(start, size, stride)
+
+
+# Cap on the forward's accumulator: larger per-call buffers come back as fresh
+# pages on every call, which cost more than the extra tap loops.
+_BLOCK_BYTES = 1 << 18
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out; an inner dimension of 1 is a broadcast multiply, not a GEMM."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _tap_weights(w: ConvWeights, spec: ConvSpec, dtype) -> np.ndarray:
+    """Weights as (kh, kw, groups, cg_out, cg_in): one matrix per tap and group."""
+    o, cg, kh, kw = spec.weight_shape
+    wt = w.weight.data.astype(dtype, copy=False).reshape(spec.groups, o // spec.groups, cg, kh, kw)
+    return np.ascontiguousarray(wt.transpose(3, 4, 0, 1, 2))
 
 
 def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False):
-    """Direct convolution. With count_macs=True also returns the number of
-    weight multiplies performed (for cost-model cross-checks)."""
+    """Convolution of an (n, c, h, w) input. With count_macs=True it runs the
+    plain loop nest instead and also returns the number of weight multiplies
+    performed (for cost-model cross-checks)."""
     _check_input(x, w, spec)
-    n, cin, h, wd = x.shape
+    if count_macs:
+        return _counted_conv2d(x, w, spec)
+    walk = _TapWalk(spec, x.shape)
+    buf = walk.phases(x.data)
+    wt = _tap_weights(w, spec, x.dtype)
+    n, g, o, wq = walk.n, spec.groups, spec.out_channels, walk.wq
+    out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
+    # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
+    rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * wq * x.dtype.itemsize)))
+    acc = np.empty((n, g, o // g, rows * wq), dtype=x.dtype)
+    tmp = np.empty_like(acc)
+    for r0 in range(0, walk.oh, rows):
+        r1 = min(walk.oh, r0 + rows)
+        acc_r, tmp_r = acc[..., : (r1 - r0) * wq], tmp[..., : (r1 - r0) * wq]
+        for i, (u, v, a, b, off) in enumerate(walk.taps):
+            prod = _mm(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+            if i:
+                acc_r += prod
+        out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, wq)[..., : walk.ow]
+    if w.bias is not None:
+        out += w.bias.astype(x.dtype, copy=False)[:, None, None]
+    return Tensor(out)
+
+
+def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
+    """The reference loop nest (group, in-channel, kernel row, kernel column),
+    counting every weight multiply."""
+    n, _, h, wd = x.shape
     oh, ow = spec.out_hw((h, wd))
     (kh, kw), (sh, sw), (dh, dw), (ph, pw) = spec.kernel, spec.stride, spec.dilation, spec.padding
-    xp = _pad(x.data, ph, pw)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     wt = w.weight.data
     cg_in = spec.in_channels // spec.groups
     cg_out = spec.out_channels // spec.groups
     y = np.zeros((n, spec.out_channels, oh, ow), dtype=x.dtype)
     macs = 0
-    if cg_in == 1 and cg_out == 1 and spec.groups == spec.in_channels == spec.out_channels:
-        # depthwise fast path; per-element add order identical to the general nest
-        for u in range(kh):
-            rows = slice(u * dh, u * dh + (oh - 1) * sh + 1, sh)
-            for v in range(kw):
-                cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
-                y += wt[:, 0, u, v][None, :, None, None] * xp[:, :, rows, cols]
-                macs += n * spec.out_channels * oh * ow
-    else:
-        for g in range(spec.groups):
-            osl = slice(g * cg_out, (g + 1) * cg_out)
-            for c in range(cg_in):
-                xc = xp[:, g * cg_in + c]
-                for u in range(kh):
-                    rows = slice(u * dh, u * dh + (oh - 1) * sh + 1, sh)
-                    for v in range(kw):
-                        cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
-                        patch = xc[:, rows, cols]
-                        y[:, osl] += wt[osl, c, u, v][None, :, None, None] * patch[:, None]
-                        macs += n * cg_out * oh * ow
+    for g in range(spec.groups):
+        osl = slice(g * cg_out, (g + 1) * cg_out)
+        for c in range(cg_in):
+            xc = xp[:, g * cg_in + c]
+            for u in range(kh):
+                rows = slice(u * dh, u * dh + (oh - 1) * sh + 1, sh)
+                for v in range(kw):
+                    cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
+                    y[:, osl] += wt[osl, c, u, v][None, :, None, None] * xc[:, None, rows, cols]
+                    macs += n * cg_out * oh * ow
     if w.bias is not None:
         y += w.bias[None, :, None, None].astype(x.dtype)
-    out = Tensor(y)
-    return (out, macs) if count_macs else out
+    return Tensor(y), macs
 
 
 def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
     """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias."""
     _check_input(x, w, spec)
-    n, cin, h, wd = x.shape
-    oh, ow = spec.out_hw((h, wd))
-    if grad_out.shape != (n, spec.out_channels, oh, ow):
-        raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, spec.out_channels, oh, ow)}")
-    (kh, kw), (sh, sw), (dh, dw), (ph, pw) = spec.kernel, spec.stride, spec.dilation, spec.padding
-    xp = _pad(x.data, ph, pw)
-    g = grad_out.data
-    wt = w.weight.data
-    cg_in = spec.in_channels // spec.groups
-    cg_out = spec.out_channels // spec.groups
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(wt)
-    depthwise = cg_in == 1 and cg_out == 1 and spec.groups == spec.in_channels == spec.out_channels
-    for u in range(kh):
-        rows = slice(u * dh, u * dh + (oh - 1) * sh + 1, sh)
-        for v in range(kw):
-            cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
-            if depthwise:
-                patch = xp[:, :, rows, cols]
-                grad_w[:, 0, u, v] = np.sum(g * patch, axis=(0, 2, 3))
-                grad_xp[:, :, rows, cols] += wt[:, 0, u, v][None, :, None, None] * g
-                continue
-            for gi in range(spec.groups):
-                osl = slice(gi * cg_out, (gi + 1) * cg_out)
-                isl = slice(gi * cg_in, (gi + 1) * cg_in)
-                gg = g[:, osl]
-                patch = xp[:, isl, rows, cols]
-                grad_w[osl, :, u, v] = np.tensordot(gg, patch, axes=([0, 2, 3], [0, 2, 3]))
-                grad_xp[:, isl, rows, cols] += np.tensordot(
-                    gg, wt[osl, :, u, v], axes=([1], [0])
-                ).transpose(0, 3, 1, 2)
-    grad_x = grad_xp[:, :, ph : ph + h, pw : pw + wd] if (ph or pw) else grad_xp
-    grad_bias = g.sum(axis=(0, 2, 3)) if w.bias is not None else None
-    return Tensor(np.ascontiguousarray(grad_x)), Tensor(grad_w), grad_bias
+    walk = _TapWalk(spec, x.shape)
+    n, g, o, oh, ow = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow
+    if grad_out.shape != (n, o, oh, ow):
+        raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
+    buf = walk.phases(x.data)
+    # grad_out on the wide grid, zero in the columns the forward drops
+    g_wide = np.zeros((n, g, o // g, oh, walk.wq), dtype=x.dtype)
+    g_wide[..., :ow] = grad_out.data.reshape(n, g, o // g, oh, ow)
+    g_wide = g_wide.reshape(n, g, o // g, oh * walk.wq)
+    wt_t = _tap_weights(w, spec, x.dtype).swapaxes(-1, -2)
+    grad_buf = np.zeros_like(buf)
+    grad_w = np.empty((*spec.kernel, g, o // g, spec.in_channels // g), dtype=x.dtype)
+    tmp = np.empty((n, g, spec.in_channels // g, oh * walk.wq), dtype=x.dtype)
+    for u, v, a, b, off in walk.taps:
+        grad_w[u, v] = np.matmul(g_wide, walk.tap(buf, a, b, off, 0, oh).swapaxes(-1, -2)).sum(axis=0)
+        walk.tap(grad_buf, a, b, off, 0, oh)[...] += _mm(wt_t[u, v], g_wide, out=tmp)
+    grad_w = grad_w.transpose(2, 3, 4, 0, 1).reshape(spec.weight_shape)
+    grad_bias = grad_out.data.sum(axis=(0, 2, 3)) if w.bias is not None else None
+    return Tensor(walk.unphase(grad_buf)), Tensor(grad_w), grad_bias
 
 
 def separable_spec(channels: int, out_channels: int, dilation: int) -> tuple[ConvSpec, ConvSpec]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jpu import JpuConfig
+from .tensor import ShapeError, is_count
 
 RESIZE_MACS_PER_ELEM = 8
 
@@ -41,11 +42,19 @@ class LayerCost:
         )
 
 
+def _is_dims(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(map(is_count, v))
+
+
 def conv_cost(kernel, in_channels, out_channels, out_hw, groups=1, with_bias=False) -> LayerCost:
+    """Raises ShapeError unless kernel and out_hw are 2-tuples of positive ints
+    and the channel counts are positive ints divisible by the positive int groups."""
+    valid = _is_dims(kernel) and _is_dims(out_hw) and all(map(is_count, (in_channels, out_channels, groups)))
+    if not valid or in_channels % groups or out_channels % groups:
+        raise ShapeError(f"invalid conv cost query: k={kernel!r} c={in_channels!r}->{out_channels!r} "
+                         f"out={out_hw!r} groups={groups!r}")
     kh, kw = kernel
     oh, ow = out_hw
-    if oh < 1 or ow < 1 or in_channels % groups or out_channels % groups:
-        raise ValueError(f"invalid conv cost query: k={kernel} c={in_channels}->{out_channels} out={out_hw}")
     macs = kh * kw * (in_channels // groups) * out_channels * oh * ow
     params = kh * kw * (in_channels // groups) * out_channels + (out_channels if with_bias else 0)
     act = out_channels * oh * ow

@@ -2,8 +2,10 @@
 
 Pipeline: per-level 3x3 conv + ReLU to a common width, bilinear upsampling of
 the two coarser levels to the finest grid, channel concatenation, a bank of
-parallel separable convolutions with increasing dilation rates, concatenation
-of the branch outputs, and a final 3x3 fusion conv + ReLU.
+parallel separable convolutions (+ ReLU) with increasing dilation rates,
+concatenation of the branch outputs, and a final 3x3 fusion conv + ReLU. The
+parameters and the cost model keep each branch as its depthwise and pointwise
+layers; the forward runs it as one dense dilated conv of the folded weights.
 """
 
 from __future__ import annotations
@@ -31,13 +33,10 @@ from .tensor import (
     bilinear_resize,
     bilinear_resize_backward,
     concat_channels,
+    is_count,
     load_jt,
     save_jt,
 )
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,16 @@ class JpuConfig:
 
     def __post_init__(self):
         c = self.in_channels
-        if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_count, c))):
+        if not (isinstance(c, tuple) and len(c) == 3 and all(map(is_count, c))):
             raise ShapeError(f"in_channels must be three positive ints, got {c!r}")
-        if not _is_count(self.width):
+        if not is_count(self.width):
             raise ShapeError(f"width must be a positive int, got {self.width!r}")
         r = self.dilation_rates
-        if not (isinstance(r, tuple) and r and all(map(_is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
+        if not (isinstance(r, tuple) and r and all(map(is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
             raise ShapeError(f"dilation rates must be non-empty strictly increasing >= 1, got {r!r}")
         if self.out_channels is None:
             object.__setattr__(self, "out_channels", 4 * self.width)
-        elif not _is_count(self.out_channels):
+        elif not is_count(self.out_channels):
             raise ShapeError(f"out_channels must be a positive int, got {self.out_channels!r}")
 
     def layers(self) -> list[tuple[str, ConvSpec, int]]:
@@ -111,8 +110,41 @@ def jpu_init(config: JpuConfig, rng: Rng, dtype=np.float64) -> JpuParams:
 @dataclass(eq=False)
 class JpuCache:
     layers: dict[str, tuple[ConvSpec, ConvWeights]]  # the layer table with this pass's weights
-    inputs: dict[str, Tensor]  # each conv's input, by layer name
-    acts: dict[str, Tensor]  # ReLU output of each conv followed by one (levels, pointwise, fusion)
+    inputs: dict[str, Tensor]  # each conv's input, by layer name (a branch's under its depthwise name)
+    acts: dict[str, Tensor]  # ReLU output of each level, branch (under its pointwise name) and the fusion
+
+
+def _fold_branch(depthwise, pointwise) -> tuple[ConvSpec, ConvWeights]:
+    """A depthwise conv then a 1x1 pointwise conv, as one dense conv with the
+    depthwise geometry: W[o, c, u, v] = P[o, c]·D[c, u, v] and b = P·b_d + b_p.
+
+    At width w the branch does 9w/(w + 9) times the multiplies of the pair
+    (4.24x at width 8; the cost model still counts the pair), but as one GEMM
+    per tap it runs faster than two convs at the widths the runtime uses.
+    """
+    (dspec, dw), (pspec, pw) = depthwise, pointwise
+    p = pw.weight.data[:, :, 0, 0]
+    spec = ConvSpec(dspec.in_channels, pspec.out_channels, dspec.kernel, dspec.stride, dspec.dilation, dspec.padding)
+    return spec, ConvWeights(Tensor(p[:, :, None, None] * dw.weight.data[:, 0]), p @ dw.bias + pw.bias)
+
+
+def _unfold_grads(depthwise, pointwise, g_w: np.ndarray, g_b: np.ndarray) -> tuple[ConvWeights, ConvWeights]:
+    """The chain rule back through _fold_branch: the depthwise and pointwise
+    gradients from those of the folded weight and bias."""
+    (_, dw), (_, pw) = depthwise, pointwise
+    p, d = pw.weight.data[:, :, 0, 0], dw.weight.data[:, 0]
+    g_d = (g_w * p[:, :, None, None]).sum(axis=0)
+    g_p = (g_w * d).sum(axis=(2, 3)) + np.outer(g_b, dw.bias)
+    return ConvWeights(Tensor(g_d[:, None]), g_b @ p), ConvWeights(Tensor(g_p[:, :, None, None]), g_b)
+
+
+def _executed(layers, name: str):
+    """(spec, weights, name of its cached ReLU output) of the conv that runs for
+    a table layer; a branch's depthwise layer runs the whole branch, folded."""
+    if name.endswith(".depthwise"):
+        pointwise = name.removesuffix("depthwise") + "pointwise"
+        return *_fold_branch(layers[name], layers[pointwise]), pointwise
+    return *layers[name], name
 
 
 def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> None:
@@ -133,20 +165,15 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
     layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
     inputs, acts = {}, {}
 
-    def conv(name: str, x: Tensor, with_relu: bool = True) -> Tensor:
-        spec, cw = layers[name]
+    def conv(name: str, x: Tensor) -> Tensor:
+        spec, cw, act = _executed(layers, name)
         inputs[name] = x
-        y = conv2d(x, cw, spec)
-        if with_relu:
-            y = acts[name] = relu(y)
+        y = acts[act] = relu(conv2d(x, cw, spec))
         return y
 
     a3, a4, a5 = (conv(f"level{i}", x) for i, x in enumerate((c3, c4, c5)))
     y_c = concat_channels([a3, bilinear_resize(a4, h, w), bilinear_resize(a5, h, w)])
-    fused_in = concat_channels([
-        conv(f"branch{i}.pointwise", conv(f"branch{i}.depthwise", y_c, with_relu=False))
-        for i in range(len(config.dilation_rates))
-    ])
+    fused_in = concat_channels([conv(f"branch{i}.depthwise", y_c) for i in range(len(config.dilation_rates))])
     out = conv("fusion", fused_in)
     return out, JpuCache(layers, inputs, acts)
 
@@ -163,26 +190,27 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     grads = {}
 
     def back(name: str, g: Tensor) -> Tensor:
-        """Mirror of the forward conv: takes the gradient of the layer's output
-        (after its ReLU, if it has one) and returns that of its input."""
-        spec, cw = layers[name]
-        if name in acts:  # relu(z) > 0 exactly where z > 0
-            g = relu_backward(acts[name], g)
+        """Mirror of the forward conv: takes the gradient of its ReLU output and
+        returns that of its input."""
+        spec, cw, act = _executed(layers, name)
+        g = relu_backward(acts[act], g)  # relu(z) > 0 exactly where z > 0
         g_x, g_w, g_b = conv2d_backward(inputs[name], cw, spec, g)
-        grads[name] = ConvWeights(g_w, g_b)
+        if act == name:
+            grads[name] = ConvWeights(g_w, g_b)
+        else:
+            grads[name], grads[act] = _unfold_grads(layers[name], layers[act], g_w.data, g_b)
         return g_x
 
     width = layers["level0"][0].out_channels  # every level and branch emits `width` channels
     g_fused = back("fusion", grad_y).data
     g_yc = np.zeros_like(inputs["branch0.depthwise"].data)
     for i in range(g_fused.shape[1] // width):
-        g_act = Tensor(np.ascontiguousarray(g_fused[:, i * width : (i + 1) * width]))
-        g_yc += back(f"branch{i}.depthwise", back(f"branch{i}.pointwise", g_act)).data
+        g_yc += back(f"branch{i}.depthwise", Tensor(g_fused[:, i * width : (i + 1) * width])).data
 
     g_levels = [g_yc[:, :width]] + [
         bilinear_resize_backward(g_yc[:, i * width : (i + 1) * width], *acts[f"level{i}"].shape[2:]) for i in (1, 2)
     ]
-    input_grads = tuple(back(f"level{i}", Tensor(np.ascontiguousarray(g))) for i, g in enumerate(g_levels))
+    input_grads = tuple(back(f"level{i}", Tensor(g)) for i, g in enumerate(g_levels))
     return JpuParams.from_convs(grads[name] for name in layers), input_grads
 
 

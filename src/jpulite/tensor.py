@@ -30,6 +30,11 @@ class ShapeError(ValueError):
     """Raised when tensor shapes or dtypes are incompatible with an operation."""
 
 
+def is_count(v) -> bool:
+    """True for a positive int (bool excluded): a channel count, width, group count or rate."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable dense (n, c, h, w) array."""

@@ -37,6 +37,37 @@ def naive_conv2d(x, weight, bias, stride, dilation, padding, groups=1):
     return y, mults
 
 
+def naive_conv2d_backward(x, weight, grad_out, stride, dilation, padding, groups=1):
+    """Adjoint of naive_conv2d: (grad_x, grad_weight, grad_bias) of
+    sum(grad_out * conv), accumulated one scalar product at a time."""
+    n, cin, h, w = x.shape
+    o, cg, kh, kw = weight.shape
+    _, _, oh, ow = grad_out.shape
+    sh, sw = stride
+    dh, dw = dilation
+    ph, pw = padding
+    og = o // groups
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(weight)
+    gb = np.zeros(o, dtype=x.dtype)
+    for ni in range(n):
+        for oi in range(o):
+            g = oi // og
+            for i in range(oh):
+                for j in range(ow):
+                    go = grad_out[ni, oi, i, j]
+                    gb[oi] += go
+                    for c in range(cg):
+                        for u in range(kh):
+                            for v in range(kw):
+                                yy = i * sh - ph + u * dh
+                                xx = j * sw - pw + v * dw
+                                if 0 <= yy < h and 0 <= xx < w:
+                                    gx[ni, g * cg + c, yy, xx] += weight[oi, c, u, v] * go
+                                    gw[oi, c, u, v] += x[ni, g * cg + c, yy, xx] * go
+    return gx, gw, gb
+
+
 def naive_bilinear_resize(x, out_h, out_w):
     """Half-pixel-center bilinear resampling, one output pixel at a time."""
     n, c, h, w = x.shape

@@ -1,10 +1,14 @@
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from jpulite import cli
 from jpulite.cli import main
 from jpulite.jointup import DegenerateProblemError
+from jpulite.tensor import Rng
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +43,21 @@ def test_equiv_f32_tolerance(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["families"]["dilated_decomp"]["tolerance"] == 1e-5
+
+
+def test_equiv_worst_case_replays(capsys):
+    # each family names the seed and index of the first case with its worst diff;
+    # redrawing the cases from that seed gives the same diff at that index
+    code, out = run_cli(capsys, "equiv", "--cases", "20", "--seed", "2", "--dtype", "f32")
+    assert code == 0
+    rng = Rng(2)
+    diffs = [cli._family_diffs(*cli._random_stage(rng, np.float32)) for _ in range(20)]
+    families = json.loads(out)["families"]
+    for name, fam in families.items():
+        assert fam["worst_seed"] == 2
+        column = [d[name] for d in diffs]
+        assert fam["worst_case"] == column.index(max(column))
+        assert fam["max_abs_diff"] == column[fam["worst_case"]]
 
 
 def test_equiv_impossible_tolerance_exits_1(capsys):
@@ -139,6 +158,22 @@ def test_bench_no_timing_deterministic(capsys):
     doc = json.loads(a)
     for r in doc["results"].values():
         assert "mean_ms" not in r
+
+
+def test_bench_records_environment_unless_no_timing(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code, out = run_cli(capsys, "bench", "--repeats", "10", "--input", "64", "64")
+    assert code == 0
+    env = json.loads(out)["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    _, out = run_cli(capsys, "bench", "--repeats", "10", "--input", "64", "64", "--no-timing")
+    assert "environment" not in json.loads(out)
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jpulite.conv import (
     ConvSpec,
@@ -11,9 +13,10 @@ from jpulite.conv import (
     relu_backward,
     separable_spec,
 )
+from jpulite.cost import conv_cost_from_spec
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
 
-from reference import central_difference, naive_conv2d
+from reference import central_difference, naive_conv2d, naive_conv2d_backward
 
 
 def random_case(seed, *, max_k=3, max_dim=9, groups_ok=True):
@@ -34,6 +37,42 @@ def random_case(seed, *, max_k=3, max_dim=9, groups_ok=True):
     weights = init_weights(spec, rng)
     bias = rng.uniform(cout, -0.5, 0.5)
     return x, ConvWeights(weights.weight, bias), spec
+
+
+# Field values for validation tests: ints around the valid range, plus bools,
+# floats and None, bare or in tuples and lists of length 0-3.
+FIELD_VALUES = st.one_of(st.integers(-2, 4), st.booleans(), st.floats(-2, 4), st.none())
+PAIR_VALUES = st.one_of(
+    FIELD_VALUES, st.lists(FIELD_VALUES, max_size=3).map(tuple), st.lists(st.integers(-1, 3), max_size=3)
+)
+
+
+def is_pair(v, lo):
+    return type(v) is tuple and len(v) == 2 and all(type(e) is int and e >= lo for e in v)
+
+
+def is_count(v):
+    return type(v) is int and v >= 1
+
+
+@given(counts=st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES), pairs=st.tuples(*[PAIR_VALUES] * 4))
+@example(counts=(2, 4, 1), pairs=((3, 3), (2,), (1, 1), (0, 0)))
+@example(counts=(True, 4, 1), pairs=((3, 3), (1, 1), (1, 1), (0, 0)))
+@example(counts=(2.0, 4, 1), pairs=((3, 3), (1, 1), (1, 1), (0, 0)))
+def test_spec_accepts_only_positive_int_counts_and_int_pairs(counts, pairs):
+    (cin, cout, groups), (kernel, stride, dilation, padding) = counts, pairs
+    args = (cin, cout, kernel, stride, dilation, padding, groups)
+    valid = (
+        all(map(is_count, counts)) and cin % groups == 0 and cout % groups == 0
+        and all(is_pair(p, 1) for p in (kernel, stride, dilation)) and is_pair(padding, 0)
+    )
+    if valid:
+        spec = ConvSpec(*args)
+        big = tuple(d * (k - 1) + 1 for k, d in zip(kernel, dilation))
+        assert len(spec.out_hw(big)) == 2
+    else:
+        with pytest.raises(ShapeError):
+            ConvSpec(*args)
 
 
 def test_identity_kernel():
@@ -105,6 +144,64 @@ def test_conv_rejects_too_small_input():
     spec = ConvSpec(1, 1, (3, 3))
     with pytest.raises(ShapeError):
         conv2d(x, init_weights(spec, Rng(0)), spec)
+
+
+ORACLE_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
+
+
+@st.composite
+def oracle_cases(draw):
+    """(x, weights, spec, grad_out): dense and grouped convs (cg_in, cg_out up
+    to 3), depthwise convs (C up to 24), general geometry (kernels up to 5x5,
+    stride 1-3, dilation 1-3, padding 0-3) or JPU-branch geometry (3x3,
+    padding = dilation up to 8); N 1-3; f64 or f32; with or without bias."""
+    if draw(st.booleans()):
+        g, cg_in, cg_out = draw(st.integers(1, 24)), 1, 1
+    else:
+        g, cg_in, cg_out = (draw(st.integers(1, 3)) for _ in range(3))
+    if draw(st.booleans()):
+        kernel, stride, dilation = (tuple(draw(st.integers(1, hi)) for _ in range(2)) for hi in (5, 3, 3))
+        padding = tuple(draw(st.integers(0, 3)) for _ in range(2))
+    else:
+        d = draw(st.integers(1, 8))
+        kernel, stride, dilation, padding = (3, 3), (1, 1), (d, d), (d, d)
+    spec = ConvSpec(g * cg_in, g * cg_out, kernel, stride, dilation, padding, g)
+    hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, 5)) for k, d, p in zip(kernel, dilation, padding)]
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_uniform((draw(st.integers(1, 3)), spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
+    bias = rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype) if draw(st.booleans()) else None
+    w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, bias)
+    grad_out = random_uniform((x.shape[0], spec.out_channels, *spec.out_hw(hw)), rng, -1.0, 1.0, dtype=dtype)
+    return x, w, spec, grad_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases())
+def test_conv_and_backward_match_scalar_oracles(case):
+    x, w, spec, grad_out = case
+    tol = ORACLE_TOL[x.dtype]
+    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
+    x64, w64 = x.data.astype(np.float64), w.weight.data.astype(np.float64)
+    b64 = None if w.bias is None else w.bias.astype(np.float64)
+
+    def close(got, want):  # tolerance relative to the result's magnitude, at least 1
+        return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+    y = conv2d(x, w, spec)
+    assert y.dtype == x.dtype
+    assert close(y.data, naive_conv2d(x64, w64, b64, *geometry)[0])
+    counted, macs = conv2d(x, w, spec, count_macs=True)
+    assert close(counted.data, y.data)
+    assert macs == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
+    for k in range(x.shape[0]):  # a sample's output does not depend on the rest of its batch
+        assert conv2d(Tensor(x.data[k : k + 1]), w, spec).data.tobytes() == y.data[k : k + 1].tobytes()
+
+    gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
+    want_gx, want_gw, want_gb = naive_conv2d_backward(x64, w64, grad_out.data.astype(np.float64), *geometry)
+    assert close(gx.data, want_gx) and close(gw.data, want_gw)
+    assert (gb is None) == (w.bias is None)
+    assert gb is None or close(gb, want_gb)
 
 
 # --- separable ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jpulite.conv import conv2d
@@ -17,8 +17,9 @@ from jpulite.cost import (
     resnet_preset,
 )
 from jpulite.jpu import JpuConfig
+from jpulite.tensor import ShapeError
 
-from test_conv import random_case
+from test_conv import FIELD_VALUES, PAIR_VALUES, is_count, is_pair, random_case
 
 
 def test_conv_cost_examples():
@@ -40,6 +41,19 @@ def test_conv_cost_rejects_invalid():
         conv_cost((3, 3), 3, 4, (8, 8), groups=2)
     with pytest.raises(ValueError):
         conv_cost((3, 3), 2, 4, (0, 8))
+
+
+@given(kernel=PAIR_VALUES, out_hw=PAIR_VALUES, counts=st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
+@example(kernel=(3, 3), out_hw=(2, 2), counts=(-4, -8, 1))
+def test_conv_cost_accepts_only_positive_ints(kernel, out_hw, counts):
+    cin, cout, groups = counts
+    if is_pair(kernel, 1) and is_pair(out_hw, 1) and all(map(is_count, counts)) and not (cin % groups or cout % groups):
+        c = conv_cost(kernel, cin, cout, out_hw, groups)
+        assert c.macs == kernel[0] * kernel[1] * (cin // groups) * cout * out_hw[0] * out_hw[1] > 0
+        assert c.activation_elems == cout * out_hw[0] * out_hw[1] > 0
+    else:
+        with pytest.raises(ShapeError):
+            conv_cost(kernel, cin, cout, out_hw, groups)
 
 
 @pytest.mark.parametrize("seed", range(50))
