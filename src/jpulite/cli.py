@@ -163,6 +163,8 @@ def cmd_train_demo(args) -> int:
                 "mse_jpu": runs["jpu"][i].final_mse,
                 "params_bilinear": runs["bilinear"][i].param_count,
                 "params_jpu": runs["jpu"][i].param_count,
+                "loss_curve_bilinear": runs["bilinear"][i].loss_curve,
+                "loss_curve_jpu": runs["jpu"][i].loss_curve,
             }
             for i in range(args.seeds)
         ],

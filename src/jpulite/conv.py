@@ -10,6 +10,16 @@ columns are dropped. The backward reads the same slices: a tap's weight
 gradient is `grad @ sliceᵀ`, and `Wᵀ @ grad` is added back into the phase
 buffer of the input gradient. Padding is always zero padding.
 
+Only the taps that read input at some output position run. A tap whose every
+read lands in the padding contributes exact zeros, so it is skipped, its
+weight gradient is 0, and the buffer holds only the padding the running taps
+reach: at a rate of at least the map size a 3x3 filter runs as its centre tap
+alone, the 1x1 degeneracy DeepLabv3 notes. Against running every tap, only
+the sign of an exact zero can change and, where the buffer gets narrower, how
+BLAS rounds GEMMs of the new width. A non-finite weight on a skipped tap no
+longer turns the output into NaN. `count_macs=True` and the cost model still
+count every tap.
+
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. Every sample of a
 batch goes through GEMMs of the same sizes, so its output does not depend on
@@ -20,11 +30,12 @@ also returns the number of weight multiplies it performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .tensor import Rng, ShapeError, Tensor, is_count
+from .tensor import Rng, ShapeError, Tensor, _is_count
 
 
 def _is_pair(v) -> bool:
@@ -43,7 +54,7 @@ class ConvSpec:
 
     def __post_init__(self):
         for name in ("in_channels", "out_channels", "groups"):
-            if not is_count(getattr(self, name)):
+            if not _is_count(getattr(self, name)):
                 raise ShapeError(f"{name} must be a positive int, got {getattr(self, name)!r}")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ShapeError(
@@ -106,31 +117,31 @@ def _check_input(x: Tensor, w: ConvWeights, spec: ConvSpec) -> None:
 class _TapWalk:
     """The geometry conv2d and conv2d_backward share for one (spec, input shape).
 
-    `phases(x)` writes the zero-padded input, split into its sh x sw stride
-    phases, into a new buffer of shape (sh, sw, n, groups, cg_in, (hq + 1) * wq):
-    each phase is hq rows of wq columns plus one zero slack row, so every tap
-    can read whole rows of the wide output grid. `taps` lists each kernel tap
-    as (row, column, phase row, phase column, flat offset in the phase), in
-    the order the forward accumulates them.
+    `taps` lists each tap that runs, the product of the kernel rows and columns
+    `_axis_taps` keeps, as (row, column, phase row, phase column, flat offset
+    in the phase), in the order the forward accumulates them. `phases(x)`
+    writes the input, zero-padded only as far as those taps reach and split
+    into its sh x sw stride phases, into a new buffer of shape
+    (sh, sw, n, groups, cg_in, (hq + 1) * wq): each phase is hq rows of wq
+    columns plus one zero slack row, so every tap can read whole rows of the
+    wide output grid.
     """
 
     def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int]):
-        (kh, kw), (sh, sw), (dh, dw), (ph, pw) = spec.kernel, spec.stride, spec.dilation, spec.padding
         n, c, h, w = x_shape
         self.n, self.h, self.w = n, h, w
         self.oh, self.ow = spec.out_hw((h, w))
-        hq, self.wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
+        axes = zip((h, w), spec.kernel, spec.stride, spec.dilation, spec.padding, (self.oh, self.ow), strict=True)
+        (row_taps, (lo_h, hi_h)), (col_taps, (lo_w, hi_w)) = (_axis_taps(*axis) for axis in axes)
+        sh, sw = spec.stride
+        hq, self.wq = -(-(h + lo_h + hi_h) // sh), -(-(w + lo_w + hi_w) // sw)
         self.shape = (sh, sw, n, spec.groups, c // spec.groups, hq + 1, self.wq)
-        self.taps = [
-            (u, v, u * dh % sh, v * dw % sw, (u * dh // sh) * self.wq + v * dw // sw)
-            for u in range(kh)
-            for v in range(kw)
-        ]
+        self.taps = [(u, v, a, b, r * self.wq + q) for u, a, r in row_taps for v, b, q in col_taps]
         # per phase: (where it holds input, the grouped-input view of what it holds)
         self.views = [
             ((a, b, ..., rows, cols), (..., in_rows, in_cols))
-            for a, rows, in_rows in _phase_ranges(h, sh, ph)
-            for b, cols, in_cols in _phase_ranges(w, sw, pw)
+            for a, rows, in_rows in _phase_ranges(h, sh, lo_h)
+            for b, cols, in_cols in _phase_ranges(w, sw, lo_w)
         ]
 
     def phases(self, x: np.ndarray) -> np.ndarray:
@@ -151,6 +162,27 @@ class _TapWalk:
     def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
         """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
         return buf[a, b, ..., off + r0 * self.wq : off + r1 * self.wq]
+
+
+@lru_cache(maxsize=1024)  # every conv call asks; a handful of geometries recur
+def _axis_taps(size: int, k: int, s: int, d: int, p: int, o: int):
+    """One axis of the walk: (kernel index, stride phase, offset in the phase)
+    for each tap that reads input, and the (low, high) zero padding they reach.
+
+    Tap u reads input index u*d - p + s*i at output position i; it is kept if
+    that lands in [0, size) for some i < o, tested at the first i that is not
+    below the input. If no tap reads input, all are kept: the reads are all
+    zeros then, so the result is the same.
+    """
+
+    def reads_input(e: int) -> bool:  # e: the index tap u reads at output position 0
+        i = max(0, -(e // s))
+        return i < o and e + s * i < size
+
+    live = [u for u in range(k) if reads_input(u * d - p)] or list(range(k))
+    lo = max(0, p - live[0] * d)
+    hi = max(0, live[-1] * d - p + s * (o - 1) - (size - 1))
+    return tuple((u, (u * d - p + lo) % s, (u * d - p + lo) // s) for u in live), (lo, hi)
 
 
 def _phase_ranges(size: int, stride: int, pad: int):
@@ -250,7 +282,7 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
     g_wide = g_wide.reshape(n, g, o // g, oh * walk.wq)
     wt_t = _tap_weights(w, spec, x.dtype).swapaxes(-1, -2)
     grad_buf = np.zeros_like(buf)
-    grad_w = np.empty((*spec.kernel, g, o // g, spec.in_channels // g), dtype=x.dtype)
+    grad_w = np.zeros((*spec.kernel, g, o // g, spec.in_channels // g), dtype=x.dtype)  # 0 at taps that do not run
     tmp = np.empty((n, g, spec.in_channels // g, oh * walk.wq), dtype=x.dtype)
     for u, v, a, b, off in walk.taps:
         grad_w[u, v] = np.matmul(g_wide, walk.tap(buf, a, b, off, 0, oh).swapaxes(-1, -2)).sum(axis=0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jpu import JpuConfig
-from .tensor import ShapeError, is_count
+from .tensor import ShapeError, _is_count
 
 RESIZE_MACS_PER_ELEM = 8
 
@@ -43,13 +43,13 @@ class LayerCost:
 
 
 def _is_dims(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and all(map(is_count, v))
+    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_count, v))
 
 
 def conv_cost(kernel, in_channels, out_channels, out_hw, groups=1, with_bias=False) -> LayerCost:
     """Raises ShapeError unless kernel and out_hw are 2-tuples of positive ints
     and the channel counts are positive ints divisible by the positive int groups."""
-    valid = _is_dims(kernel) and _is_dims(out_hw) and all(map(is_count, (in_channels, out_channels, groups)))
+    valid = _is_dims(kernel) and _is_dims(out_hw) and all(map(_is_count, (in_channels, out_channels, groups)))
     if not valid or in_channels % groups or out_channels % groups:
         raise ShapeError(f"invalid conv cost query: k={kernel!r} c={in_channels!r}->{out_channels!r} "
                          f"out={out_hw!r} groups={groups!r}")

@@ -174,8 +174,12 @@ def train_approximator(
     if method not in ("bilinear", "jpu"):
         raise KeyError(f"unknown method {method!r}")
     samples = dataset.samples
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if holdout is None:
         holdout = max(1, len(samples) // 4)
+    if not 1 <= holdout <= len(samples) - 1:
+        raise ValueError(f"holdout {holdout} of {len(samples)} samples leaves a training or held-out set empty")
     train, held = samples[: len(samples) - holdout], samples[len(samples) - holdout :]
     target_ch = train[0].target.shape[1]
     out_h, out_w = train[0].target.shape[2], train[0].target.shape[3]

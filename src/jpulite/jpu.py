@@ -30,10 +30,10 @@ from .tensor import (
     Rng,
     ShapeError,
     Tensor,
+    _is_count,
     bilinear_resize,
     bilinear_resize_backward,
     concat_channels,
-    is_count,
     load_jt,
     save_jt,
 )
@@ -48,16 +48,16 @@ class JpuConfig:
 
     def __post_init__(self):
         c = self.in_channels
-        if not (isinstance(c, tuple) and len(c) == 3 and all(map(is_count, c))):
+        if not (isinstance(c, tuple) and len(c) == 3 and all(map(_is_count, c))):
             raise ShapeError(f"in_channels must be three positive ints, got {c!r}")
-        if not is_count(self.width):
+        if not _is_count(self.width):
             raise ShapeError(f"width must be a positive int, got {self.width!r}")
         r = self.dilation_rates
-        if not (isinstance(r, tuple) and r and all(map(is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
+        if not (isinstance(r, tuple) and r and all(map(_is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
             raise ShapeError(f"dilation rates must be non-empty strictly increasing >= 1, got {r!r}")
         if self.out_channels is None:
             object.__setattr__(self, "out_channels", 4 * self.width)
-        elif not is_count(self.out_channels):
+        elif not _is_count(self.out_channels):
             raise ShapeError(f"out_channels must be a positive int, got {self.out_channels!r}")
 
     def layers(self) -> list[tuple[str, ConvSpec, int]]:

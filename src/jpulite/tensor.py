@@ -30,7 +30,7 @@ class ShapeError(ValueError):
     """Raised when tensor shapes or dtypes are incompatible with an operation."""
 
 
-def is_count(v) -> bool:
+def _is_count(v) -> bool:
     """True for a positive int (bool excluded): a channel count, width, group count or rate."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 

@@ -131,6 +131,25 @@ def test_train_demo_deterministic(capsys):
     assert a == b
 
 
+def test_train_demo_emits_loss_curves(capsys):
+    args = ("train-demo", "--seeds", "2", "--steps", "3", "--samples", "4", "--image", "32")
+    _, out = run_cli(capsys, *args)
+    for entry in json.loads(out)["per_seed"]:
+        for method in ("bilinear", "jpu"):
+            curve = entry[f"loss_curve_{method}"]
+            assert len(curve) == 3 and all(np.isfinite(curve))
+    assert run_cli(capsys, *args)[1] == out
+
+
+@pytest.mark.parametrize("argv", [["--samples", "1"], ["--samples", "0"], ["--steps", "-2"]])
+def test_train_demo_malformed_input_exits_2(capsys, argv):
+    code = main(["train-demo", "--seeds", "1", "--steps", "1", "--samples", "4", "--image", "32", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_train_divergence_exits_1(capsys):
     code = main(["train-demo", "--seeds", "1", "--steps", "30", "--samples", "4", "--image", "32", "--lr", "1e8"])
     captured = capsys.readouterr()

@@ -149,35 +149,50 @@ def test_conv_rejects_too_small_input():
 ORACLE_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
 
 
+def oracle_case(spec, hw, n, dtype, seed, with_bias):
+    """(x, weights, spec, grad_out) for one geometry, drawn from `seed`."""
+    rng = Rng(seed)
+    x = random_uniform((n, spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
+    bias = rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype) if with_bias else None
+    w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, bias)
+    grad_out = random_uniform((n, spec.out_channels, *spec.out_hw(hw)), rng, -1.0, 1.0, dtype=dtype)
+    return x, w, spec, grad_out
+
+
 @st.composite
 def oracle_cases(draw):
     """(x, weights, spec, grad_out): dense and grouped convs (cg_in, cg_out up
     to 3), depthwise convs (C up to 24), general geometry (kernels up to 5x5,
-    stride 1-3, dilation 1-3, padding 0-3) or JPU-branch geometry (3x3,
-    padding = dilation up to 8); N 1-3; f64 or f32; with or without bias."""
+    stride 1-3, dilation 1-3, padding up to 2 past the dilated reach) or
+    JPU-branch geometry (3x3, padding = dilation up to 12); maps from 1 pixel,
+    so some taps read only padding, in one axis or both, and in some
+    geometries no tap reads input; N 1-3; f64 or f32; with or without bias."""
     if draw(st.booleans()):
         g, cg_in, cg_out = draw(st.integers(1, 24)), 1, 1
     else:
         g, cg_in, cg_out = (draw(st.integers(1, 3)) for _ in range(3))
     if draw(st.booleans()):
         kernel, stride, dilation = (tuple(draw(st.integers(1, hi)) for _ in range(2)) for hi in (5, 3, 3))
-        padding = tuple(draw(st.integers(0, 3)) for _ in range(2))
+        padding = tuple(draw(st.integers(0, d * (k - 1) + 2)) for k, d in zip(kernel, dilation))
     else:
-        d = draw(st.integers(1, 8))
+        d = draw(st.integers(1, 12))
         kernel, stride, dilation, padding = (3, 3), (1, 1), (d, d), (d, d)
     spec = ConvSpec(g * cg_in, g * cg_out, kernel, stride, dilation, padding, g)
     hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, 5)) for k, d, p in zip(kernel, dilation, padding)]
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    rng = Rng(draw(st.integers(0, 2**32 - 1)))
-    x = random_uniform((draw(st.integers(1, 3)), spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
-    bias = rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype) if draw(st.booleans()) else None
-    w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, bias)
-    grad_out = random_uniform((x.shape[0], spec.out_channels, *spec.out_hw(hw)), rng, -1.0, 1.0, dtype=dtype)
-    return x, w, spec, grad_out
+    return oracle_case(spec, hw, draw(st.integers(1, 3)), dtype, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=oracle_cases())
+# JPU rate 8 on an 8x8 map: only the centre tap reads input
+@example(case=oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 1, True))
+# rate 12 on a 4x4 map, depthwise, f32
+@example(case=oracle_case(ConvSpec(3, 3, dilation=(12, 12), padding=(12, 12), groups=3), (4, 4), 1, np.float32, 2, True))
+# a 1x1 kernel with stride 2 and padding 1 on a 1x1 map: no tap reads input, the output is the bias
+@example(case=oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3, True))
+# taps dead in the row axis only
+@example(case=oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4, False))
 def test_conv_and_backward_match_scalar_oracles(case):
     x, w, spec, grad_out = case
     tol = ORACLE_TOL[x.dtype]
@@ -202,6 +217,45 @@ def test_conv_and_backward_match_scalar_oracles(case):
     assert close(gx.data, want_gx) and close(gw.data, want_gw)
     assert (gb is None) == (w.bias is None)
     assert gb is None or close(gb, want_gb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hw=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    past=st.integers(0, 4),
+    depthwise=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+    nan_off_centre=st.booleans(),
+)
+def test_rate_past_the_map_is_the_centre_tap_1x1_conv(hw, past, depthwise, dtype, seed, nan_off_centre):
+    """DeepLabv3 (Chen et al. 2017, sec. 3.3): at a rate of at least the map
+    size, a size-preserving 3x3 atrous conv is the 1x1 conv of its centre
+    weights, byte for byte. The off-centre taps read only padding and do not
+    run, so their weight gradients are exactly 0 and even NaN weights there
+    leave the results unchanged."""
+    rate = max(hw) + past
+    c, o, g = (3, 3, 3) if depthwise else (4, 2, 1)
+    spec3 = ConvSpec(c, o, (3, 3), dilation=(rate, rate), padding=(rate, rate), groups=g)
+    spec1 = ConvSpec(c, o, (1, 1), groups=g)
+    x, w3, _, grad_out = oracle_case(spec3, hw, 2, dtype, seed, True)
+    weight = w3.weight.data.copy()
+    if nan_off_centre:
+        centre = weight[..., 1, 1].copy()
+        weight[...] = np.nan
+        weight[..., 1, 1] = centre
+    w3 = ConvWeights(Tensor(weight), w3.bias)
+    w1 = ConvWeights(Tensor(weight[..., 1:2, 1:2]), w3.bias)
+
+    assert conv2d(x, w3, spec3).data.tobytes() == conv2d(x, w1, spec1).data.tobytes()
+    gx3, gw3, gb3 = conv2d_backward(x, w3, spec3, grad_out)
+    gx1, gw1, gb1 = conv2d_backward(x, w1, spec1, grad_out)
+    assert gx3.data.tobytes() == gx1.data.tobytes()
+    assert gw3.data[..., 1:2, 1:2].tobytes() == gw1.data.tobytes()
+    off_centre = np.ones((3, 3), dtype=bool)
+    off_centre[1, 1] = False
+    assert np.all(gw3.data[..., off_centre] == 0)
+    assert gb3.tobytes() == gb1.tobytes()
 
 
 # --- separable ---------------------------------------------------------------

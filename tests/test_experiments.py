@@ -136,6 +136,23 @@ def test_unknown_method_rejected(small_dataset):
         train_approximator("fpn", small_dataset, steps=1, lr=0.1, seed=0)
 
 
+@pytest.mark.parametrize("holdout", [0, 4, 5, -1])  # of 4 samples: a training or held-out set would be empty
+def test_train_rejects_holdout_leaving_a_set_empty(small_dataset, holdout):
+    with pytest.raises(ValueError, match="holdout"):
+        train_approximator("bilinear", small_dataset, steps=1, lr=0.1, seed=0, holdout=holdout)
+
+
+def test_train_rejects_single_sample_with_default_holdout():
+    one = synthetic_teacher(11, 1, CFG, image_hw=(32, 32))
+    with pytest.raises(ValueError, match="holdout 1 of 1"):
+        train_approximator("jpu", one, steps=1, lr=0.1, seed=0)
+
+
+def test_train_rejects_negative_steps(small_dataset):
+    with pytest.raises(ValueError, match="steps"):
+        train_approximator("jpu", small_dataset, steps=-2, lr=0.1, seed=0)
+
+
 def test_bench_basic():
     cfg = MiniBackboneConfig()
     out = bench_forward(cfg, "dilated_os8", input_hw=(64, 64), repeats=10, warmup=1)
