@@ -71,6 +71,8 @@ def _family_diffs(x: Tensor, sw: StageWeights) -> dict[str, float]:
 def cmd_equiv(args) -> int:
     """Each family reports its worst diff with the seed and case index it came
     from: case i is the (i+1)-th `_random_stage` drawn from `Rng(seed)`."""
+    if args.cases < 1:
+        raise ValueError(f"--cases must be >= 1, got {args.cases}")
     dtype = DTYPES[args.dtype]
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL[args.dtype]
     rng = Rng(args.seed)
@@ -139,6 +141,8 @@ def cmd_jointup_demo(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     config = exp.MiniBackboneConfig()
     runs = {"bilinear": [], "jpu": []}
     for s in range(args.seeds):
@@ -205,7 +209,7 @@ def cmd_bench(args) -> int:
     doc["dilated_slower"] = results[costmod.DILATED_MODE]["mean_ms"] > results[costmod.STRIDE_JPU_MODE]["mean_ms"]
     if args.no_timing:
         for r in doc["results"].values():
-            for key in ("mean_ms", "std_ms", "min_ms", "max_ms"):
+            for key in ("mean_ms", "std_ms", "min_ms", "max_ms", "minor_faults"):
                 r.pop(key, None)
         doc.pop("dilated_slower")
     else:

@@ -1,6 +1,6 @@
 """2-D convolution (regular / dilated / strided / grouped / depthwise) with exact gradients.
 
-Forward and backward share one tap walk ("shift-GEMM", no column matrix). The
+Forward and backward share one tap walk ("shift-GEMM", no full column matrix). The
 zero-padded input is written once into a buffer of its stride phases, each
 flattened to rows of one common width, and the output is computed on a "wide"
 grid of that width. Each kernel tap then reads one contiguous slice of one
@@ -20,6 +20,21 @@ BLAS rounds GEMMs of the new width. A non-finite weight on a skipped tap no
 longer turns the output into NaN. `count_macs=True` and the cost model still
 count every tap.
 
+Inputs with at most 8 channels per group (a stem on RGB, depthwise convs) are
+too thin for one GEMM per tap: the forward copies each row block's live taps
+into a column block (unrolled convolution, Chellapilla et al. 2006, one row
+block at a time) and sums all taps in one GEMM with K = taps x channels, the
+split Anderson et al. 2017 measure between thin and wide inputs. Their outputs
+match the per-tap sum to rounding, not bit for bit; wider convs, and the
+backward, run one GEMM per tap.
+
+The forward's phase buffer, accumulators and column block live in one
+workspace per thread (`threading.local`) that grows to the largest size the
+thread has needed and is kept; each call zeroes only its padding cells, so a
+forward allocates nothing but its output. That output is always a new array,
+never a view of the workspace, so the Tensors it becomes can still be shared
+across threads. `relu=True` applies the ReLU in place on that output.
+
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. Every sample of a
 batch goes through GEMMs of the same sizes, so its output does not depend on
@@ -29,6 +44,8 @@ also returns the number of weight multiplies it performed.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -115,13 +132,14 @@ def _check_input(x: Tensor, w: ConvWeights, spec: ConvSpec) -> None:
 
 
 class _TapWalk:
-    """The geometry conv2d and conv2d_backward share for one (spec, input shape).
+    """The geometry conv2d and conv2d_backward share for one (spec, input shape);
+    `_tap_walk` builds each one once.
 
     `taps` lists each tap that runs, the product of the kernel rows and columns
     `_axis_taps` keeps, as (row, column, phase row, phase column, flat offset
-    in the phase), in the order the forward accumulates them. `phases(x)`
+    in the phase), in the order the forward accumulates them. `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
-    into its sh x sw stride phases, into a new buffer of shape
+    into its sh x sw stride phases, into a buffer of shape
     (sh, sw, n, groups, cg_in, (hq + 1) * wq): each phase is hq rows of wq
     columns plus one zero slack row, so every tap can read whole rows of the
     wide output grid.
@@ -136,19 +154,34 @@ class _TapWalk:
         sh, sw = spec.stride
         hq, self.wq = -(-(h + lo_h + hi_h) // sh), -(-(w + lo_w + hi_w) // sw)
         self.shape = (sh, sw, n, spec.groups, c // spec.groups, hq + 1, self.wq)
-        self.taps = [(u, v, a, b, r * self.wq + q) for u, a, r in row_taps for v, b, q in col_taps]
+        self.taps = tuple((u, v, a, b, r * self.wq + q) for u, a, r in row_taps for v, b, q in col_taps)
         # per phase: (where it holds input, the grouped-input view of what it holds)
-        self.views = [
+        self.views = tuple(
             ((a, b, ..., rows, cols), (..., in_rows, in_cols))
             for a, rows, in_rows in _phase_ranges(h, sh, lo_h)
             for b, cols, in_cols in _phase_ranges(w, sw, lo_w)
-        ]
+        )
+        # the rest of each phase, its zero padding: the bands above and below
+        # the input rows, then left and right of the input within them
+        self.pads = tuple(
+            (a, b, ..., *band)
+            for (a, b, _, rows, cols), _ in self.views
+            for band, size in (
+                ((slice(0, rows.start), slice(None)), rows.start),
+                ((slice(rows.stop, None), slice(None)), hq + 1 - rows.stop),
+                ((rows, slice(0, cols.start)), (rows.stop - rows.start) * cols.start),
+                ((rows, slice(cols.stop, None)), (rows.stop - rows.start) * (self.wq - cols.stop)),
+            )
+            if size > 0
+        )
 
-    def phases(self, x: np.ndarray) -> np.ndarray:
-        buf = np.zeros(self.shape, dtype=x.dtype)
+    def phases(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The phase buffer of x, written into buf (of `shape`, any contents)."""
         xg = x.reshape(self.shape[2:5] + x.shape[2:])
         for at, src in self.views:
             buf[at] = xg[src]
+        for at in self.pads:
+            buf[at] = 0
         return buf.reshape(*self.shape[:5], -1)
 
     def unphase(self, buf: np.ndarray) -> np.ndarray:
@@ -162,6 +195,11 @@ class _TapWalk:
     def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
         """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
         return buf[a, b, ..., off + r0 * self.wq : off + r1 * self.wq]
+
+
+@lru_cache(maxsize=1024)  # a walk is 8-12 us of Python; a handful of geometries recur, forward and backward
+def _tap_walk(spec: ConvSpec, x_shape: tuple[int, int, int, int]) -> _TapWalk:
+    return _TapWalk(spec, x_shape)
 
 
 @lru_cache(maxsize=1024)  # every conv call asks; a handful of geometries recur
@@ -193,9 +231,35 @@ def _phase_ranges(size: int, stride: int, pad: int):
         yield a, slice(t0, t0 + len(range(start, size, stride))), slice(start, size, stride)
 
 
-# Cap on the forward's accumulator: larger per-call buffers come back as fresh
-# pages on every call, which cost more than the extra tap loops.
+# Cap on one sample's row-block accumulator. It sets the GEMM sizes, so a new
+# value can change how BLAS rounds; with the blocks in the workspace, 64 KiB to
+# 4 MiB ran the 256x256 forwards within 25% of each other, 256 KiB and 1 MiB fastest.
 _BLOCK_BYTES = 1 << 18
+# Inputs with at most this many channels per group copy their taps into one
+# column block and run one GEMM with K = taps x channels: per-tap GEMMs that
+# thin run far below BLAS speed.
+_THIN_CHANNELS = 8
+
+_scratch = threading.local()  # `mem`, `start`: this thread's forward scratch memory and its first 64-byte boundary
+
+
+def _workspace(dtype, *shapes) -> list[np.ndarray]:
+    """One C-contiguous view per shape, each 64-byte aligned, into this
+    thread's scratch memory. The memory grows to the largest size the thread
+    has asked for and is never given back, so a forward allocates nothing but
+    its output; the next call on the thread overwrites it, so nothing that
+    outlives a call may be a view of it."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape in shapes]
+    slots = [-(-size // 64) * 64 for size in sizes]
+    mem = getattr(_scratch, "mem", None)
+    if mem is None or mem.size - _scratch.start < sum(slots):
+        mem = _scratch.mem = np.empty(sum(slots) + 63, dtype=np.uint8)
+        _scratch.start = -mem.ctypes.data % 64
+    views, at = [], _scratch.start
+    for shape, size, slot in zip(shapes, sizes, slots):
+        views.append(mem[at : at + size].view(dtype).reshape(shape))
+        at += slot
+    return views
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -212,33 +276,53 @@ def _tap_weights(w: ConvWeights, spec: ConvSpec, dtype) -> np.ndarray:
     return np.ascontiguousarray(wt.transpose(3, 4, 0, 1, 2))
 
 
-def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False):
-    """Convolution of an (n, c, h, w) input. With count_macs=True it runs the
-    plain loop nest instead and also returns the number of weight multiplies
-    performed (for cost-model cross-checks)."""
+def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, relu: bool = False):
+    """Convolution of an (n, c, h, w) input. With relu=True the ReLU is applied
+    in place to the new output, byte-identical to relu(conv2d(...)). With
+    count_macs=True it runs the plain loop nest instead and also returns the
+    number of weight multiplies performed (for cost-model cross-checks)."""
     _check_input(x, w, spec)
-    if count_macs:
-        return _counted_conv2d(x, w, spec)
-    walk = _TapWalk(spec, x.shape)
-    buf = walk.phases(x.data)
-    wt = _tap_weights(w, spec, x.dtype)
-    n, g, o, wq = walk.n, spec.groups, spec.out_channels, walk.wq
-    out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
+    out, macs = _counted_conv2d(x, w, spec) if count_macs else (_forward(x.data, w, spec), None)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return (Tensor(out), macs) if count_macs else Tensor(out)
+
+
+def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
+    """The tap walk over row blocks of the wide output grid, in this thread's workspace."""
+    walk = _tap_walk(spec, x.shape)
+    n, g, o, wq, taps = walk.n, spec.groups, spec.out_channels, walk.wq, walk.taps
+    cg = spec.in_channels // g
+    thin = cg <= _THIN_CHANNELS and len(taps) > 1
     # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
     rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * wq * x.dtype.itemsize)))
-    acc = np.empty((n, g, o // g, rows * wq), dtype=x.dtype)
-    tmp = np.empty_like(acc)
+    acc_shape = (n, g, o // g, rows * wq)
+    # tmp: in the thin path the column block, each tap's cg rows in tap order
+    tmp_shape = (n, g, len(taps) * cg, rows * wq) if thin else acc_shape
+    buf, acc, tmp = _workspace(x.dtype, walk.shape, acc_shape, tmp_shape)
+    buf = walk.phases(x, buf)
+    if thin:  # (groups, cg_out, taps x cg_in), in the column block's order
+        us, vs = zip(*((u, v) for u, v, *_ in taps))
+        wt = w.weight.data[:, :, us, vs].astype(x.dtype, copy=False).transpose(0, 2, 1).reshape(g, o // g, -1)
+    else:
+        wt = _tap_weights(w, spec, x.dtype)
+    out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
     for r0 in range(0, walk.oh, rows):
         r1 = min(walk.oh, r0 + rows)
         acc_r, tmp_r = acc[..., : (r1 - r0) * wq], tmp[..., : (r1 - r0) * wq]
-        for i, (u, v, a, b, off) in enumerate(walk.taps):
-            prod = _mm(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
-            if i:
-                acc_r += prod
+        if thin:
+            for i, (_, _, a, b, off) in enumerate(taps):
+                tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(buf, a, b, off, r0, r1)
+            np.matmul(wt, tmp_r, out=acc_r)
+        else:
+            for i, (u, v, a, b, off) in enumerate(taps):
+                prod = _mm(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+                if i:
+                    acc_r += prod
         out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, wq)[..., : walk.ow]
     if w.bias is not None:
         out += w.bias.astype(x.dtype, copy=False)[:, None, None]
-    return Tensor(out)
+    return out
 
 
 def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
@@ -265,17 +349,17 @@ def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
                     macs += n * cg_out * oh * ow
     if w.bias is not None:
         y += w.bias[None, :, None, None].astype(x.dtype)
-    return Tensor(y), macs
+    return y, macs
 
 
 def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
     """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias."""
     _check_input(x, w, spec)
-    walk = _TapWalk(spec, x.shape)
+    walk = _tap_walk(spec, x.shape)
     n, g, o, oh, ow = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow
     if grad_out.shape != (n, o, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
-    buf = walk.phases(x.data)
+    buf = walk.phases(x.data, np.empty(walk.shape, dtype=x.dtype))
     # grad_out on the wide grid, zero in the columns the forward drops
     g_wide = np.zeros((n, g, o // g, oh, walk.wq), dtype=x.dtype)
     g_wide[..., :ow] = grad_out.data.reshape(n, g, o // g, oh, ow)

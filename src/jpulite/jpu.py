@@ -22,7 +22,6 @@ from .conv import (
     conv2d,
     conv2d_backward,
     init_weights,
-    relu,
     relu_backward,
     separable_spec,
 )
@@ -168,7 +167,7 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
     def conv(name: str, x: Tensor) -> Tensor:
         spec, cw, act = _executed(layers, name)
         inputs[name] = x
-        y = acts[act] = relu(conv2d(x, cw, spec))
+        y = acts[act] = conv2d(x, cw, spec, relu=True)
         return y
 
     a3, a4, a5 = (conv(f"level{i}", x) for i, x in enumerate((c3, c4, c5)))

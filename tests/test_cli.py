@@ -66,6 +66,15 @@ def test_equiv_impossible_tolerance_exits_1(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_equiv_without_cases_exits_2(capsys, cases):
+    code = main(["equiv", "--cases", cases])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_cost_compare(capsys):
     code, out = run_cli(capsys, "cost", "--backbone", "resnet101", "--compare", "--input", "512", "512")
     doc = json.loads(out)
@@ -141,7 +150,7 @@ def test_train_demo_emits_loss_curves(capsys):
     assert run_cli(capsys, *args)[1] == out
 
 
-@pytest.mark.parametrize("argv", [["--samples", "1"], ["--samples", "0"], ["--steps", "-2"]])
+@pytest.mark.parametrize("argv", [["--samples", "1"], ["--samples", "0"], ["--steps", "-2"], ["--seeds", "0"]])
 def test_train_demo_malformed_input_exits_2(capsys, argv):
     code = main(["train-demo", "--seeds", "1", "--steps", "1", "--samples", "4", "--image", "32", *argv])
     captured = capsys.readouterr()
@@ -191,8 +200,12 @@ def test_bench_records_environment_unless_no_timing(capsys, monkeypatch):
     assert env["cpu_count"] == os.cpu_count()
     assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    for r in json.loads(out)["results"].values():
+        assert isinstance(r["minor_faults"], float) and r["minor_faults"] >= 0
     _, out = run_cli(capsys, "bench", "--repeats", "10", "--input", "64", "64", "--no-timing")
-    assert "environment" not in json.loads(out)
+    doc = json.loads(out)
+    assert "environment" not in doc
+    assert all("minor_faults" not in r for r in doc["results"].values())
 
 
 def test_output_file(tmp_path, capsys):

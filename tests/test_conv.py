@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jpulite import conv
 from jpulite.conv import (
     ConvSpec,
     ConvWeights,
@@ -149,6 +153,18 @@ def test_conv_rejects_too_small_input():
 ORACLE_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
 
 
+def close(got, want, tol):
+    """Within tol relative to the result's magnitude, at least 1."""
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+def oracle_forward(x, w, spec):
+    """The scalar-loop forward in f64."""
+    b64 = None if w.bias is None else w.bias.astype(np.float64)
+    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
+    return naive_conv2d(x.data.astype(np.float64), w.weight.data.astype(np.float64), b64, *geometry)[0]
+
+
 def oracle_case(spec, hw, n, dtype, seed, with_bias):
     """(x, weights, spec, grad_out) for one geometry, drawn from `seed`."""
     rng = Rng(seed)
@@ -160,17 +176,18 @@ def oracle_case(spec, hw, n, dtype, seed, with_bias):
 
 
 @st.composite
-def oracle_cases(draw):
-    """(x, weights, spec, grad_out): dense and grouped convs (cg_in, cg_out up
-    to 3), depthwise convs (C up to 24), general geometry (kernels up to 5x5,
-    stride 1-3, dilation 1-3, padding up to 2 past the dilated reach) or
-    JPU-branch geometry (3x3, padding = dilation up to 12); maps from 1 pixel,
-    so some taps read only padding, in one axis or both, and in some
-    geometries no tap reads input; N 1-3; f64 or f32; with or without bias."""
+def oracle_cases(draw, max_cg_in=3, max_extra=5):
+    """(x, weights, spec, grad_out): dense and grouped convs (cg_in up to
+    max_cg_in, cg_out up to 3), depthwise convs (C up to 24), general geometry
+    (kernels up to 5x5, stride 1-3, dilation 1-3, padding up to 2 past the
+    dilated reach) or JPU-branch geometry (3x3, padding = dilation up to 12);
+    maps from 1 pixel to max_extra past the smallest valid size, so some taps
+    read only padding, in one axis or both, and in some geometries no tap
+    reads input; N 1-3; f64 or f32; with or without bias."""
     if draw(st.booleans()):
         g, cg_in, cg_out = draw(st.integers(1, 24)), 1, 1
     else:
-        g, cg_in, cg_out = (draw(st.integers(1, 3)) for _ in range(3))
+        g, cg_in, cg_out = draw(st.integers(1, 3)), draw(st.integers(1, max_cg_in)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         kernel, stride, dilation = (tuple(draw(st.integers(1, hi)) for _ in range(2)) for hi in (5, 3, 3))
         padding = tuple(draw(st.integers(0, d * (k - 1) + 2)) for k, d in zip(kernel, dilation))
@@ -178,7 +195,7 @@ def oracle_cases(draw):
         d = draw(st.integers(1, 12))
         kernel, stride, dilation, padding = (3, 3), (1, 1), (d, d), (d, d)
     spec = ConvSpec(g * cg_in, g * cg_out, kernel, stride, dilation, padding, g)
-    hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, 5)) for k, d, p in zip(kernel, dilation, padding)]
+    hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, max_extra)) for k, d, p in zip(kernel, dilation, padding)]
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     return oracle_case(spec, hw, draw(st.integers(1, 3)), dtype, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
 
@@ -198,25 +215,20 @@ def test_conv_and_backward_match_scalar_oracles(case):
     tol = ORACLE_TOL[x.dtype]
     geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
     x64, w64 = x.data.astype(np.float64), w.weight.data.astype(np.float64)
-    b64 = None if w.bias is None else w.bias.astype(np.float64)
-
-    def close(got, want):  # tolerance relative to the result's magnitude, at least 1
-        return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
-
     y = conv2d(x, w, spec)
     assert y.dtype == x.dtype
-    assert close(y.data, naive_conv2d(x64, w64, b64, *geometry)[0])
+    assert close(y.data, oracle_forward(x, w, spec), tol)
     counted, macs = conv2d(x, w, spec, count_macs=True)
-    assert close(counted.data, y.data)
+    assert close(counted.data, y.data, tol)
     assert macs == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
     for k in range(x.shape[0]):  # a sample's output does not depend on the rest of its batch
         assert conv2d(Tensor(x.data[k : k + 1]), w, spec).data.tobytes() == y.data[k : k + 1].tobytes()
 
     gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
     want_gx, want_gw, want_gb = naive_conv2d_backward(x64, w64, grad_out.data.astype(np.float64), *geometry)
-    assert close(gx.data, want_gx) and close(gw.data, want_gw)
+    assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
     assert (gb is None) == (w.bias is None)
-    assert gb is None or close(gb, want_gb)
+    assert gb is None or close(gb, want_gb, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,6 +268,76 @@ def test_rate_past_the_map_is_the_centre_tap_1x1_conv(hw, past, depthwise, dtype
     off_centre[1, 1] = False
     assert np.all(gw3.data[..., off_centre] == 0)
     assert gb3.tobytes() == gb1.tobytes()
+
+
+# --- workspace -----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(oracle_cases(max_cg_in=10, max_extra=12), min_size=2, max_size=5))
+def test_back_to_back_convs_match_scalar_oracle(cases):
+    """Convs of any geometry and dtype, thin and wide, run one after another in
+    one thread's workspace: what an earlier conv left there never reaches the
+    padding of a later one."""
+    for x, w, spec, _ in cases:
+        assert close(conv2d(x, w, spec).data, oracle_forward(x, w, spec), ORACLE_TOL[x.dtype])
+
+
+def test_output_never_shares_the_workspace():
+    small = oracle_case(ConvSpec(3, 4, padding=(1, 1)), (6, 6), 1, np.float64, 0, True)[:3]
+    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1, True)[:3]
+    outputs = [conv2d(*small), conv2d(*small, relu=True), conv2d(*small, count_macs=True)[0]]
+    assert not any(np.shares_memory(y.data, conv._scratch.mem) for y in outputs)
+    kept = [y.data.tobytes() for y in outputs]
+    conv2d(*big)  # grows the workspace and overwrites what the small conv left there
+    assert not any(np.shares_memory(y.data, conv._scratch.mem) for y in outputs)
+    assert [y.data.tobytes() for y in outputs] == kept
+
+
+def test_concurrent_threads_give_serial_bytes():
+    """Four threads (more than this suite assumes cores) run different convs,
+    thin and wide, at once; each output is byte-identical to a serial run."""
+    cases = [
+        oracle_case(ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (64, 64), 1, np.float64, 0, True)[:3],
+        oracle_case(ConvSpec(16, 8, dilation=(2, 2), padding=(2, 2)), (24, 24), 2, np.float64, 1, True)[:3],
+        oracle_case(ConvSpec(6, 6, groups=6, dilation=(4, 4), padding=(4, 4)), (9, 9), 3, np.float32, 2, False)[:3],
+        oracle_case(ConvSpec(24, 12, (1, 1)), (16, 16), 1, np.float32, 3, True)[:3],
+    ]
+    serial = [conv2d(*case).data.tobytes() for case in cases]
+    mismatches, done = [], []
+
+    def work(k):
+        try:
+            for _ in range(15):
+                for i in range(k, k + len(cases)):
+                    if conv2d(*cases[i % len(cases)]).data.tobytes() != serial[i % len(cases)]:
+                        mismatches.append((k, i % len(cases)))
+            done.append(k)
+        except Exception as e:  # reported by the assertion below
+            mismatches.append((k, repr(e)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [] and sorted(done) == [0, 1, 2, 3]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=oracle_cases(max_cg_in=10))
+def test_fused_relu_is_relu_of_the_conv(case):
+    x, w, spec, _ = case
+    assert conv2d(x, w, spec, relu=True).data.tobytes() == relu(conv2d(x, w, spec)).data.tobytes()
+    fused, fused_macs = conv2d(x, w, spec, count_macs=True, relu=True)
+    counted, macs = conv2d(x, w, spec, count_macs=True)
+    assert fused.data.tobytes() == relu(counted).data.tobytes() and fused_macs == macs
 
 
 # --- separable ---------------------------------------------------------------
