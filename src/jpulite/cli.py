@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -75,6 +76,8 @@ def cmd_equiv(args) -> int:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     dtype = DTYPES[args.dtype]
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOL[args.dtype]
+    if not 0 <= tol < math.inf:  # NaN or infinity would also print as invalid JSON
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tol}")
     rng = Rng(args.seed)
     families = {name: {"cases": args.cases, "max_abs_diff": 0.0, "worst_seed": args.seed, "worst_case": None}
                 for name in ("dilated_decomp", "stride_reduce", "phase_consistency")}

@@ -6,9 +6,15 @@ flattened to rows of one common width, and the output is computed on a "wide"
 grid of that width. Each kernel tap then reads one contiguous slice of one
 phase and is one BLAS `matmul` (a broadcast multiply when a group has one
 input channel), accumulated in a fixed tap order; the wide grid's extra
-columns are dropped. The backward reads the same slices: a tap's weight
-gradient is `grad @ sliceᵀ`, and `Wᵀ @ grad` is added back into the phase
-buffer of the input gradient. Padding is always zero padding.
+columns are dropped. Padding is always zero padding.
+
+The backward writes the phases with the samples side by side in each
+channel's row and puts grad_out on the same stacked wide grid, zero in the
+columns and rows the forward drops. A tap's weight gradient is then one GEMM,
+`grad @ sliceᵀ` over the whole batch at once, and each phase of the input
+gradient is the sum of its taps' `Wᵀ @ grad`, every tap reading the grid
+shifted back by its offset into one contiguous product: the adjoint of the
+forward's slices, with no scatter.
 
 Only the taps that read input at some output position run. A tap whose every
 read lands in the padding contributes exact zeros, so it is skipped, its
@@ -28,18 +34,22 @@ split Anderson et al. 2017 measure between thin and wide inputs. Their outputs
 match the per-tap sum to rounding, not bit for bit; wider convs, and the
 backward, run one GEMM per tap.
 
-The forward's phase buffer, accumulators and column block live in one
-workspace per thread (`threading.local`) that grows to the largest size the
-thread has needed and is kept; each call zeroes only its padding cells, so a
-forward allocates nothing but its output. That output is always a new array,
-never a view of the workspace, so the Tensors it becomes can still be shared
-across threads. `relu=True` applies the ReLU in place on that output.
+All scratch of both directions (phase buffers, accumulators, column block,
+the stacked gradient grid) lives in one workspace per thread
+(`threading.local`) that grows to the largest size the thread has needed and
+is kept, so a forward allocates nothing but its output and a backward nothing
+but its three gradients. Those are always new arrays, never views of the
+workspace, so the Tensors they become can still be shared across threads.
+`relu=True` applies the ReLU in place on the forward's output.
 
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. Every sample of a
 batch goes through GEMMs of the same sizes, so its output does not depend on
-the rest of the batch. `count_macs=True` runs a plain loop nest instead and
-also returns the number of weight multiplies it performed.
+the rest of the batch; nor does its input gradient, which only widens the
+GEMMs that sum over the output channels. The weight gradient sums the batch
+inside one GEMM per tap, so it matches the sum of per-sample weight gradients
+to rounding, not bit for bit. `count_macs=True` runs a plain loop nest instead
+and also returns the number of weight multiplies it performed.
 """
 
 from __future__ import annotations
@@ -140,9 +150,12 @@ class _TapWalk:
     in the phase), in the order the forward accumulates them. `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
     into its sh x sw stride phases, into a buffer of shape
-    (sh, sw, n, groups, cg_in, (hq + 1) * wq): each phase is hq rows of wq
-    columns plus one zero slack row, so every tap can read whole rows of the
-    wide output grid.
+    (sh, sw, n, groups, cg_in, slot): each phase is hq rows of wq columns plus
+    one zero slack row (slot = (hq + 1) * wq), so every tap can read whole
+    rows of the wide output grid. With stacked=True the samples sit side by
+    side in each channel's row instead, (sh, sw, groups, cg_in, n * slot), and
+    a tap at offset off reads every sample at once in one slice of length
+    (n - 1) * slot + oh * wq; each sample's part stays inside its own slot.
     """
 
     def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int]):
@@ -154,7 +167,15 @@ class _TapWalk:
         sh, sw = spec.stride
         hq, self.wq = -(-(h + lo_h + hi_h) // sh), -(-(w + lo_w + hi_w) // sw)
         self.shape = (sh, sw, n, spec.groups, c // spec.groups, hq + 1, self.wq)
+        self.stacked_shape = (sh, sw, spec.groups, c // spec.groups, n, hq + 1, self.wq)
+        self.slot = (hq + 1) * self.wq
         self.taps = tuple((u, v, a, b, r * self.wq + q) for u, a, r in row_taps for v, b, q in col_taps)
+        # per stride phase, (u, v, offset) of the taps that read it, in tap order
+        self.phase_taps = tuple(
+            ((a, b), tuple((u, v, off) for u, v, ta, tb, off in self.taps if (ta, tb) == (a, b)))
+            for a in range(sh)
+            for b in range(sw)
+        )
         # per phase: (where it holds input, the grouped-input view of what it holds)
         self.views = tuple(
             ((a, b, ..., rows, cols), (..., in_rows, in_cols))
@@ -175,22 +196,26 @@ class _TapWalk:
             if size > 0
         )
 
-    def phases(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """The phase buffer of x, written into buf (of `shape`, any contents)."""
+    def phases(self, x: np.ndarray, buf: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """The phase buffer of x, written into buf (of `shape`, or of
+        `stacked_shape` with stacked=True; any contents)."""
         xg = x.reshape(self.shape[2:5] + x.shape[2:])
+        if stacked:
+            xg, buf = xg.transpose(1, 2, 0, 3, 4), buf.reshape(self.stacked_shape)
         for at, src in self.views:
             buf[at] = xg[src]
         for at in self.pads:
             buf[at] = 0
-        return buf.reshape(*self.shape[:5], -1)
+        return buf.reshape(*buf.shape[: 4 if stacked else 5], -1)
 
     def unphase(self, buf: np.ndarray) -> np.ndarray:
-        """Inverse of phases(): the (n, c, h, w) array read back out of a phase buffer."""
-        buf = buf.reshape(self.shape)
-        xg = np.empty(self.shape[2:5] + (self.h, self.w), dtype=buf.dtype)
+        """Inverse of phases(stacked=True): a new (n, c, h, w) array read out of a stacked phase buffer."""
+        n, g, cg = self.shape[2:5]
+        x = np.empty((n, g * cg, self.h, self.w), dtype=buf.dtype)
+        xg, buf = x.reshape(n, g, cg, self.h, self.w).transpose(1, 2, 0, 3, 4), buf.reshape(self.stacked_shape)
         for at, src in self.views:
             xg[src] = buf[at]
-        return xg.reshape(self.n, -1, self.h, self.w)
+        return x
 
     def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
         """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
@@ -240,14 +265,14 @@ _BLOCK_BYTES = 1 << 18
 # thin run far below BLAS speed.
 _THIN_CHANNELS = 8
 
-_scratch = threading.local()  # `mem`, `start`: this thread's forward scratch memory and its first 64-byte boundary
+_scratch = threading.local()  # `mem`, `start`: this thread's scratch memory and its first 64-byte boundary
 
 
 def _workspace(dtype, *shapes) -> list[np.ndarray]:
     """One C-contiguous view per shape, each 64-byte aligned, into this
     thread's scratch memory. The memory grows to the largest size the thread
-    has asked for and is never given back, so a forward allocates nothing but
-    its output; the next call on the thread overwrites it, so nothing that
+    has asked for and is never given back, so a conv allocates nothing but
+    its results; the next call on the thread overwrites it, so nothing that
     outlives a call may be a view of it."""
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape in shapes]
     slots = [-(-size // 64) * 64 for size in sizes]
@@ -353,27 +378,46 @@ def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
 
 
 def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
-    """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias."""
+    """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias.
+
+    Runs on the stacked phase buffer, the whole batch in each row, in this
+    thread's workspace. grad_out goes onto the same stacked wide grid behind a
+    zero margin of the largest tap offset, zero in the dropped columns and the
+    slack rows. A tap's weight gradient is then one GEMM that sums the batch,
+    and each phase's input gradient is the sum of its taps' Wᵀ @ grad, every
+    tap reading the grid shifted back by its offset: the only other sample
+    a shifted read reaches is the zero tail of the previous slot."""
     _check_input(x, w, spec)
     walk = _tap_walk(spec, x.shape)
-    n, g, o, oh, ow = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow
+    n, g, o, oh, ow, wq = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.wq
     if grad_out.shape != (n, o, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
-    buf = walk.phases(x.data, np.empty(walk.shape, dtype=x.dtype))
-    # grad_out on the wide grid, zero in the columns the forward drops
-    g_wide = np.zeros((n, g, o // g, oh, walk.wq), dtype=x.dtype)
-    g_wide[..., :ow] = grad_out.data.reshape(n, g, o // g, oh, ow)
-    g_wide = g_wide.reshape(n, g, o // g, oh * walk.wq)
+    og, cg = o // g, spec.in_channels // g
+    size = n * walk.slot
+    k = size - walk.slot + oh * wq  # what one tap reads of the stacked row
+    m = max(off for *_, off in walk.taps)
+    buf, grad_buf, grid, tmp, grad_w = _workspace(
+        x.dtype, walk.stacked_shape, walk.stacked_shape, (g, og, m + size), (g, cg, size), (*spec.kernel, g, og, cg)
+    )
+    buf = walk.phases(x.data, buf, stacked=True)
+    grad_buf = grad_buf.reshape(buf.shape)
+    grid[...] = 0
+    stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 2, 0, 3, 4)
+    grid[..., m:].reshape(g, og, n, -1, wq)[..., :oh, :ow] = stacked_out
     wt_t = _tap_weights(w, spec, x.dtype).swapaxes(-1, -2)
-    grad_buf = np.zeros_like(buf)
-    grad_w = np.zeros((*spec.kernel, g, o // g, spec.in_channels // g), dtype=x.dtype)  # 0 at taps that do not run
-    tmp = np.empty((n, g, spec.in_channels // g, oh * walk.wq), dtype=x.dtype)
-    for u, v, a, b, off in walk.taps:
-        grad_w[u, v] = np.matmul(g_wide, walk.tap(buf, a, b, off, 0, oh).swapaxes(-1, -2)).sum(axis=0)
-        walk.tap(grad_buf, a, b, off, 0, oh)[...] += _mm(wt_t[u, v], g_wide, out=tmp)
-    grad_w = grad_w.transpose(2, 3, 4, 0, 1).reshape(spec.weight_shape)
+    grad_w[...] = 0  # 0 at taps that do not run
+    for (a, b), taps in walk.phase_taps:
+        if not taps:
+            grad_buf[a, b] = 0
+        for i, (u, v, off) in enumerate(taps):
+            np.matmul(grid[..., m : m + k], buf[a, b, ..., off : off + k].swapaxes(-1, -2), out=grad_w[u, v])
+            prod = _mm(wt_t[u, v], grid[..., m - off : m - off + size], out=tmp if i else grad_buf[a, b])
+            if i:
+                grad_buf[a, b] += prod
+    gw = np.empty(spec.weight_shape, dtype=x.dtype)
+    gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 3, 4, 0, 1)
     grad_bias = grad_out.data.sum(axis=(0, 2, 3)) if w.bias is not None else None
-    return Tensor(walk.unphase(grad_buf)), Tensor(grad_w), grad_bias
+    return Tensor(walk.unphase(grad_buf)), Tensor(gw), grad_bias
 
 
 def separable_spec(channels: int, out_channels: int, dilation: int) -> tuple[ConvSpec, ConvSpec]:

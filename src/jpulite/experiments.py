@@ -9,6 +9,7 @@ the teacher/student study and the end-to-end phase-consistency checks honest.
 
 from __future__ import annotations
 
+import math
 import resource
 import time
 from dataclasses import dataclass
@@ -177,6 +178,8 @@ def train_approximator(
     samples = dataset.samples
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if holdout is None:
         holdout = max(1, len(samples) // 4)
     if not 1 <= holdout <= len(samples) - 1:

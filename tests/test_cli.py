@@ -61,9 +61,19 @@ def test_equiv_worst_case_replays(capsys):
 
 
 def test_equiv_impossible_tolerance_exits_1(capsys):
-    code, out = run_cli(capsys, "equiv", "--cases", "5", "--tolerance", "-1")
+    # f64 diffs are a few ulps, never all exact zeros, so tolerance 0 cannot be met
+    code, out = run_cli(capsys, "equiv", "--cases", "5", "--tolerance", "0")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "-1e-300", "inf", "-inf"])
+def test_equiv_malformed_tolerance_exits_2(capsys, tolerance):
+    code = main(["equiv", "--cases", "2", f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --tolerance")
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -150,13 +160,29 @@ def test_train_demo_emits_loss_curves(capsys):
     assert run_cli(capsys, *args)[1] == out
 
 
-@pytest.mark.parametrize("argv", [["--samples", "1"], ["--samples", "0"], ["--steps", "-2"], ["--seeds", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--samples", "1"], ["--samples", "0"], ["--steps", "-2"], ["--seeds", "0"],
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-5"],
+    ],
+)
 def test_train_demo_malformed_input_exits_2(capsys, argv):
     code = main(["train-demo", "--seeds", "1", "--steps", "1", "--samples", "4", "--image", "32", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_train_demo_zero_lr_is_valid(capsys):
+    argv = ("train-demo", "--seeds", "1", "--steps", "2", "--samples", "4", "--image", "32", "--lr", "0")
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code in (0, 1) and doc["lr"] == 0.0
+    for method in ("bilinear", "jpu"):
+        curve = doc["per_seed"][0][f"loss_curve_{method}"]
+        assert len(curve) == 2 and curve[0] == curve[1]
 
 
 def test_train_divergence_exits_1(capsys):

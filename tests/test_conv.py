@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,14 +177,14 @@ def oracle_case(spec, hw, n, dtype, seed, with_bias):
 
 
 @st.composite
-def oracle_cases(draw, max_cg_in=3, max_extra=5):
+def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
     """(x, weights, spec, grad_out): dense and grouped convs (cg_in up to
     max_cg_in, cg_out up to 3), depthwise convs (C up to 24), general geometry
     (kernels up to 5x5, stride 1-3, dilation 1-3, padding up to 2 past the
     dilated reach) or JPU-branch geometry (3x3, padding = dilation up to 12);
     maps from 1 pixel to max_extra past the smallest valid size, so some taps
     read only padding, in one axis or both, and in some geometries no tap
-    reads input; N 1-3; f64 or f32; with or without bias."""
+    reads input; N 1 to max_n; f64 or f32; with or without bias."""
     if draw(st.booleans()):
         g, cg_in, cg_out = draw(st.integers(1, 24)), 1, 1
     else:
@@ -197,7 +198,8 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5):
     spec = ConvSpec(g * cg_in, g * cg_out, kernel, stride, dilation, padding, g)
     hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, max_extra)) for k, d, p in zip(kernel, dilation, padding)]
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    return oracle_case(spec, hw, draw(st.integers(1, 3)), dtype, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+    n, seed = draw(st.integers(1, max_n)), draw(st.integers(0, 2**32 - 1))
+    return oracle_case(spec, hw, n, dtype, seed, draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,44 +275,116 @@ def test_rate_past_the_map_is_the_centre_tap_1x1_conv(hw, past, depthwise, dtype
 # --- workspace -----------------------------------------------------------------
 
 
+def oracle_backward(x, w, spec, grad_out):
+    """The scalar-loop backward in f64: (gx, gw, gb)."""
+    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
+    f64 = (a.astype(np.float64) for a in (x.data, w.weight.data, grad_out.data))
+    return naive_conv2d_backward(*f64, *geometry)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cases=st.lists(oracle_cases(max_cg_in=10, max_extra=12), min_size=2, max_size=5))
 def test_back_to_back_convs_match_scalar_oracle(cases):
-    """Convs of any geometry and dtype, thin and wide, run one after another in
-    one thread's workspace: what an earlier conv left there never reaches the
-    padding of a later one."""
-    for x, w, spec, _ in cases:
-        assert close(conv2d(x, w, spec).data, oracle_forward(x, w, spec), ORACLE_TOL[x.dtype])
+    """Convs of any geometry and dtype, thin and wide, run forward and backward
+    one after another in one thread's workspace: what an earlier call left
+    there never reaches the padding or the zero margins of a later one."""
+    for x, w, spec, grad_out in cases:
+        tol = ORACLE_TOL[x.dtype]
+        assert close(conv2d(x, w, spec).data, oracle_forward(x, w, spec), tol)
+        gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
+        want_gx, want_gw, want_gb = oracle_backward(x, w, spec, grad_out)
+        assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
+        assert gb is None or close(gb, want_gb, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=oracle_cases(max_cg_in=10, max_n=6))
+# JPU fusion at train shapes: wide, every tap reads input
+@example(case=oracle_case(ConvSpec(32, 32, padding=(1, 1)), (8, 8), 6, np.float64, 5, True))
+# stride 3, grouped, thin
+@example(case=oracle_case(ConvSpec(6, 4, stride=(3, 3), padding=(1, 2), groups=2), (7, 8), 5, np.float64, 6, False))
+def test_backward_batch_is_the_per_sample_backwards(case):
+    """The backward runs the whole batch in one GEMM per tap, yet each
+    sample's input gradient is byte-identical to a backward of that sample
+    alone, and the weight and bias gradients are the sums of the per-sample
+    ones to rounding."""
+    x, w, spec, grad_out = case
+    gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
+    singles = [
+        conv2d_backward(Tensor(x.data[k : k + 1]), w, spec, Tensor(grad_out.data[k : k + 1])) for k in range(x.shape[0])
+    ]
+    for k, (gx_k, _, _) in enumerate(singles):
+        assert gx.data[k : k + 1].tobytes() == gx_k.data.tobytes()
+    tol = ORACLE_TOL[x.dtype]
+    assert close(gw.data, sum(gw_k.data for _, gw_k, _ in singles), tol)
+    assert gb is None or close(gb, sum(gb_k for *_, gb_k in singles), tol)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConvSpec(8, 8, padding=(1, 1)),
+        ConvSpec(8, 8, stride=(2, 2), padding=(1, 1)),
+        ConvSpec(8, 8, padding=(1, 1), groups=8),
+    ],
+    ids=["stride1", "stride2", "depthwise"],
+)
+def test_warm_backward_allocates_only_its_outputs(spec):
+    """Once the thread's workspace has grown, a backward's scratch (phase
+    buffers, padded gradient grid, tap products) comes from it: what it
+    allocates beyond gx, gw and gb stays far below the size of its input."""
+    x, w, spec, grad_out = oracle_case(spec, (32, 32), 6, np.float64, 7, True)
+    conv2d_backward(x, w, spec, grad_out)
+    tracemalloc.start()
+    try:
+        gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (gx.data.nbytes + gw.data.nbytes + gb.nbytes) < x.data.nbytes / 4
 
 
 def test_output_never_shares_the_workspace():
-    small = oracle_case(ConvSpec(3, 4, padding=(1, 1)), (6, 6), 1, np.float64, 0, True)[:3]
-    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1, True)[:3]
-    outputs = [conv2d(*small), conv2d(*small, relu=True), conv2d(*small, count_macs=True)[0]]
-    assert not any(np.shares_memory(y.data, conv._scratch.mem) for y in outputs)
-    kept = [y.data.tobytes() for y in outputs]
-    conv2d(*big)  # grows the workspace and overwrites what the small conv left there
-    assert not any(np.shares_memory(y.data, conv._scratch.mem) for y in outputs)
-    assert [y.data.tobytes() for y in outputs] == kept
+    small = oracle_case(ConvSpec(3, 4, padding=(1, 1)), (6, 6), 1, np.float64, 0, True)
+    pointwise = oracle_case(ConvSpec(4, 4, (1, 1)), (5, 5), 2, np.float64, 2, True)
+    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1, True)
+    outputs = [conv2d(*small[:3]), conv2d(*small[:3], relu=True), conv2d(*small[:3], count_macs=True)[0]]
+    outputs = [y.data for y in outputs]
+    for case in (small, pointwise):
+        gx, gw, gb = conv2d_backward(*case)
+        outputs += [gx.data, gw.data, gb]
+    assert not any(np.shares_memory(y, conv._scratch.mem) for y in outputs)
+    kept = [y.tobytes() for y in outputs]
+    conv2d(*big[:3])  # grows the workspace and overwrites what the small convs left there
+    conv2d_backward(*big)
+    assert not any(np.shares_memory(y, conv._scratch.mem) for y in outputs)
+    assert [y.tobytes() for y in outputs] == kept
 
 
 def test_concurrent_threads_give_serial_bytes():
     """Four threads (more than this suite assumes cores) run different convs,
-    thin and wide, at once; each output is byte-identical to a serial run."""
+    thin and wide, forward and backward, at once; each output is
+    byte-identical to a serial run."""
     cases = [
-        oracle_case(ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (64, 64), 1, np.float64, 0, True)[:3],
-        oracle_case(ConvSpec(16, 8, dilation=(2, 2), padding=(2, 2)), (24, 24), 2, np.float64, 1, True)[:3],
-        oracle_case(ConvSpec(6, 6, groups=6, dilation=(4, 4), padding=(4, 4)), (9, 9), 3, np.float32, 2, False)[:3],
-        oracle_case(ConvSpec(24, 12, (1, 1)), (16, 16), 1, np.float32, 3, True)[:3],
+        oracle_case(ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (64, 64), 1, np.float64, 0, True),
+        oracle_case(ConvSpec(16, 8, dilation=(2, 2), padding=(2, 2)), (24, 24), 2, np.float64, 1, True),
+        oracle_case(ConvSpec(6, 6, groups=6, dilation=(4, 4), padding=(4, 4)), (9, 9), 3, np.float32, 2, False),
+        oracle_case(ConvSpec(24, 12, (1, 1)), (16, 16), 1, np.float32, 3, True),
     ]
-    serial = [conv2d(*case).data.tobytes() for case in cases]
+
+    def run(i):
+        """Case i's forward, then its backward, as bytes."""
+        gx, gw, gb = conv2d_backward(*cases[i])
+        return [conv2d(*cases[i][:3]).data.tobytes(), gx.data.tobytes(), gw.data.tobytes(), gb is None or gb.tobytes()]
+
+    serial = [run(i) for i in range(len(cases))]
     mismatches, done = [], []
 
     def work(k):
         try:
             for _ in range(15):
                 for i in range(k, k + len(cases)):
-                    if conv2d(*cases[i % len(cases)]).data.tobytes() != serial[i % len(cases)]:
+                    if run(i % len(cases)) != serial[i % len(cases)]:
                         mismatches.append((k, i % len(cases)))
             done.append(k)
         except Exception as e:  # reported by the assertion below

@@ -153,6 +153,12 @@ def test_train_rejects_negative_steps(small_dataset):
         train_approximator("jpu", small_dataset, steps=-2, lr=0.1, seed=0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -5.0, -1e-300])
+def test_train_rejects_non_finite_or_negative_lr(small_dataset, lr):
+    with pytest.raises(ValueError, match="lr"):
+        train_approximator("jpu", small_dataset, steps=1, lr=lr, seed=0)
+
+
 def test_bench_basic():
     cfg = MiniBackboneConfig()
     out = bench_forward(cfg, "dilated_os8", input_hw=(64, 64), repeats=10, warmup=1)
