@@ -380,13 +380,9 @@ def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
 def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
     """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias.
 
-    Runs on the stacked phase buffer, the whole batch in each row, in this
-    thread's workspace. grad_out goes onto the same stacked wide grid behind a
-    zero margin of the largest tap offset, zero in the dropped columns and the
-    slack rows. A tap's weight gradient is then one GEMM that sums the batch,
-    and each phase's input gradient is the sum of its taps' Wᵀ @ grad, every
-    tap reading the grid shifted back by its offset: the only other sample
-    a shifted read reaches is the zero tail of the previous slot."""
+    grad_out sits on the stacked wide grid behind a zero margin of the largest
+    tap offset; a tap's read shifted back by its offset reaches no other
+    sample than the zero tail of the previous slot, so the sums are exact."""
     _check_input(x, w, spec)
     walk = _tap_walk(spec, x.shape)
     n, g, o, oh, ow, wq = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.wq

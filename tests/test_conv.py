@@ -166,6 +166,13 @@ def oracle_forward(x, w, spec):
     return naive_conv2d(x.data.astype(np.float64), w.weight.data.astype(np.float64), b64, *geometry)[0]
 
 
+def oracle_backward(x, w, spec, grad_out):
+    """The scalar-loop backward in f64: (gx, gw, gb)."""
+    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
+    f64 = (a.astype(np.float64) for a in (x.data, w.weight.data, grad_out.data))
+    return naive_conv2d_backward(*f64, *geometry)
+
+
 def oracle_case(spec, hw, n, dtype, seed, with_bias):
     """(x, weights, spec, grad_out) for one geometry, drawn from `seed`."""
     rng = Rng(seed)
@@ -215,8 +222,6 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
 def test_conv_and_backward_match_scalar_oracles(case):
     x, w, spec, grad_out = case
     tol = ORACLE_TOL[x.dtype]
-    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
-    x64, w64 = x.data.astype(np.float64), w.weight.data.astype(np.float64)
     y = conv2d(x, w, spec)
     assert y.dtype == x.dtype
     assert close(y.data, oracle_forward(x, w, spec), tol)
@@ -227,7 +232,7 @@ def test_conv_and_backward_match_scalar_oracles(case):
         assert conv2d(Tensor(x.data[k : k + 1]), w, spec).data.tobytes() == y.data[k : k + 1].tobytes()
 
     gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
-    want_gx, want_gw, want_gb = naive_conv2d_backward(x64, w64, grad_out.data.astype(np.float64), *geometry)
+    want_gx, want_gw, want_gb = oracle_backward(x, w, spec, grad_out)
     assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
     assert (gb is None) == (w.bias is None)
     assert gb is None or close(gb, want_gb, tol)
@@ -273,13 +278,6 @@ def test_rate_past_the_map_is_the_centre_tap_1x1_conv(hw, past, depthwise, dtype
 
 
 # --- workspace -----------------------------------------------------------------
-
-
-def oracle_backward(x, w, spec, grad_out):
-    """The scalar-loop backward in f64: (gx, gw, gb)."""
-    geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
-    f64 = (a.astype(np.float64) for a in (x.data, w.weight.data, grad_out.data))
-    return naive_conv2d_backward(*f64, *geometry)
 
 
 @settings(max_examples=40, deadline=None)
