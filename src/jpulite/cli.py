@@ -21,13 +21,14 @@ import numpy as np
 
 from . import cost as costmod
 from . import experiments as exp
-from .conv import ConvSpec, conv2d, init_weights
+from .conv import conv2d, init_weights
 from .decomp import (
     StageWeights,
     check_phase_consistency,
     dilated_stage,
     dilated_stage_decomposed,
     reduce_even,
+    stage_specs,
 )
 from .jointup import DegenerateProblemError, solve_joint_upsample
 from .tensor import Rng, Tensor, max_abs_diff, random_uniform
@@ -53,15 +54,13 @@ def _random_stage(rng: Rng, dtype) -> tuple[Tensor, StageWeights]:
     h, w = 2 * pick(2, 8), 2 * pick(2, 8)
     depth = pick(1, 3)
     x = random_uniform((1, cin, h, w), rng, -1.0, 1.0, dtype=dtype)
-    head = init_weights(ConvSpec(cin, ch, kernel=(3, 3), padding=(1, 1)), rng, dtype=dtype)
-    body = [init_weights(ConvSpec(ch, ch, kernel=(3, 3), padding=(1, 1)), rng, dtype=dtype) for _ in range(depth)]
-    return x, StageWeights(head, body)
+    head, body = stage_specs(cin, ch, depth, 1, 1, 1)
+    return x, StageWeights(init_weights(head, rng, dtype=dtype), [init_weights(b, rng, dtype=dtype) for b in body])
 
 
 def _family_diffs(x: Tensor, sw: StageWeights) -> dict[str, float]:
     """Max abs diff of each identity family on one random stage."""
-    spec_full = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), padding=(1, 1))
-    spec_strided = ConvSpec(x.shape[1], sw.channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    spec_full, spec_strided = (stage_specs(sw.in_channels, sw.channels, len(sw.body), s, 1, 1)[0] for s in (1, 2))
     return {
         "dilated_decomp": max_abs_diff(dilated_stage(x, sw).y, dilated_stage_decomposed(x, sw).y),
         "stride_reduce": max_abs_diff(conv2d(x, sw.head, spec_strided), reduce_even(conv2d(x, sw.head, spec_full))),

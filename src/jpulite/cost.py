@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .conv import ConvSpec
 from .jpu import JpuConfig
 from .tensor import ShapeError, _is_count
 
@@ -63,8 +64,7 @@ def conv_cost(kernel, in_channels, out_channels, out_hw, groups=1, with_bias=Fal
 
 def conv_cost_from_spec(spec, in_hw, with_bias=False) -> LayerCost:
     """LayerCost for a runtime ConvSpec (used to cross-check against instrumented convs)."""
-    out_hw = spec.out_hw(in_hw)
-    return conv_cost(spec.kernel, spec.in_channels, spec.out_channels, out_hw, spec.groups, with_bias)
+    return conv_cost(spec.kernel, spec.in_channels, spec.out_channels, spec.out_hw(in_hw), spec.groups, with_bias)
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,42 @@ class BackboneSpec:
     stages: tuple[StageSpec, ...]
     image_channels: int = 3
 
+    def layers(self, mode: str, input_hw) -> list[tuple[str, ConvSpec, tuple[int, int]]]:
+        """The convs in execution order, as (name, spec, input grid). A 3x3 stride-2
+        max pool (0 MACs) follows the stem. In dilated mode a stage past output
+        stride 8 enters at stride 1 and dilates its 3x3 convs to make up for it."""
+        if mode not in MODES:
+            raise KeyError(f"unknown mode {mode!r}")
+        grid = _check_input_hw(input_hw)
+        stem = ConvSpec(self.image_channels, self.stem_channels, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
+        table = [("stem.conv", stem, grid)]
+        grid = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid))
+        os = 4
+        for i, st in enumerate(self.stages, 1):
+            os *= st.entry_stride
+            d = os // 8 if mode == DILATED_MODE and os > 8 else 1
+            ci, s = st.in_channels, st.entry_stride if d == 1 else 1
+            for b in range(st.blocks):
+                prefix = f"stage{i}.block{b:02d}"
+                conv1 = ConvSpec(ci, st.mid_channels, kernel=(1, 1), stride=(s, s))
+                inner = conv1.out_hw(grid)
+                table += [
+                    (f"{prefix}.conv1", conv1, grid),
+                    (f"{prefix}.conv2", ConvSpec(st.mid_channels, st.mid_channels, dilation=(d, d), padding=(d, d)), inner),
+                    (f"{prefix}.conv3", ConvSpec(st.mid_channels, st.out_channels, kernel=(1, 1)), inner),
+                ]
+                if b == 0:
+                    table.append((f"{prefix}.downsample", ConvSpec(ci, st.out_channels, kernel=(1, 1), stride=(s, s)), grid))
+                grid, ci, s = inner, st.out_channels, 1
+        return table
+
 
 def resnet_preset(name: str) -> BackboneSpec:
     blocks = {"resnet50": (3, 4, 6, 3), "resnet101": (3, 4, 23, 3)}.get(name)
     if blocks is None:
         raise KeyError(f"unknown backbone preset {name!r}")
-    stages = []
-    in_ch = 64
-    for i, nb in enumerate(blocks):
-        mid = 64 * 2**i
-        out = 256 * 2**i
-        stages.append(StageSpec(nb, in_ch, mid, out, entry_stride=1 if i == 0 else 2))
-        in_ch = out
+    # stage i has 64·2^i mid and 256·2^i out channels and reads the 64-ch stem or the previous stage
+    stages = (StageSpec(nb, 128 * 2**i if i else 64, 64 * 2**i, 256 * 2**i, 2 if i else 1) for i, nb in enumerate(blocks))
     return BackboneSpec(name, 64, tuple(stages))
 
 
@@ -119,10 +143,7 @@ class CostReport:
         return out
 
     def total(self) -> LayerCost:
-        t = LayerCost()
-        for e in self.entries:
-            t = t + e.cost
-        return t
+        return sum((e.cost for e in self.entries), LayerCost())
 
     def to_dict(self) -> dict:
         return {
@@ -135,19 +156,6 @@ class CostReport:
             "stage_totals": {s: c.__dict__ for s, c in self.stage_totals().items()},
             "total": self.total().__dict__,
         }
-
-
-def _bottleneck_entries(stage_name: str, stage: StageSpec, out_hw) -> list[CostEntry]:
-    entries = []
-    for b in range(stage.blocks):
-        ci = stage.in_channels if b == 0 else stage.out_channels
-        prefix = f"{stage_name}.block{b:02d}"
-        entries.append(CostEntry(f"{prefix}.conv1", stage_name, conv_cost((1, 1), ci, stage.mid_channels, out_hw)))
-        entries.append(CostEntry(f"{prefix}.conv2", stage_name, conv_cost((3, 3), stage.mid_channels, stage.mid_channels, out_hw)))
-        entries.append(CostEntry(f"{prefix}.conv3", stage_name, conv_cost((1, 1), stage.mid_channels, stage.out_channels, out_hw)))
-        if b == 0:
-            entries.append(CostEntry(f"{prefix}.downsample", stage_name, conv_cost((1, 1), ci, stage.out_channels, out_hw)))
-    return entries
 
 
 def _check_input_hw(input_hw) -> tuple[int, int]:
@@ -174,22 +182,13 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
 
 
 def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_width: int = 512) -> CostReport:
-    if mode not in MODES:
-        raise KeyError(f"unknown mode {mode!r}")
-    h, w = _check_input_hw(input_hw)
-    report = CostReport(spec.name, mode, (h, w))
-    report.entries.append(
-        CostEntry("stem.conv", "stem", conv_cost((7, 7), spec.image_channels, spec.stem_channels, (h // 2, w // 2)))
-    )
-    os = 4  # after the stem maxpool
-    for i, st in enumerate(spec.stages):
-        os *= st.entry_stride
-        eff_os = min(os, 8) if mode == DILATED_MODE else os
-        report.entries.extend(_bottleneck_entries(f"stage{i + 1}", st, (h // eff_os, w // eff_os)))
+    """Every conv of `spec.layers`, plus the JPU's layer table in stride mode."""
+    table = spec.layers(mode, input_hw)
+    entries = [CostEntry(name, name.split(".")[0], conv_cost_from_spec(cs, grid)) for name, cs, grid in table]
     if mode == STRIDE_JPU_MODE:
         levels = tuple(st.out_channels for st in spec.stages[-3:])
-        report.entries.extend(jpu_cost_entries(JpuConfig(levels, width=jpu_width), (h, w)))
-    return report
+        entries += jpu_cost_entries(JpuConfig(levels, width=jpu_width), input_hw)
+    return CostReport(spec.name, mode, _check_input_hw(input_hw), entries)
 
 
 def compare_costs(a: CostReport, b: CostReport, per_layer: bool = False) -> dict:

@@ -18,6 +18,7 @@ padded so the phase decomposition stays clean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -95,18 +96,16 @@ class StageWeights:
         return self.head.weight.shape[0]
 
 
-def _head_spec(sw: StageWeights, stride: int = 1, dilation: int = 1) -> ConvSpec:
-    return ConvSpec(
-        sw.in_channels, sw.channels, kernel=(3, 3),
-        stride=(stride, stride), dilation=(dilation, dilation), padding=(dilation, dilation),
-    )
-
-
-def _body_spec(sw: StageWeights, dilation: int = 1) -> ConvSpec:
-    return ConvSpec(
-        sw.channels, sw.channels, kernel=(3, 3),
-        dilation=(dilation, dilation), padding=(dilation, dilation),
-    )
+@lru_cache(maxsize=256, typed=True)  # every composer call asks; a handful of stage geometries recur
+def stage_specs(in_channels: int, channels: int, depth: int, stride: int, head_dilation: int, body_dilation: int):
+    """(head spec, body specs) of one stage: a 3x3 head of the given stride and
+    dilation, then `depth` size-preserving 3x3 body convs; padding = dilation.
+    The only place a stage's geometry is written."""
+    head = ConvSpec(in_channels, channels, kernel=(3, 3), stride=(stride, stride),
+                    dilation=(head_dilation, head_dilation), padding=(head_dilation, head_dilation))
+    body = ConvSpec(channels, channels, kernel=(3, 3),
+                    dilation=(body_dilation, body_dilation), padding=(body_dilation, body_dilation))
+    return head, (body,) * depth
 
 
 class StageOutput(NamedTuple):
@@ -114,36 +113,35 @@ class StageOutput(NamedTuple):
     y_m: Tensor  # intermediate feature after the head conv
 
 
+def _run_body(y: Tensor, sw: StageWeights, specs) -> Tensor:
+    for bw, spec in zip(sw.body, specs):
+        y = conv2d(y, bw, spec)
+    return y
+
+
+def _run_stage(x: Tensor, sw: StageWeights, stride: int, head_dilation: int, body_dilation: int) -> StageOutput:
+    head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), stride, head_dilation, body_dilation)
+    y_m = conv2d(x, sw.head, head)
+    return StageOutput(_run_body(y_m, sw, body), y_m)
+
+
 def dilated_stage(x: Tensor, sw: StageWeights, head_dilation: int = 1, body_dilation: int = 2) -> StageOutput:
     """Regular (or dilated) head then a dilated body chain; spatial dims preserved."""
-    y_m = conv2d(x, sw.head, _head_spec(sw, dilation=head_dilation))
-    y = y_m
-    for bw in sw.body:
-        y = conv2d(y, bw, _body_spec(sw, dilation=body_dilation))
-    return StageOutput(y, y_m)
+    return _run_stage(x, sw, 1, head_dilation, body_dilation)
 
 
 def dilated_stage_decomposed(x: Tensor, sw: StageWeights) -> StageOutput:
     """Same result as dilated_stage (body dilation 2) via split -> regular body -> merge."""
-    y_m = conv2d(x, sw.head, _head_spec(sw))
+    head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), 1, 1, 1)
+    y_m = conv2d(x, sw.head, head)
     p = split_parity(y_m)
-    outs = []
-    for phase in p.phases:
-        y = phase
-        for bw in sw.body:
-            y = conv2d(y, bw, _body_spec(sw))
-        outs.append(y)
-    merged = merge_parity(PhaseSet(*outs, full_hw=p.full_hw))
+    merged = merge_parity(PhaseSet(*(_run_body(phase, sw, body) for phase in p.phases), full_hw=p.full_hw))
     return StageOutput(merged, y_m)
 
 
-def stride_stage(x: Tensor, sw: StageWeights, head_dilation: int = 1) -> StageOutput:
+def stride_stage(x: Tensor, sw: StageWeights) -> StageOutput:
     """Stride-2 head then a regular body chain; spatial dims halved."""
-    y_m = conv2d(x, sw.head, _head_spec(sw, stride=2, dilation=head_dilation))
-    y = y_m
-    for bw in sw.body:
-        y = conv2d(y, bw, _body_spec(sw))
-    return StageOutput(y, y_m)
+    return _run_stage(x, sw, 2, 1, 1)
 
 
 @dataclass(frozen=True)

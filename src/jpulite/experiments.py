@@ -2,9 +2,10 @@
 comparison, and a forward-pass timing harness.
 
 The mini backbone mirrors a five-level feature hierarchy: a stride-2 stem plus
-four stages built from the decomp stage composers. One parameter set serves
-both wirings; only the stride/dilation routing differs, which is what makes
-the teacher/student study and the end-to-end phase-consistency checks honest.
+four stages, each run by a decomp stage composer along its wiring's route.
+`MiniBackboneConfig.layers(mode)` lists the convs of either wiring. One
+parameter set serves both; only the routing differs, which is what makes the
+teacher/student study and the end-to-end phase-consistency checks honest.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import math
 import resource
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE
-from .decomp import StageWeights, dilated_stage, stride_stage
+from .decomp import StageWeights, dilated_stage, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
-from .tensor import Rng, ShapeError, Tensor, bilinear_resize, random_uniform
+from .tensor import Rng, ShapeError, Tensor, _is_count, bilinear_resize, random_uniform
 
 DILATED = DILATED_MODE
 STRIDE = "stride_os32"
@@ -39,16 +41,37 @@ class MiniBackboneConfig:
     # (body depth, channels) for the four stages after the stem (levels 2..5)
     stages: tuple[tuple[int, int], ...] = ((1, 8), (1, 12), (1, 16), (1, 16))
 
+    # (stride, head dilation, body dilation) of each stage, per wiring: the dilated
+    # one stays at output stride 8, with dilation 2 in stage 4 and 4 in stage 5
+    ROUTES = {STRIDE: ((2, 1, 1),) * 4, DILATED: ((2, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))}
+
     def __post_init__(self):
-        if len(self.stages) != 4:
-            raise ShapeError("need exactly four stages after the stem (five levels total)")
-        if any(ch > 64 for _, ch in self.stages) or self.stem_channels > 64:
+        s = self.stages
+        if not (isinstance(s, tuple) and len(s) == 4 and all(isinstance(p, tuple) and len(p) == 2 for p in s)):
+            raise ShapeError(f"need exactly four (depth, channels) tuples after the stem, got {s!r}")
+        widths = (self.stem_channels, *(ch for _, ch in s))
+        depths_ok = all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d, _ in s)
+        if not (depths_ok and all(map(_is_count, (self.in_channels, *widths)))):
+            raise ShapeError(f"need positive int channel counts and non-negative int depths, got {self!r}")
+        if max(widths) > 64:
             raise ShapeError("toy widths only (<= 64 channels)")
 
     @property
     def level_channels(self) -> tuple[int, int, int]:
         """Channels of the three emitted feature maps (levels 3, 4, 5)."""
         return (self.stages[1][1], self.stages[2][1], self.stages[3][1])
+
+    @lru_cache(maxsize=64)  # the forward asks on every call
+    def layers(self, mode: str) -> tuple[tuple[str, ConvSpec], ...]:
+        """The convs in execution order, as (name, spec): `stem`, then
+        `stageL.head` and `stageL.bodyJ` for levels L = 2..5."""
+        if mode not in self.ROUTES:
+            raise KeyError(f"unknown mode {mode!r}")
+        table = [("stem", ConvSpec(self.in_channels, self.stem_channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1)))]
+        for level, (depth, ch), route in zip(range(2, 6), self.stages, self.ROUTES[mode]):
+            head, body = stage_specs(table[-1][1].out_channels, ch, depth, *route)
+            table += [(f"stage{level}.head", head), *((f"stage{level}.body{j}", b) for j, b in enumerate(body))]
+        return tuple(table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,23 +81,14 @@ class MiniBackboneParams:
 
 
 def init_mini_backbone(config: MiniBackboneConfig, rng: Rng, dtype=np.float64) -> MiniBackboneParams:
-    stem_spec = ConvSpec(config.in_channels, config.stem_channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
-    stem = init_weights(stem_spec, rng, dtype=dtype)
-    stages = []
-    cin = config.stem_channels
-    for depth, ch in config.stages:
-        head = init_weights(ConvSpec(cin, ch, kernel=(3, 3), padding=(1, 1)), rng, dtype=dtype)
-        body = [init_weights(ConvSpec(ch, ch, kernel=(3, 3), padding=(1, 1)), rng, dtype=dtype) for _ in range(depth)]
-        stages.append(StageWeights(head, body))
-        cin = ch
-    return MiniBackboneParams(stem, tuple(stages))
+    convs = iter([init_weights(spec, rng, dtype=dtype) for _, spec in config.layers(STRIDE)])
+    stem = next(convs)
+    stages = tuple(StageWeights(next(convs), [next(convs) for _ in range(depth)]) for depth, _ in config.stages)
+    return MiniBackboneParams(stem, stages)
 
 
 def mini_backbone_forward(
-    x: Tensor,
-    params: MiniBackboneParams,
-    config: MiniBackboneConfig,
-    mode: str,
+    x: Tensor, params: MiniBackboneParams, config: MiniBackboneConfig, mode: str
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Emit the (level-3, level-4, level-5) features.
 
@@ -82,22 +96,20 @@ def mini_backbone_forward(
     stride 8, with dilation 2 in stage 4 and 4 in stage 5. The identical
     parameter buffers serve both modes.
     """
-    if mode not in (DILATED, STRIDE):
-        raise KeyError(f"unknown mode {mode!r}")
+    stem_spec = config.layers(mode)[0][1]
     n, c, h, w = x.shape
     if h % 32 or w % 32:
         raise ShapeError(f"input dims must be divisible by 32, got {(h, w)}")
-    stem_spec = ConvSpec(config.in_channels, config.stem_channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    got = tuple((len(sw.body), sw.channels) for sw in params.stages)
+    if got != config.stages:
+        raise ShapeError(f"params have (depth, channels) stages {got}, but the config has {config.stages}")
     a = conv2d(x, params.stem, stem_spec, relu=True)
-    a = relu(stride_stage(a, params.stages[0]).y)
-    c3 = relu(stride_stage(a, params.stages[1]).y)
-    if mode == STRIDE:
-        c4 = relu(stride_stage(c3, params.stages[2]).y)
-        c5 = relu(stride_stage(c4, params.stages[3]).y)
-    else:
-        c4 = relu(dilated_stage(c3, params.stages[2], body_dilation=2).y)
-        c5 = relu(dilated_stage(c4, params.stages[3], head_dilation=2, body_dilation=4).y)
-    return c3, c4, c5
+    levels = []
+    for sw, (stride, head_dilation, body_dilation) in zip(params.stages, config.ROUTES[mode]):
+        # the StageOutput is dropped at once, so its buffers are free for the next stage
+        a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)
+        levels.append(a)
+    return tuple(levels[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 
+import jpulite.decomp
+import jpulite.experiments
 from jpulite.cli import _random_stage, main
 from jpulite.conv import ConvSpec, conv2d, conv2d_backward
 from jpulite.cost import DILATED_MODE, STRIDE_JPU_MODE, backbone_cost, conv_cost_from_spec, resnet_preset
@@ -130,13 +132,45 @@ def test_criterion_4b_total_ratio_above_three():
            f"exact ratio = {ratio:.4f} ({d} / {s})")
 
 
-def test_criterion_5_cost_model_matches_instrumented_convs():
+def _table_macs(config, mode, hw):
+    """Analytic MACs per image of a mini-backbone layer table, each conv reading the last one's output."""
+    total = 0
+    for _, spec in config.layers(mode):
+        total += conv_cost_from_spec(spec, hw).macs
+        hw = spec.out_hw(hw)
+    return total
+
+
+def test_criterion_5_cost_model_matches_instrumented_convs(monkeypatch):
     ok = True
     for seed in range(50):
         x, w, spec = random_case(seed + 900, max_dim=7)
         _, mults = conv2d(x, w, spec, count_macs=True)
         ok &= mults == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
-    report(5, "analytic MACs == instrumented multiply counts (50 specs)", ok)
+
+    # every conv of one real mini-backbone forward per wiring runs its layer table's spec and counts its MACs
+    calls = []
+
+    def record(x, w, spec, **kwargs):
+        calls.append((x, w, spec))
+        return conv2d(x, w, spec, **kwargs)
+
+    monkeypatch.setattr(jpulite.decomp, "conv2d", record)
+    monkeypatch.setattr(jpulite.experiments, "conv2d", record)
+    cfg = MiniBackboneConfig()
+    params = init_mini_backbone(cfg, Rng(500))
+    img = random_uniform((2, 3, 64, 64), Rng(501), -1, 1)
+    for mode in (DILATED, STRIDE):
+        calls.clear()
+        mini_backbone_forward(img, params, cfg, mode)
+        ok &= [spec for _, _, spec in calls] == [spec for _, spec in cfg.layers(mode)]
+        for x, w, spec in calls:
+            ok &= conv2d(x, w, spec, count_macs=True)[1] == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
+    bench = MiniBackboneConfig(stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64)))
+    totals = {mode: _table_macs(bench, mode, (256, 256)) for mode in (DILATED, STRIDE)}
+    ok &= totals == {DILATED: 160_432_128, STRIDE: 71_958_528}
+    report(5, "analytic MACs == instrumented multiply counts (50 specs, both mini-backbone wirings)", ok,
+           f"bench config at 256x256: dilated {totals[DILATED]} stride {totals[STRIDE]} MACs per image")
 
 
 def test_criterion_6_gradient_correctness():

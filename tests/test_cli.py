@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -239,3 +240,28 @@ def test_output_file(tmp_path, capsys):
     code, out = run_cli(capsys, "equiv", "--cases", "3", "--output", str(path))
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+# sha256 of the `cost` stdout of each preset, input size and report
+COST_DIGESTS = {
+    ("resnet50", "512", "512", "--compare"): "6ce1eb7ce364abb1758e35abe5d013f83f061c0e3e2ee40edfe9d8c45e49bf3b",
+    ("resnet50", "512", "512", "dilated"): "9c609552ff579538cb9ea88d97012ad12af170f1dfbf7bf5a3ed4f82ad8d8504",
+    ("resnet50", "512", "512", "jpu"): "8b6af2912b53fe8143a14f97b9d3ad38ad6fb0d86cbdb9005109cf15a052d27f",
+    ("resnet50", "96", "2048", "--compare"): "fddf95046aad492a6d82c3b5d20680af68f05d7fd6ea7e481d717c02cb38882e",
+    ("resnet50", "96", "2048", "dilated"): "49b196ae3a2935bd78032761542d0d9ccadfeb8eaafdaac9acdeb3e31a2f9930",
+    ("resnet50", "96", "2048", "jpu"): "9d096a7bed72c1e5ba40bcb4f4233c4bec15cbb7eabe68630c0eff83b9868c9e",
+    ("resnet101", "512", "512", "--compare"): "0b48aeab3193b40880a50a58cf7b03437ff02e3ed79ba937f5ce648b1d24fbb9",
+    ("resnet101", "512", "512", "dilated"): "2f9b28ddee28c436347620c4de3bd0017d9858d46f9f369a24db0ef048daacde",
+    ("resnet101", "512", "512", "jpu"): "7146114733884fc21738700b36fb896ea38238bd963085237cab7510dfc29e9c",
+    ("resnet101", "96", "2048", "--compare"): "e6d8ed8adba987067e91fdbbf319428222d25078e2edd66a6ba416a5fdd0eb87",
+    ("resnet101", "96", "2048", "dilated"): "1363b53e6ca477161daf98ae0fd3b47f947beb31f5532b7fbcbbcadcd3186d5a",
+    ("resnet101", "96", "2048", "jpu"): "defc6b98d81ea66cf6054cdc9c09e9a12f878e89482fb3d009bed90a99f56554",
+}
+
+
+@pytest.mark.parametrize("backbone, h, w, report", list(COST_DIGESTS), ids="-".join)
+def test_cost_output_golden(capsys, backbone, h, w, report):
+    flags = ["--compare"] if report == "--compare" else ["--mode", report]
+    code, out = run_cli(capsys, "cost", "--backbone", backbone, "--input", h, w, *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COST_DIGESTS[backbone, h, w, report]

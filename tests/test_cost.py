@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jpulite.conv import conv2d
+from jpulite.conv import ConvWeights, conv2d
 from jpulite.cost import (
     DILATED_MODE,
     STRIDE_JPU_MODE,
@@ -17,7 +18,7 @@ from jpulite.cost import (
     resnet_preset,
 )
 from jpulite.jpu import JpuConfig
-from jpulite.tensor import ShapeError
+from jpulite.tensor import ShapeError, Tensor
 
 from test_conv import FIELD_VALUES, PAIR_VALUES, is_count, is_pair, random_case
 
@@ -62,6 +63,27 @@ def test_model_matches_instrumented_conv(seed):
     _, mults = conv2d(x, w, spec, count_macs=True)
     predicted = conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
     assert mults == predicted
+
+
+@pytest.mark.parametrize("mode", [DILATED_MODE, STRIDE_JPU_MODE])
+def test_preset_table_matches_loop_nest(mode):
+    # each layer, run alone on an input of its grid, counts exactly its cost entry's MACs
+    spec = resnet_preset("resnet50")
+    table = spec.layers(mode, (32, 32))
+    entries = backbone_cost(spec, mode, (32, 32)).entries
+    assert len(table) == 53
+    assert [name for name, _, _ in table] == [e.name for e in entries[:53]]
+    for (name, cs, grid), entry in zip(table, entries):
+        x = Tensor(np.zeros((1, cs.in_channels, *grid), np.float32))
+        _, macs = conv2d(x, ConvWeights(Tensor(np.zeros(cs.weight_shape, np.float32))), cs, count_macs=True)
+        assert macs == entry.cost.macs, name
+    # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1 with dilation 2 and 4
+    frozen = {"stage3": 2, "stage4": 4} if mode == DILATED_MODE else {}
+    for name, cs, _ in table:
+        stage = name.split(".")[0]
+        assert cs.dilation == (frozen.get(stage, 1),) * 2 or cs.kernel == (1, 1), name
+        if stage in frozen:
+            assert cs.stride == (1, 1), name
 
 
 def test_preset_shapes():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jpulite.decomp import reduce_even
 from jpulite.experiments import (
@@ -24,6 +26,61 @@ def test_config_validation():
         MiniBackboneConfig(stages=((1, 8), (1, 8)))
     with pytest.raises(ShapeError):
         MiniBackboneConfig(stages=((1, 8), (1, 8), (1, 8), (1, 128)))
+
+
+_FIELD_VALUES = st.one_of(st.integers(-1, 6), st.sampled_from([64, 65]), st.floats(-1, 6), st.booleans(), st.none(),
+                         st.text(max_size=2))
+_STAGES = st.one_of(
+    _FIELD_VALUES,
+    st.lists(st.one_of(_FIELD_VALUES, st.lists(_FIELD_VALUES, min_size=1, max_size=3).map(tuple)), max_size=5).map(tuple),
+)
+
+
+@given(in_channels=_FIELD_VALUES, stem_channels=_FIELD_VALUES, stages=_STAGES)
+@example(in_channels=3, stem_channels=8, stages=((1, 8), (-1, 8), (1, 16), (1, 16)))
+@example(in_channels=3, stem_channels=0, stages=CFG.stages)
+@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, True), (1, 16), (1, 16)))
+@example(in_channels=3, stem_channels=8, stages=None)
+@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, 12, 3), (1, 16), (1, 16)))
+@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, "16"), (1, 16), (1, 16)))
+def test_config_accepts_only_buildable_geometry(in_channels, stem_channels, stages):
+    def is_int(v, lo):
+        return type(v) is int and v >= lo
+
+    pairs = type(stages) is tuple and len(stages) == 4 and all(type(p) is tuple and len(p) == 2 for p in stages)
+    if pairs and is_int(in_channels, 1) and all(
+        is_int(d, 0) and is_int(c, 1) and c <= 64 for d, c in ((0, stem_channels), *stages)  # the stem as depth 0
+    ):
+        cfg = MiniBackboneConfig(in_channels, stem_channels, stages)
+        assert [name for name, _ in cfg.layers(STRIDE)] == ["stem"] + [
+            f"stage{level}.{part}" for level, (depth, _) in enumerate(stages, 2)
+            for part in ["head", *(f"body{j}" for j in range(depth))]
+        ]
+    else:
+        with pytest.raises(ShapeError):
+            MiniBackboneConfig(in_channels, stem_channels, stages)
+
+
+@pytest.mark.parametrize("stages", [((2, 8), (1, 12), (1, 16), (1, 16)), ((1, 8), (1, 12), (1, 16), (1, 32))])
+@pytest.mark.parametrize("mode", [DILATED, STRIDE])
+def test_forward_rejects_params_of_other_stages(stages, mode):
+    params = init_mini_backbone(MiniBackboneConfig(stages=stages), Rng(0))
+    x = random_uniform((1, 3, 64, 64), Rng(1), -1, 1)
+    with pytest.raises(ShapeError, match="stages"):
+        mini_backbone_forward(x, params, CFG, mode)
+
+
+def test_layer_table_routes():
+    # the dilated wiring freezes the strides of stages 4 and 5 and dilates them by 2 and 4
+    for mode, geometry in [
+        (STRIDE, [(2, 1)] + [(2, 1), (1, 1)] * 4),
+        (DILATED, [(2, 1)] + [(2, 1), (1, 1)] * 2 + [(1, 1), (1, 2), (1, 2), (1, 4)]),
+    ]:
+        table = CFG.layers(mode)
+        assert [(s.stride[0], s.dilation[0]) for _, s in table] == geometry
+        assert all(s.padding == s.dilation and s.kernel == (3, 3) for _, s in table)
+    with pytest.raises(KeyError):
+        CFG.layers("os4")
 
 
 def test_forward_shapes_stride():
