@@ -1,0 +1,72 @@
+#!/usr/bin/env sh
+# Capture the outputs a refactor must leave byte-identical. Each check NAME
+# writes OUTDIR/NAME.out (stdout), NAME.err (stderr) and NAME.code (exit code):
+# the cost, equiv, train-demo and bench commands, criterion 8's two MSEs, and a
+# sha256 of the mini-backbone's weights, layer tables and outputs for the
+# default config and the bench config (perfbench's Forward256.config).
+#
+# Run it in two checkouts and compare; an empty diff is the check:
+#   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
+#   scripts/capture_outputs.sh /tmp/after    # in the change
+#   diff -r /tmp/before /tmp/after
+# BLAS runs on one thread, so GEMM sums round the same way in both runs.
+set -u
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+mkdir -p "$1" && out=$(cd "$1" && pwd) && cd "$(dirname "$0")/.." || exit 2
+export PYTHONPATH=src:perfbench PYTHONDONTWRITEBYTECODE=1
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+capture() {  # capture NAME COMMAND...
+    name=$1
+    shift
+    "$@" >"$out/$name.out" 2>"$out/$name.err"
+    echo $? >"$out/$name.code"
+}
+
+criterion_8() {  # only the MSEs: the criterion's line also prints its wall time
+    log=$(python3 -m pytest -q -s -p no:cacheprovider tests/test_acceptance.py -k criterion_8 2>&1)
+    status=$?
+    printf '%s\n' "$log" | grep -o 'jpu=[^ ]* bilinear=[^ ]*'
+    return $status
+}
+
+cli() {
+    python3 -m jpulite.cli "$@"
+}
+
+capture cost_resnet101_compare cli cost --backbone resnet101 --compare
+capture cost_resnet50_compare_96x2048 cli cost --backbone resnet50 --compare --input 96 2048
+capture cost_resnet101_dilated cli cost --backbone resnet101 --mode dilated
+capture cost_resnet50_jpu_width64 cli cost --backbone resnet50 --mode jpu --jpu-width 64
+capture equiv_f64 cli equiv --cases 30 --seed 3
+capture equiv_f32 cli equiv --cases 30 --seed 3 --dtype f32
+capture train_demo cli train-demo --seeds 1 --steps 5 --samples 4 --image 32
+capture bench cli bench --repeats 10 --input 64 64 --no-timing
+capture criterion_8 criterion_8
+capture mini_backbone python3 - <<'EOF'
+import hashlib
+
+from jpulite import experiments as exp
+from jpulite.tensor import Rng, random_uniform
+from workloads import Forward256
+
+
+def sha(chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c)
+    return h.hexdigest()
+
+
+for label, config in (("default", exp.MiniBackboneConfig()), ("bench", Forward256.config)):
+    params = exp.init_mini_backbone(config, Rng(0))
+    convs = [params.stem, *(w for sw in params.stages for w in (sw.head, *sw.body))]
+    print(label, "weights", sha(a.tobytes() for w in convs for a in (w.weight.data, w.bias)))
+    img = random_uniform((2, config.in_channels, 64, 64), Rng(1), -1.0, 1.0)
+    for mode in (exp.STRIDE, exp.DILATED):
+        print(label, mode, "layers", sha([repr(config.layers(mode)).encode()]))
+        print(label, mode, "outputs", sha(t.data.tobytes() for t in exp.mini_backbone_forward(img, params, config, mode)))
+EOF

@@ -199,14 +199,10 @@ def _environment() -> dict:
 
 
 def cmd_bench(args) -> int:
-    config = exp.MiniBackboneConfig(
-        stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64))
-    )
-    results = {}
-    for mode in costmod.MODES:
-        results[mode] = exp.bench_forward(
-            config, mode, input_hw=tuple(args.input), repeats=args.repeats, seed=args.seed
-        )
+    results = {
+        mode: exp.bench_forward(exp.BENCH_CONFIG, mode, input_hw=tuple(args.input), repeats=args.repeats, seed=args.seed)
+        for mode in costmod.MODES
+    }
     doc = {"command": "bench", "repeats": args.repeats, "input_hw": list(args.input), "results": results}
     doc["dilated_slower"] = results[costmod.DILATED_MODE]["mean_ms"] > results[costmod.STRIDE_JPU_MODE]["mean_ms"]
     if args.no_timing:

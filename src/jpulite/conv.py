@@ -97,8 +97,10 @@ class ConvSpec:
             raise ShapeError("padding must be >= 0")
 
     def out_hw(self, in_hw: tuple[int, int]) -> tuple[int, int]:
+        if not (isinstance(in_hw, (tuple, list)) and len(in_hw) == 2 and all(map(_is_count, in_hw))):
+            raise ShapeError(f"input grid must be two positive ints, got {in_hw!r}")
         out = []
-        for size, k, s, d, p in zip(in_hw, self.kernel, self.stride, self.dilation, self.padding, strict=True):
+        for size, k, s, d, p in zip(in_hw, self.kernel, self.stride, self.dilation, self.padding):
             o = (size + 2 * p - d * (k - 1) - 1) // s + 1
             if o < 1:
                 raise ShapeError(f"non-positive output dim for input {in_hw} with {self}")

@@ -1,15 +1,15 @@
 """Analytic MAC / parameter / activation-memory model over symbolic backbone specs.
 
-All counts are exact Python integers. A convolution layer costs
+All counts are exact Python integers. `conv_cost_from_spec` charges a ConvSpec
 kh*kw*(in_ch/groups)*out_ch*out_h*out_w multiply-accumulates; bias adds are
 multiply-free and tracked separately; ReLU and elementwise work are excluded.
 Bilinear resizing is charged a documented flat 8 MACs per output element.
 
 The bottleneck block follows the original placement with the stride on the
 first 1x1 conv (and on the projection shortcut), so every conv of a block runs
-at the block's own grid. Freezing a downsampling step therefore multiplies
-every conv in the affected stages by exactly the area ratio: x4 for one frozen
-step, x16 for two.
+at the block's own grid. Freezing a downsampling step (`decomp.stage_routes`)
+therefore multiplies every conv in the affected stages by exactly the area
+ratio: x4 for one frozen step, x16 for two; dilation changes no count.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .conv import ConvSpec
+from .decomp import stage_routes
 from .jpu import JpuConfig
 from .tensor import ShapeError, _is_count
 
@@ -43,28 +44,13 @@ class LayerCost:
         )
 
 
-def _is_dims(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_count, v))
-
-
-def conv_cost(kernel, in_channels, out_channels, out_hw, groups=1, with_bias=False) -> LayerCost:
-    """Raises ShapeError unless kernel and out_hw are 2-tuples of positive ints
-    and the channel counts are positive ints divisible by the positive int groups."""
-    valid = _is_dims(kernel) and _is_dims(out_hw) and all(map(_is_count, (in_channels, out_channels, groups)))
-    if not valid or in_channels % groups or out_channels % groups:
-        raise ShapeError(f"invalid conv cost query: k={kernel!r} c={in_channels!r}->{out_channels!r} "
-                         f"out={out_hw!r} groups={groups!r}")
-    kh, kw = kernel
-    oh, ow = out_hw
-    macs = kh * kw * (in_channels // groups) * out_channels * oh * ow
-    params = kh * kw * (in_channels // groups) * out_channels + (out_channels if with_bias else 0)
-    act = out_channels * oh * ow
-    return LayerCost(macs, params, act, act if with_bias else 0)
-
-
-def conv_cost_from_spec(spec, in_hw, with_bias=False) -> LayerCost:
-    """LayerCost for a runtime ConvSpec (used to cross-check against instrumented convs)."""
-    return conv_cost(spec.kernel, spec.in_channels, spec.out_channels, spec.out_hw(in_hw), spec.groups, with_bias)
+def conv_cost_from_spec(spec: ConvSpec, in_hw, with_bias=False) -> LayerCost:
+    """One MAC per weight per output position. `spec.out_hw` raises ShapeError
+    unless `in_hw` is two positive ints that the kernel fits."""
+    oh, ow = spec.out_hw(in_hw)
+    o, cg, kh, kw = spec.weight_shape
+    weights, act = o * cg * kh * kw, o * oh * ow
+    return LayerCost(weights * oh * ow, weights + (o if with_bias else 0), act, act if with_bias else 0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,12 @@ class StageSpec:
     in_channels: int
     mid_channels: int
     out_channels: int
-    entry_stride: int  # 1 or 2; removed (turned into dilation) in dilated mode past OS 8
+    entry_stride: int  # 1 or 2; decomp.stage_routes drops it in dilated mode past output stride 8
+
+    def __post_init__(self):
+        counts = (self.blocks, self.in_channels, self.mid_channels, self.out_channels)
+        if not (all(map(_is_count, counts)) and _is_count(self.entry_stride) and self.entry_stride <= 2):
+            raise ShapeError(f"need positive int blocks and channels and an entry stride of 1 or 2, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -84,20 +75,18 @@ class BackboneSpec:
     image_channels: int = 3
 
     def layers(self, mode: str, input_hw) -> list[tuple[str, ConvSpec, tuple[int, int]]]:
-        """The convs in execution order, as (name, spec, input grid). A 3x3 stride-2
-        max pool (0 MACs) follows the stem. In dilated mode a stage past output
-        stride 8 enters at stride 1 and dilates its 3x3 convs to make up for it."""
+        """The convs in execution order, as (name, spec, input grid). A 3x3 stride-2 max
+        pool (0 MACs) follows the stem. Strides and dilations follow `decomp.stage_routes`:
+        a stage's first 3x3 conv takes the head dilation, the others the body's."""
         if mode not in MODES:
             raise KeyError(f"unknown mode {mode!r}")
         grid = _check_input_hw(input_hw)
         stem = ConvSpec(self.image_channels, self.stem_channels, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
         table = [("stem.conv", stem, grid)]
         grid = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid))
-        os = 4
-        for i, st in enumerate(self.stages, 1):
-            os *= st.entry_stride
-            d = os // 8 if mode == DILATED_MODE and os > 8 else 1
-            ci, s = st.in_channels, st.entry_stride if d == 1 else 1
+        routes = stage_routes(tuple(st.entry_stride for st in self.stages), mode == DILATED_MODE, 4)
+        for i, (st, (s, d, body_d)) in enumerate(zip(self.stages, routes), 1):
+            ci = st.in_channels
             for b in range(st.blocks):
                 prefix = f"stage{i}.block{b:02d}"
                 conv1 = ConvSpec(ci, st.mid_channels, kernel=(1, 1), stride=(s, s))
@@ -109,7 +98,7 @@ class BackboneSpec:
                 ]
                 if b == 0:
                     table.append((f"{prefix}.downsample", ConvSpec(ci, st.out_channels, kernel=(1, 1), stride=(s, s)), grid))
-                grid, ci, s = inner, st.out_channels, 1
+                grid, ci, s, d = inner, st.out_channels, 1, body_d
         return table
 
 
@@ -125,8 +114,11 @@ def resnet_preset(name: str) -> BackboneSpec:
 @dataclass(frozen=True)
 class CostEntry:
     name: str
-    stage: str
     cost: LayerCost
+
+    @property
+    def stage(self) -> str:
+        return self.name.split(".")[0]
 
 
 @dataclass
@@ -174,9 +166,9 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
     entries = []
     for name, spec, level in config.layers():
         grid = (h // (8 << level), w // (8 << level))
-        entries.append(CostEntry(f"jpu.{name}", "jpu", conv_cost_from_spec(spec, grid, with_bias=True)))
+        entries.append(CostEntry(f"jpu.{name}", conv_cost_from_spec(spec, grid, with_bias=True)))
     resize_elems = 2 * config.width * (h // 8) * (w // 8)
-    upsample = CostEntry("jpu.upsample", "jpu", LayerCost(macs=RESIZE_MACS_PER_ELEM * resize_elems, activation_elems=resize_elems))
+    upsample = CostEntry("jpu.upsample", LayerCost(macs=RESIZE_MACS_PER_ELEM * resize_elems, activation_elems=resize_elems))
     entries.insert(len(config.in_channels), upsample)
     return entries
 
@@ -184,7 +176,7 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
 def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_width: int = 512) -> CostReport:
     """Every conv of `spec.layers`, plus the JPU's layer table in stride mode."""
     table = spec.layers(mode, input_hw)
-    entries = [CostEntry(name, name.split(".")[0], conv_cost_from_spec(cs, grid)) for name, cs, grid in table]
+    entries = [CostEntry(name, conv_cost_from_spec(cs, grid)) for name, cs, grid in table]
     if mode == STRIDE_JPU_MODE:
         levels = tuple(st.out_channels for st in spec.stages[-3:])
         entries += jpu_cost_entries(JpuConfig(levels, width=jpu_width), input_hw)

@@ -108,6 +108,20 @@ def stage_specs(in_channels: int, channels: int, depth: int, stride: int, head_d
     return head, (body,) * depth
 
 
+@lru_cache(maxsize=64)  # the forward asks on every call
+def stage_routes(entry_strides: tuple[int, ...], dilated: bool, output_stride: int):
+    """(stride, head dilation, body dilation) of each stage, the first entered at
+    `output_stride`. The dilated wiring enters at stride 1 any stage that would
+    pass output stride 8, dilates its body by the dropped stride and keeps the
+    previous dilation in its head. The only place a stride becomes a dilation."""
+    routes, dilation = [], 1
+    for s in entry_strides:
+        dropped = s if dilated and output_stride * s > 8 else 1
+        routes.append((s // dropped, dilation, dilation * dropped))
+        dilation, output_stride = dilation * dropped, output_stride * s // dropped
+    return tuple(routes)
+
+
 class StageOutput(NamedTuple):
     y: Tensor
     y_m: Tensor  # intermediate feature after the head conv

@@ -2,10 +2,11 @@
 comparison, and a forward-pass timing harness.
 
 The mini backbone mirrors a five-level feature hierarchy: a stride-2 stem plus
-four stages, each run by a decomp stage composer along its wiring's route.
-`MiniBackboneConfig.layers(mode)` lists the convs of either wiring. One
-parameter set serves both; only the routing differs, which is what makes the
-teacher/student study and the end-to-end phase-consistency checks honest.
+four stride-2 stages, each run by a decomp stage composer along the route that
+`decomp.stage_routes` gives it. `MiniBackboneConfig.layers(mode)` lists the
+convs of either wiring. One parameter set serves both; only the routing
+differs, which is what makes the teacher/student study and the end-to-end
+phase-consistency checks honest. `jpulite bench` times `BENCH_CONFIG`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE
-from .decomp import StageWeights, dilated_stage, stage_specs, stride_stage
+from .decomp import StageWeights, dilated_stage, stage_routes, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
 from .tensor import Rng, ShapeError, Tensor, _is_count, bilinear_resize, random_uniform
 
 DILATED = DILATED_MODE
 STRIDE = "stride_os32"
+
+
+def _routes(mode: str) -> tuple[tuple[int, int, int], ...]:
+    """Each stage's (stride, head dilation, body dilation): four stride-2 stages after the stride-2 stem."""
+    if mode not in (STRIDE, DILATED):
+        raise KeyError(f"unknown mode {mode!r}")
+    return stage_routes((2, 2, 2, 2), mode == DILATED, 2)
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,10 +48,6 @@ class MiniBackboneConfig:
     stem_channels: int = 8
     # (body depth, channels) for the four stages after the stem (levels 2..5)
     stages: tuple[tuple[int, int], ...] = ((1, 8), (1, 12), (1, 16), (1, 16))
-
-    # (stride, head dilation, body dilation) of each stage, per wiring: the dilated
-    # one stays at output stride 8, with dilation 2 in stage 4 and 4 in stage 5
-    ROUTES = {STRIDE: ((2, 1, 1),) * 4, DILATED: ((2, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))}
 
     def __post_init__(self):
         s = self.stages
@@ -65,13 +69,14 @@ class MiniBackboneConfig:
     def layers(self, mode: str) -> tuple[tuple[str, ConvSpec], ...]:
         """The convs in execution order, as (name, spec): `stem`, then
         `stageL.head` and `stageL.bodyJ` for levels L = 2..5."""
-        if mode not in self.ROUTES:
-            raise KeyError(f"unknown mode {mode!r}")
         table = [("stem", ConvSpec(self.in_channels, self.stem_channels, kernel=(3, 3), stride=(2, 2), padding=(1, 1)))]
-        for level, (depth, ch), route in zip(range(2, 6), self.stages, self.ROUTES[mode]):
+        for level, (depth, ch), route in zip(range(2, 6), self.stages, _routes(mode)):
             head, body = stage_specs(table[-1][1].out_channels, ch, depth, *route)
             table += [(f"stage{level}.head", head), *((f"stage{level}.body{j}", b) for j, b in enumerate(body))]
         return tuple(table)
+
+
+BENCH_CONFIG = MiniBackboneConfig(stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +110,7 @@ def mini_backbone_forward(
         raise ShapeError(f"params have (depth, channels) stages {got}, but the config has {config.stages}")
     a = conv2d(x, params.stem, stem_spec, relu=True)
     levels = []
-    for sw, (stride, head_dilation, body_dilation) in zip(params.stages, config.ROUTES[mode]):
+    for sw, (stride, head_dilation, body_dilation) in zip(params.stages, _routes(mode)):
         # the StageOutput is dropped at once, so its buffers are free for the next stage
         a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)
         levels.append(a)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvSpec, ConvWeights, conv2d
-from .decomp import PhaseSet, merge_parity, split_parity
+from .conv import ConvWeights, conv2d
+from .decomp import PhaseSet, merge_parity, split_parity, stage_specs
 from .tensor import ShapeError, Tensor
 
 
@@ -84,10 +84,8 @@ def approximate_full_res(
     from its even-even phase to the half-resolution target y_s, then applies
     the map to all four phases and re-interleaves.
     """
-    cin = head.weight.shape[1]
-    cout = head.weight.shape[0]
-    spec = ConvSpec(cin, cout, kernel=(3, 3), padding=(1, 1))
-    y_m = conv2d(x, head, spec)
+    cout, cin = head.weight.shape[:2]
+    y_m = conv2d(x, head, stage_specs(cin, cout, 0, 1, 1, 1)[0])
     p = split_parity(y_m)
     if p.ee.shape[2:] != y_s.shape[2:]:
         raise ShapeError(f"target dims {y_s.shape[2:]} vs half-res dims {p.ee.shape[2:]}")

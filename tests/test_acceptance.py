@@ -20,6 +20,7 @@ from jpulite.decomp import (
     reduce_even,
 )
 from jpulite.experiments import (
+    BENCH_CONFIG,
     DILATED,
     STRIDE,
     MiniBackboneConfig,
@@ -166,8 +167,7 @@ def test_criterion_5_cost_model_matches_instrumented_convs(monkeypatch):
         ok &= [spec for _, _, spec in calls] == [spec for _, spec in cfg.layers(mode)]
         for x, w, spec in calls:
             ok &= conv2d(x, w, spec, count_macs=True)[1] == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
-    bench = MiniBackboneConfig(stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64)))
-    totals = {mode: _table_macs(bench, mode, (256, 256)) for mode in (DILATED, STRIDE)}
+    totals = {mode: _table_macs(BENCH_CONFIG, mode, (256, 256)) for mode in (DILATED, STRIDE)}
     ok &= totals == {DILATED: 160_432_128, STRIDE: 71_958_528}
     report(5, "analytic MACs == instrumented multiply counts (50 specs, both mini-backbone wirings)", ok,
            f"bench config at 256x256: dilated {totals[DILATED]} stride {totals[STRIDE]} MACs per image")
@@ -261,9 +261,8 @@ def test_criterion_8_upsampler_beats_bilinear():
 
 def test_criterion_9_timing_ordering():
     t0 = time.perf_counter()
-    cfg = MiniBackboneConfig(stem_channels=16, stages=((1, 24), (1, 32), (1, 48), (1, 64)))
-    dil = bench_forward(cfg, "dilated_os8", input_hw=(256, 256), repeats=100)
-    jpu = bench_forward(cfg, "stride_os32_plus_jpu", input_hw=(256, 256), repeats=100)
+    dil = bench_forward(BENCH_CONFIG, "dilated_os8", input_hw=(256, 256), repeats=100)
+    jpu = bench_forward(BENCH_CONFIG, "stride_os32_plus_jpu", input_hw=(256, 256), repeats=100)
     elapsed = time.perf_counter() - t0
     ok = dil["mean_ms"] > jpu["mean_ms"] and elapsed < 180
     report(9, "dilated forward slower than stride+upsampler (100 repeats)", ok,

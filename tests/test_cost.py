@@ -3,16 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jpulite.conv import ConvWeights, conv2d
+from jpulite.conv import ConvSpec, ConvWeights, conv2d
 from jpulite.cost import (
     DILATED_MODE,
     STRIDE_JPU_MODE,
     CostReport,
     CostEntry,
     LayerCost,
+    StageSpec,
     backbone_cost,
     compare_costs,
-    conv_cost,
     conv_cost_from_spec,
     jpu_cost_entries,
     resnet_preset,
@@ -24,37 +24,63 @@ from test_conv import FIELD_VALUES, PAIR_VALUES, is_count, is_pair, random_case
 
 
 def test_conv_cost_examples():
-    assert conv_cost((3, 3), 2, 4, (8, 8)).macs == 3 * 3 * 2 * 4 * 8 * 8 == 4608
-    assert conv_cost((1, 1), 5, 7, (6, 4)).macs == 5 * 7 * 6 * 4
+    assert conv_cost_from_spec(ConvSpec(2, 4), (10, 10)).macs == 3 * 3 * 2 * 4 * 8 * 8 == 4608
+    assert conv_cost_from_spec(ConvSpec(5, 7, kernel=(1, 1)), (6, 4)).macs == 5 * 7 * 6 * 4
     # doubling spatial resolution quadruples the MACs
-    assert conv_cost((3, 3), 2, 4, (16, 16)).macs == 4 * conv_cost((3, 3), 2, 4, (8, 8)).macs
+    same = ConvSpec(2, 4, padding=(1, 1))
+    assert conv_cost_from_spec(same, (16, 16)).macs == 4 * conv_cost_from_spec(same, (8, 8)).macs
 
 
 def test_conv_cost_bias_tracked_separately():
-    c = conv_cost((3, 3), 2, 4, (8, 8), with_bias=True)
+    spec = ConvSpec(2, 4, padding=(1, 1))
+    c = conv_cost_from_spec(spec, (8, 8), with_bias=True)
     assert c.bias_adds == 4 * 8 * 8
     assert c.params == 3 * 3 * 2 * 4 + 4
-    assert conv_cost((3, 3), 2, 4, (8, 8)).bias_adds == 0
+    assert conv_cost_from_spec(spec, (8, 8)).bias_adds == 0
 
 
 def test_conv_cost_rejects_invalid():
     with pytest.raises(ValueError):
-        conv_cost((3, 3), 3, 4, (8, 8), groups=2)
+        conv_cost_from_spec(ConvSpec(3, 4, padding=(1, 1), groups=2), (8, 8))
     with pytest.raises(ValueError):
-        conv_cost((3, 3), 2, 4, (0, 8))
+        conv_cost_from_spec(ConvSpec(2, 4, padding=(1, 1)), (0, 8))
 
 
-@given(kernel=PAIR_VALUES, out_hw=PAIR_VALUES, counts=st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
-@example(kernel=(3, 3), out_hw=(2, 2), counts=(-4, -8, 1))
-def test_conv_cost_accepts_only_positive_ints(kernel, out_hw, counts):
+@given(
+    kernel=PAIR_VALUES, in_hw=PAIR_VALUES, padding=st.integers(0, 3),
+    counts=st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES),
+)
+@example(kernel=(3, 3), in_hw=(2, 2), padding=0, counts=(-4, -8, 1))
+# grids no tensor has, which the padding would otherwise turn into a positive output
+@example(kernel=(1, 1), in_hw=(0, 8), padding=1, counts=(2, 4, 1))
+@example(kernel=(1, 1), in_hw=(-4, 8), padding=3, counts=(2, 4, 1))
+def test_conv_cost_accepts_only_positive_ints(kernel, in_hw, padding, counts):
     cin, cout, groups = counts
-    if is_pair(kernel, 1) and is_pair(out_hw, 1) and all(map(is_count, counts)) and not (cin % groups or cout % groups):
-        c = conv_cost(kernel, cin, cout, out_hw, groups)
+    grid = type(in_hw) in (tuple, list) and len(in_hw) == 2 and all(map(is_count, in_hw))
+    out_hw = grid and is_pair(kernel, 1) and [i + 2 * padding - k + 1 for i, k in zip(in_hw, kernel)]
+
+    def cost():
+        return conv_cost_from_spec(ConvSpec(cin, cout, kernel=kernel, padding=(padding, padding), groups=groups), in_hw)
+
+    if out_hw and min(out_hw) >= 1 and all(map(is_count, counts)) and not (cin % groups or cout % groups):
+        c = cost()
         assert c.macs == kernel[0] * kernel[1] * (cin // groups) * cout * out_hw[0] * out_hw[1] > 0
         assert c.activation_elems == cout * out_hw[0] * out_hw[1] > 0
     else:
         with pytest.raises(ShapeError):
-            conv_cost(kernel, cin, cout, out_hw, groups)
+            cost()
+
+
+@given(fields=st.tuples(*[FIELD_VALUES] * 5))
+@example(fields=(4, 256, 128, 512, 3))  # a stride no backbone has: it ran the dilated table at output stride 12
+@example(fields=(True, 0, -1, 2.5, 2))
+def test_stage_spec_accepts_only_buildable_geometry(fields):
+    *counts, stride = fields
+    if all(map(is_count, counts)) and stride in (1, 2) and type(stride) is int:
+        assert StageSpec(*fields).entry_stride == stride
+    else:
+        with pytest.raises(ShapeError):
+            StageSpec(*fields)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -77,11 +103,14 @@ def test_preset_table_matches_loop_nest(mode):
         x = Tensor(np.zeros((1, cs.in_channels, *grid), np.float32))
         _, macs = conv2d(x, ConvWeights(Tensor(np.zeros(cs.weight_shape, np.float32))), cs, count_macs=True)
         assert macs == entry.cost.macs, name
-    # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1 with dilation 2 and 4
-    frozen = {"stage3": 2, "stage4": 4} if mode == DILATED_MODE else {}
+    # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1; each one's first 3x3
+    # conv keeps the previous stage's dilation (1, then 2) and the others take 2 and 4
+    frozen = {"stage3": (1, 2), "stage4": (2, 4)} if mode == DILATED_MODE else {}
     for name, cs, _ in table:
         stage = name.split(".")[0]
-        assert cs.dilation == (frozen.get(stage, 1),) * 2 or cs.kernel == (1, 1), name
+        head, body = frozen.get(stage, (1, 1))
+        d = head if name.startswith(f"{stage}.block00.") else body
+        assert cs.dilation == (d, d) or cs.kernel == (1, 1), name
         if stage in frozen:
             assert cs.stride == (1, 1), name
 
@@ -188,16 +217,17 @@ def test_compare_identity():
 
 
 def test_compare_hand_built():
-    a = CostReport("x", "a", (8, 8), [CostEntry("l0", "s", LayerCost(macs=60)), CostEntry("l1", "s", LayerCost(macs=40))])
-    b = CostReport("x", "b", (8, 8), [CostEntry("l0", "s", LayerCost(macs=30)), CostEntry("l1", "s", LayerCost(macs=20))])
+    a = CostReport("x", "a", (8, 8), [CostEntry("s.l0", LayerCost(macs=60)), CostEntry("s.l1", LayerCost(macs=40))])
+    b = CostReport("x", "b", (8, 8), [CostEntry("s.l0", LayerCost(macs=30)), CostEntry("s.l1", LayerCost(macs=20))])
     cmp = compare_costs(a, b, per_layer=True)
     assert cmp["total_ratio"] == 2.0
-    assert cmp["layers"] == {"l0": 2.0, "l1": 2.0}
+    assert cmp["stages"] == {"s": 2.0}
+    assert cmp["layers"] == {"s.l0": 2.0, "s.l1": 2.0}
 
 
 def test_compare_rejects_structure_mismatch():
-    a = CostReport("x", "a", (8, 8), [CostEntry("l0", "s", LayerCost(macs=1))])
-    b = CostReport("x", "b", (8, 8), [CostEntry("other", "s", LayerCost(macs=1))])
+    a = CostReport("x", "a", (8, 8), [CostEntry("s.l0", LayerCost(macs=1))])
+    b = CostReport("x", "b", (8, 8), [CostEntry("s.other", LayerCost(macs=1))])
     with pytest.raises(ValueError):
         compare_costs(a, b, per_layer=True)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from jpulite.decomp import (
     merge_parity,
     reduce_even,
     split_parity,
+    stage_routes,
     stride_stage,
 )
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
@@ -188,3 +191,27 @@ def test_float32_tolerance():
     assert max_abs_diff(a.y, b.y) <= 1e-5
     rep = check_phase_consistency(x, sw, tolerance=1e-5)
     assert rep.passed
+
+
+@pytest.mark.parametrize("strides, output_stride, dilated, routes", [
+    # the mini backbone: four stride-2 stages after a stride-2 stem
+    ((2, 2, 2, 2), 2, False, ((2, 1, 1),) * 4),
+    ((2, 2, 2, 2), 2, True, ((2, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))),
+    # a ResNet: stage 1 keeps the grid the stem and max pool leave at output stride 4
+    ((1, 2, 2, 2), 4, False, ((1, 1, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1))),
+    ((1, 2, 2, 2), 4, True, ((1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))),
+])
+def test_stage_routes_literal(strides, output_stride, dilated, routes):
+    assert stage_routes(strides, dilated, output_stride) == routes
+
+
+@given(strides=st.lists(st.sampled_from([1, 2]), max_size=6).map(tuple), output_stride=st.sampled_from([1, 2, 4, 8]))
+def test_stage_routes_rule(strides, output_stride):
+    assert stage_routes(strides, False, output_stride) == tuple((s, 1, 1) for s in strides)
+    os, previous = output_stride, 1
+    for s, (stride, head, body) in zip(strides, stage_routes(strides, True, output_stride), strict=True):
+        assert head == previous  # the head keeps the previous stage's dilation
+        assert stride * body == s * head  # the body dilates by the stride the stage dropped
+        os, previous = os * stride, body
+        assert os <= 8
+    assert os == min(8, output_stride * math.prod(strides))  # and no more stride is dropped than that takes

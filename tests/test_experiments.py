@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from jpulite.decomp import reduce_even
 from jpulite.experiments import (
+    BENCH_CONFIG,
     DILATED,
     STRIDE,
     MiniBackboneConfig,
@@ -81,6 +86,18 @@ def test_layer_table_routes():
         assert all(s.padding == s.dilation and s.kernel == (3, 3) for _, s in table)
     with pytest.raises(KeyError):
         CFG.layers("os4")
+
+
+def test_bench_config_is_the_benchmark_forward_config(monkeypatch):
+    # `jpulite bench` and the benchmark's forward_256 workload time one network;
+    # the workload module is only read, never changed or cached to disk
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.Forward256.config == BENCH_CONFIG
 
 
 def test_forward_shapes_stride():
