@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Capture the outputs a refactor must leave byte-identical. Each check NAME
 # writes OUTDIR/NAME.out (stdout), NAME.err (stderr) and NAME.code (exit code):
-# the cost, equiv, train-demo and bench commands, criterion 8's two MSEs, and a
-# sha256 of the mini-backbone's weights, layer tables and outputs for the
-# default config and the bench config (perfbench's Forward256.config).
+# the cost, equiv, jointup-demo, train-demo and bench commands, criterion 8's
+# two MSEs, and a sha256 of the mini-backbone's weights, layer tables and
+# outputs for the default config and the bench config (perfbench's
+# Forward256.config).
 #
 # Run it in two checkouts and compare; an empty diff is the check:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
@@ -43,6 +44,8 @@ capture cost_resnet101_dilated cli cost --backbone resnet101 --mode dilated
 capture cost_resnet50_jpu_width64 cli cost --backbone resnet50 --mode jpu --jpu-width 64
 capture equiv_f64 cli equiv --cases 30 --seed 3
 capture equiv_f32 cli equiv --cases 30 --seed 3 --dtype f32
+capture jointup_demo_seed4 cli jointup-demo --seed 4
+capture jointup_demo_seed5 cli jointup-demo --seed 5
 capture train_demo cli train-demo --seeds 1 --steps 5 --samples 4 --image 32
 capture bench cli bench --repeats 10 --input 64 64 --no-timing
 capture criterion_8 criterion_8

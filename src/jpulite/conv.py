@@ -4,9 +4,8 @@ Forward and backward share one tap walk ("shift-GEMM", no full column matrix). T
 zero-padded input is written once into a buffer of its stride phases, each
 flattened to rows of one common width, and the output is computed on a "wide"
 grid of that width. Each kernel tap then reads one contiguous slice of one
-phase and is one BLAS `matmul` (a broadcast multiply when a group has one
-input channel), accumulated in a fixed tap order; the wide grid's extra
-columns are dropped. Padding is always zero padding.
+phase and is one BLAS `matmul`, accumulated in a fixed tap order; the wide
+grid's extra columns are dropped. Padding is always zero padding.
 
 The backward writes the phases with the samples side by side in each
 channel's row and puts grad_out on the same stacked wide grid, zero in the
@@ -289,13 +288,6 @@ def _workspace(dtype, *shapes) -> list[np.ndarray]:
     return views
 
 
-def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out; an inner dimension of 1 is a broadcast multiply, not a GEMM."""
-    if a.shape[-1] == 1:
-        return np.multiply(a, b, out=out)
-    return np.matmul(a, b, out=out)
-
-
 def _tap_weights(w: ConvWeights, spec: ConvSpec, dtype) -> np.ndarray:
     """Weights as (kh, kw, groups, cg_out, cg_in): one matrix per tap and group."""
     o, cg, kh, kw = spec.weight_shape
@@ -343,7 +335,7 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
             np.matmul(wt, tmp_r, out=acc_r)
         else:
             for i, (u, v, a, b, off) in enumerate(taps):
-                prod = _mm(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+                prod = np.matmul(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
                 if i:
                     acc_r += prod
         out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, wq)[..., : walk.ow]
@@ -409,7 +401,7 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
             grad_buf[a, b] = 0
         for i, (u, v, off) in enumerate(taps):
             np.matmul(grid[..., m : m + k], buf[a, b, ..., off : off + k].swapaxes(-1, -2), out=grad_w[u, v])
-            prod = _mm(wt_t[u, v], grid[..., m - off : m - off + size], out=tmp if i else grad_buf[a, b])
+            prod = np.matmul(wt_t[u, v], grid[..., m - off : m - off + size], out=tmp if i else grad_buf[a, b])
             if i:
                 grad_buf[a, b] += prod
     gw = np.empty(spec.weight_shape, dtype=x.dtype)

@@ -55,14 +55,15 @@ def conv_cost_from_spec(spec: ConvSpec, in_hw, with_bias=False) -> LayerCost:
 
 @dataclass(frozen=True)
 class StageSpec:
+    """One bottleneck stage; it reads the stem's or the previous stage's `out_channels`."""
+
     blocks: int
-    in_channels: int
     mid_channels: int
     out_channels: int
     entry_stride: int  # 1 or 2; decomp.stage_routes drops it in dilated mode past output stride 8
 
     def __post_init__(self):
-        counts = (self.blocks, self.in_channels, self.mid_channels, self.out_channels)
+        counts = (self.blocks, self.mid_channels, self.out_channels)
         if not (all(map(_is_count, counts)) and _is_count(self.entry_stride) and self.entry_stride <= 2):
             raise ShapeError(f"need positive int blocks and channels and an entry stride of 1 or 2, got {self!r}")
 
@@ -72,7 +73,6 @@ class BackboneSpec:
     name: str
     stem_channels: int
     stages: tuple[StageSpec, ...]
-    image_channels: int = 3
 
     def layers(self, mode: str, input_hw) -> list[tuple[str, ConvSpec, tuple[int, int]]]:
         """The convs in execution order, as (name, spec, input grid). A 3x3 stride-2 max
@@ -81,12 +81,11 @@ class BackboneSpec:
         if mode not in MODES:
             raise KeyError(f"unknown mode {mode!r}")
         grid = _check_input_hw(input_hw)
-        stem = ConvSpec(self.image_channels, self.stem_channels, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
+        stem = ConvSpec(3, self.stem_channels, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
         table = [("stem.conv", stem, grid)]
-        grid = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid))
+        grid, ci = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid)), self.stem_channels
         routes = stage_routes(tuple(st.entry_stride for st in self.stages), mode == DILATED_MODE, 4)
         for i, (st, (s, d, body_d)) in enumerate(zip(self.stages, routes), 1):
-            ci = st.in_channels
             for b in range(st.blocks):
                 prefix = f"stage{i}.block{b:02d}"
                 conv1 = ConvSpec(ci, st.mid_channels, kernel=(1, 1), stride=(s, s))
@@ -106,8 +105,8 @@ def resnet_preset(name: str) -> BackboneSpec:
     blocks = {"resnet50": (3, 4, 6, 3), "resnet101": (3, 4, 23, 3)}.get(name)
     if blocks is None:
         raise KeyError(f"unknown backbone preset {name!r}")
-    # stage i has 64·2^i mid and 256·2^i out channels and reads the 64-ch stem or the previous stage
-    stages = (StageSpec(nb, 128 * 2**i if i else 64, 64 * 2**i, 256 * 2**i, 2 if i else 1) for i, nb in enumerate(blocks))
+    # stage i has 64·2^i mid and 256·2^i out channels
+    stages = (StageSpec(nb, 64 * 2**i, 256 * 2**i, 2 if i else 1) for i, nb in enumerate(blocks))
     return BackboneSpec(name, 64, tuple(stages))
 
 

@@ -35,7 +35,6 @@ class PhaseSet:
     eo: Tensor
     oe: Tensor
     oo: Tensor
-    full_hw: tuple[int, int]
 
     @property
     def phases(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -52,7 +51,6 @@ def split_parity(x: Tensor) -> PhaseSet:
         eo=Tensor(np.ascontiguousarray(d[:, :, 0::2, 1::2])),
         oe=Tensor(np.ascontiguousarray(d[:, :, 1::2, 0::2])),
         oo=Tensor(np.ascontiguousarray(d[:, :, 1::2, 1::2])),
-        full_hw=(h, w),
     )
 
 
@@ -149,7 +147,7 @@ def dilated_stage_decomposed(x: Tensor, sw: StageWeights) -> StageOutput:
     head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), 1, 1, 1)
     y_m = conv2d(x, sw.head, head)
     p = split_parity(y_m)
-    merged = merge_parity(PhaseSet(*(_run_body(phase, sw, body) for phase in p.phases), full_hw=p.full_hw))
+    merged = merge_parity(PhaseSet(*(_run_body(phase, sw, body) for phase in p.phases)))
     return StageOutput(merged, y_m)
 
 

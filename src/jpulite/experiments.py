@@ -85,8 +85,8 @@ class MiniBackboneParams:
     stages: tuple[StageWeights, ...]
 
 
-def init_mini_backbone(config: MiniBackboneConfig, rng: Rng, dtype=np.float64) -> MiniBackboneParams:
-    convs = iter([init_weights(spec, rng, dtype=dtype) for _, spec in config.layers(STRIDE)])
+def init_mini_backbone(config: MiniBackboneConfig, rng: Rng) -> MiniBackboneParams:
+    convs = iter([init_weights(spec, rng) for _, spec in config.layers(STRIDE)])
     stem = next(convs)
     stages = tuple(StageWeights(next(convs), [next(convs) for _ in range(depth)]) for depth, _ in config.stages)
     return MiniBackboneParams(stem, stages)
@@ -123,7 +123,6 @@ def mini_backbone_forward(
 
 @dataclass(frozen=True, eq=False)
 class TeacherSample:
-    image: Tensor
     c3: Tensor  # stride-mode features (student inputs)
     c4: Tensor
     c5: Tensor
@@ -133,30 +132,23 @@ class TeacherSample:
 @dataclass(frozen=True, eq=False)
 class TeacherDataset:
     config: MiniBackboneConfig
-    params: MiniBackboneParams
     samples: tuple[TeacherSample, ...]
 
 
-def synthetic_teacher(
-    seed: int, n_samples: int, config: MiniBackboneConfig, image_hw=(64, 64), dtype=np.float64
-) -> TeacherDataset:
+def synthetic_teacher(seed: int, n_samples: int, config: MiniBackboneConfig, image_hw=(64, 64)) -> TeacherDataset:
     rng = Rng(seed)
-    params = init_mini_backbone(config, rng, dtype=dtype)
+    params = init_mini_backbone(config, rng)
     samples = []
     for _ in range(n_samples):
-        img = random_uniform((1, config.in_channels, *image_hw), rng, -1.0, 1.0, dtype=dtype)
+        img = random_uniform((1, config.in_channels, *image_hw), rng, -1.0, 1.0)
         _, _, target = mini_backbone_forward(img, params, config, DILATED)
         c3, c4, c5 = mini_backbone_forward(img, params, config, STRIDE)
-        samples.append(TeacherSample(img, c3, c4, c5, target))
-    return TeacherDataset(config, params, tuple(samples))
+        samples.append(TeacherSample(c3, c4, c5, target))
+    return TeacherDataset(config, tuple(samples))
 
 
 @dataclass
 class TrainRun:
-    method: str
-    steps: int
-    lr: float
-    seed: int
     loss_curve: list[float]
     final_mse: float
     param_count: int
@@ -253,7 +245,7 @@ def train_approximator(
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":
         n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())
-    return TrainRun(method, steps, lr, seed, loss_curve, final, int(n_params))
+    return TrainRun(loss_curve, final, int(n_params))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +259,10 @@ def bench_forward(
     repeats: int = 100,
     warmup: int = 3,
     seed: int = 0,
-    jpu_width: int = 8,
 ) -> dict:
     """Wall-clock statistics of a full forward pass, and the minor page faults
-    per pass over the timed repeats; 'stride_os32_plus_jpu' appends the pyramid
-    upsampling module to the stride backbone."""
+    per pass over the timed repeats; 'stride_os32_plus_jpu' appends a width-8
+    pyramid upsampling module to the stride backbone."""
     if repeats < 10:
         raise ValueError("need at least 10 repeats")
     with_jpu = mode == STRIDE_JPU_MODE
@@ -280,7 +271,7 @@ def bench_forward(
         raise KeyError(f"unknown bench mode {mode!r}")
     rng = Rng(seed)
     params = init_mini_backbone(config, rng)
-    jpu_cfg = JpuConfig(config.level_channels, width=jpu_width)
+    jpu_cfg = JpuConfig(config.level_channels, width=8)
     jpu_params = jpu_init(jpu_cfg, rng)
     img = random_uniform((1, config.in_channels, *input_hw), rng, -1.0, 1.0)
 

@@ -2,11 +2,11 @@
 
 Given low-res guidance x_l, low-res target y_l, and high-res guidance x_h, fit
 the affine map h minimizing the summed squared error ||y_l - h(x_l)||^2 over
-pixels (normal equations with a small Tikhonov damping on the Gram matrix),
-then apply it per pixel to x_h. This is the linear oracle for what the learned
-upsampling module approximates: the guidance is the pre-downsampling feature,
-the target is the stride-path output, and the fitted map is replayed on every
-parity phase.
+pixels (normal equations with the fixed Tikhonov damping `DAMPING` on the Gram
+matrix), then apply it per pixel to x_h. This is the linear oracle for what the
+learned upsampling module approximates: the guidance is the pre-downsampling
+feature, the target is the stride-path output, and the fitted map is replayed
+on every parity phase.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 from .conv import ConvWeights, conv2d
 from .decomp import PhaseSet, merge_parity, split_parity, stage_specs
 from .tensor import ShapeError, Tensor
+
+DAMPING = 1e-8  # added to the Gram matrix's diagonal
 
 
 class DegenerateProblemError(ValueError):
@@ -49,9 +51,7 @@ def _pixels(x: Tensor) -> np.ndarray:
     return x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
 
 
-def solve_joint_upsample(
-    x_l: Tensor, y_l: Tensor, x_h: Tensor, damping: float = 1e-8
-) -> JointUpsampleResult:
+def solve_joint_upsample(x_l: Tensor, y_l: Tensor, x_h: Tensor) -> JointUpsampleResult:
     if x_l.shape[0] != y_l.shape[0] or x_l.shape[2:] != y_l.shape[2:]:
         raise ShapeError(f"guidance {x_l.shape} and target {y_l.shape} must share (n, h, w)")
     if x_h.shape[1] != x_l.shape[1]:
@@ -62,7 +62,7 @@ def solve_joint_upsample(
     if X.shape[0] < gc + 1:
         raise ShapeError(f"{X.shape[0]} pixels cannot determine {gc}+1 affine coefficients")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    gram = Xa.T @ Xa + damping * np.eye(gc + 1)
+    gram = Xa.T @ Xa + DAMPING * np.eye(gc + 1)
     try:
         sol = np.linalg.solve(gram, Xa.T @ Y)  # (gc+1, tc)
     except np.linalg.LinAlgError as e:
@@ -75,9 +75,7 @@ def solve_joint_upsample(
     return JointUpsampleResult(mapping, mapping.apply(x_h), residual)
 
 
-def approximate_full_res(
-    x: Tensor, y_s: Tensor, head: ConvWeights, damping: float = 1e-8
-) -> tuple[Tensor, JointUpsampleResult]:
+def approximate_full_res(x: Tensor, y_s: Tensor, head: ConvWeights) -> tuple[Tensor, JointUpsampleResult]:
     """Recover a full-resolution stand-in for the dilated-path output.
 
     Computes the intermediate feature from the stage head, fits the affine map
@@ -89,6 +87,6 @@ def approximate_full_res(
     p = split_parity(y_m)
     if p.ee.shape[2:] != y_s.shape[2:]:
         raise ShapeError(f"target dims {y_s.shape[2:]} vs half-res dims {p.ee.shape[2:]}")
-    fit = solve_joint_upsample(p.ee, y_s, p.ee, damping=damping)
-    mapped = PhaseSet(*(fit.map.apply(ph) for ph in p.phases), full_hw=p.full_hw)
+    fit = solve_joint_upsample(p.ee, y_s, p.ee)
+    mapped = PhaseSet(*(fit.map.apply(ph) for ph in p.phases))
     return merge_parity(mapped), fit

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +60,8 @@ class JpuConfig:
         elif not _is_count(self.out_channels):
             raise ShapeError(f"out_channels must be a positive int, got {self.out_channels!r}")
 
-    def layers(self) -> list[tuple[str, ConvSpec, int]]:
+    @lru_cache(maxsize=64)  # every forward and checkpoint asks
+    def layers(self) -> tuple[tuple[str, ConvSpec, int], ...]:
         """The module's convs in execution order, as (name, spec, input pyramid level).
 
         Level 0 is the finest grid; every conv after the three level convs runs
@@ -72,7 +74,7 @@ class JpuConfig:
             dspec, pspec = separable_spec(3 * w, w, rate)
             table += [(f"branch{i}.depthwise", dspec, 0), (f"branch{i}.pointwise", pspec, 0)]
         fusion = ConvSpec(len(self.dilation_rates) * w, self.out_channels, kernel=(3, 3), padding=(1, 1))
-        return table + [("fusion", fusion, 0)]
+        return (*table, ("fusion", fusion, 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ from jpulite.conv import ConvSpec, ConvWeights, conv2d
 from jpulite.cost import (
     DILATED_MODE,
     STRIDE_JPU_MODE,
+    BackboneSpec,
     CostReport,
     CostEntry,
     LayerCost,
@@ -71,9 +72,10 @@ def test_conv_cost_accepts_only_positive_ints(kernel, in_hw, padding, counts):
             cost()
 
 
-@given(fields=st.tuples(*[FIELD_VALUES] * 5))
-@example(fields=(4, 256, 128, 512, 3))  # a stride no backbone has: it ran the dilated table at output stride 12
-@example(fields=(True, 0, -1, 2.5, 2))
+@given(fields=st.tuples(*[FIELD_VALUES] * 4))
+@example(fields=(4, 128, 512, 3))  # a stride no backbone has: it ran the dilated table at output stride 12
+@example(fields=(True, -1, 2.5, 2))
+@example(fields=(0, 64, 256, 1))
 def test_stage_spec_accepts_only_buildable_geometry(fields):
     *counts, stride = fields
     if all(map(is_count, counts)) and stride in (1, 2) and type(stride) is int:
@@ -81,6 +83,43 @@ def test_stage_spec_accepts_only_buildable_geometry(fields):
     else:
         with pytest.raises(ShapeError):
             StageSpec(*fields)
+    with pytest.raises(TypeError):  # no input width: a stage reads the stem's or the previous stage's
+        StageSpec(fields[0], 64, *fields[1:])
+
+
+def _assert_stages_chain(spec: BackboneSpec, mode: str):
+    """Every block's conv1 and downsample read the stem's or the previous block's conv3 width."""
+    width = block_in = None
+    checked = 0
+    for name, cs, _ in spec.layers(mode, (64, 64)):
+        part = name.rsplit(".", 1)[1]
+        if part == "conv1":
+            block_in = width
+        if part in ("conv1", "downsample"):
+            assert cs.in_channels == block_in, name
+            checked += 1
+        if part in ("conv", "conv3"):  # the stem, then each block's last conv
+            width = cs.out_channels
+    assert checked == sum(stage.blocks + 1 for stage in spec.stages)
+
+
+@pytest.mark.parametrize("mode", [DILATED_MODE, STRIDE_JPU_MODE])
+@pytest.mark.parametrize("name", ["resnet50", "resnet101"])
+def test_preset_stages_chain(name, mode):
+    _assert_stages_chain(resnet_preset(name), mode)
+
+
+@given(
+    stem=st.integers(1, 64),
+    stages=st.lists(
+        st.builds(StageSpec, st.integers(1, 3), st.integers(1, 64), st.integers(1, 256), st.sampled_from([1, 2])),
+        min_size=1, max_size=5,
+    ),
+    mode=st.sampled_from([DILATED_MODE, STRIDE_JPU_MODE]),
+)
+@settings(max_examples=50, deadline=None)
+def test_drawn_stages_chain(stem, stages, mode):
+    _assert_stages_chain(BackboneSpec("drawn", stem, tuple(stages)), mode)
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -73,7 +73,7 @@ def test_split_merge_inverse(seed, hh, hw):
 
 def test_merge_constant_tiling():
     phases = [Tensor(np.full((1, 1, 2, 2), float(k))) for k in range(4)]
-    m = merge_parity(PhaseSet(*phases, full_hw=(4, 4)))
+    m = merge_parity(PhaseSet(*phases))
     want = np.array(
         [[0, 1, 0, 1], [2, 3, 2, 3], [0, 1, 0, 1], [2, 3, 2, 3]], dtype=float
     ).reshape(1, 1, 4, 4)

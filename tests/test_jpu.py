@@ -87,6 +87,14 @@ def test_layer_table_matches_params():
     assert [n for n, _ in rebuilt.named_tensors()] == [n for n, _ in p.named_tensors()]
 
 
+def test_layer_table_is_one_cached_tuple():
+    cfg = JpuConfig((3, 4, 5), width=3)
+    table = cfg.layers()
+    assert isinstance(table, tuple)  # the cached table cannot be changed in place
+    assert cfg.layers() is table
+    assert JpuConfig((3, 4, 5), width=3).layers() is table  # equal configs share it
+
+
 def test_init_weight_std():
     cfg = JpuConfig((64, 64, 64), width=64, dilation_rates=(1,))
     p = jpu_init(cfg, Rng(3))
