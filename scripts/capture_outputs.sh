@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Capture the outputs a refactor must leave byte-identical. Each check NAME
 # writes OUTDIR/NAME.out (stdout), NAME.err (stderr) and NAME.code (exit code):
-# the cost, equiv, jointup-demo, train-demo and bench commands, criterion 8's
-# two MSEs, and a sha256 of the mini-backbone's weights, layer tables and
-# outputs for the default config and the bench config (perfbench's
-# Forward256.config).
+# the cost, equiv, jointup-demo, train-demo and bench commands, the file that
+# `equiv --output` writes (OUTDIR/equiv_output.json), the key set of a timed
+# bench's environment, criterion 8's two MSEs, and a sha256 of the
+# mini-backbone's weights, layer tables and outputs for the default config and
+# the bench config (perfbench's Forward256.config).
 #
 # Run it in two checkouts and compare; an empty diff is the check:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
@@ -38,16 +39,23 @@ cli() {
     python3 -m jpulite.cli "$@"
 }
 
+bench_environment_keys() {  # only the keys: the values and the timings vary by machine and run
+    cli bench --input 64 64 --repeats 10 |
+        python3 -c 'import json, sys; print(sorted(json.load(sys.stdin)["environment"]))'
+}
+
 capture cost_resnet101_compare cli cost --backbone resnet101 --compare
 capture cost_resnet50_compare_96x2048 cli cost --backbone resnet50 --compare --input 96 2048
 capture cost_resnet101_dilated cli cost --backbone resnet101 --mode dilated
 capture cost_resnet50_jpu_width64 cli cost --backbone resnet50 --mode jpu --jpu-width 64
 capture equiv_f64 cli equiv --cases 30 --seed 3
 capture equiv_f32 cli equiv --cases 30 --seed 3 --dtype f32
+capture equiv_output cli equiv --cases 2 --seed 3 --output "$out/equiv_output.json"
 capture jointup_demo_seed4 cli jointup-demo --seed 4
 capture jointup_demo_seed5 cli jointup-demo --seed 5
 capture train_demo cli train-demo --seeds 1 --steps 5 --samples 4 --image 32
 capture bench cli bench --repeats 10 --input 64 64 --no-timing
+capture bench_environment_keys bench_environment_keys
 capture criterion_8 criterion_8
 capture mini_backbone python3 - <<'EOF'
 import hashlib

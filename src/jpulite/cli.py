@@ -148,7 +148,7 @@ def cmd_train_demo(args) -> int:
     config = exp.MiniBackboneConfig()
     runs = {"bilinear": [], "jpu": []}
     for s in range(args.seeds):
-        dataset = exp.synthetic_teacher(args.seed + s, args.samples, config, image_hw=(args.image, args.image))
+        dataset = exp.synthetic_teacher(args.seed + s, args.n_samples, config, image_hw=(args.image, args.image))
         for method in ("bilinear", "jpu"):
             run = exp.train_approximator(
                 method, dataset, steps=args.steps, lr=args.lr, seed=args.seed + 1000 + s, jpu_width=args.width
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=3)
     sp.add_argument("--steps", type=int, default=200)
     sp.add_argument("--lr", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=8)
+    sp.add_argument("--samples", type=int, default=8, dest="n_samples")
     sp.add_argument("--width", type=int, default=8, help="pyramid-upsampler width")
     sp.add_argument("--image", type=int, default=64, help="square input size")
     sp.set_defaults(func=cmd_train_demo)

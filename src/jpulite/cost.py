@@ -150,11 +150,11 @@ class CostReport:
 
 
 def _check_input_hw(input_hw) -> tuple[int, int]:
-    """The runtime backbone takes only positive multiples of 32; flooring any
-    other size would cost geometry that no forward pass produces."""
+    """The runtime backbone and the cost model take only positive multiples of
+    32; flooring any other size would cost geometry that no forward pass produces."""
     h, w = input_hw
     if h < 32 or w < 32 or h % 32 or w % 32:
-        raise ValueError(f"input dims must be positive multiples of 32, got {(h, w)}")
+        raise ShapeError(f"input dims must be positive multiples of 32, got {(h, w)}")
     return h, w
 
 

@@ -6,7 +6,9 @@ four stride-2 stages, each run by a decomp stage composer along the route that
 `decomp.stage_routes` gives it. `MiniBackboneConfig.layers(mode)` lists the
 convs of either wiring. One parameter set serves both; only the routing
 differs, which is what makes the teacher/student study and the end-to-end
-phase-consistency checks honest. `jpulite bench` times `BENCH_CONFIG`.
+phase-consistency checks honest. The teacher continues the dilated stages 4-5
+from the stride pass's c3 and stacks its samples along N, which the trainer
+splits into train and held-out views. `jpulite bench` times `BENCH_CONFIG`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights, relu
-from .cost import DILATED_MODE, STRIDE_JPU_MODE
+from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
 from .decomp import StageWeights, dilated_stage, stage_routes, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
 from .tensor import Rng, ShapeError, Tensor, _is_count, bilinear_resize, random_uniform
@@ -92,6 +94,15 @@ def init_mini_backbone(config: MiniBackboneConfig, rng: Rng) -> MiniBackbonePara
     return MiniBackboneParams(stem, stages)
 
 
+def _run_stages(a: Tensor, stages, routes) -> list[Tensor]:
+    """Each stage's ReLU'd output from `a` along `routes`; each StageOutput is dropped at once, freeing its buffers."""
+    levels = []
+    for sw, (stride, head_dilation, body_dilation) in zip(stages, routes):
+        a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)
+        levels.append(a)
+    return levels
+
+
 def mini_backbone_forward(
     x: Tensor, params: MiniBackboneParams, config: MiniBackboneConfig, mode: str
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -102,19 +113,12 @@ def mini_backbone_forward(
     parameter buffers serve both modes.
     """
     stem_spec = config.layers(mode)[0][1]
-    n, c, h, w = x.shape
-    if h % 32 or w % 32:
-        raise ShapeError(f"input dims must be divisible by 32, got {(h, w)}")
+    _check_input_hw(x.shape[2:])
     got = tuple((len(sw.body), sw.channels) for sw in params.stages)
     if got != config.stages:
         raise ShapeError(f"params have (depth, channels) stages {got}, but the config has {config.stages}")
     a = conv2d(x, params.stem, stem_spec, relu=True)
-    levels = []
-    for sw, (stride, head_dilation, body_dilation) in zip(params.stages, _routes(mode)):
-        # the StageOutput is dropped at once, so its buffers are free for the next stage
-        a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)
-        levels.append(a)
-    return tuple(levels[1:])
+    return tuple(_run_stages(a, params.stages, _routes(mode))[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +126,26 @@ def mini_backbone_forward(
 
 
 @dataclass(frozen=True, eq=False)
-class TeacherSample:
-    c3: Tensor  # stride-mode features (student inputs)
+class TeacherDataset:  # every sample stacked along N
+    c3: Tensor  # stride-wiring features (the student's inputs)
     c4: Tensor
     c5: Tensor
-    target: Tensor  # dilated-mode level-5 feature at output stride 8
-
-
-@dataclass(frozen=True, eq=False)
-class TeacherDataset:
-    config: MiniBackboneConfig
-    samples: tuple[TeacherSample, ...]
+    target: Tensor  # dilated-wiring level-5 feature at output stride 8
 
 
 def synthetic_teacher(seed: int, n_samples: int, config: MiniBackboneConfig, image_hw=(64, 64)) -> TeacherDataset:
+    """The wirings agree through level 3, so the dilated stages 4-5 continue from the stride pass's c3."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one teacher sample, got {n_samples}")
     rng = Rng(seed)
     params = init_mini_backbone(config, rng)
     samples = []
     for _ in range(n_samples):
         img = random_uniform((1, config.in_channels, *image_hw), rng, -1.0, 1.0)
-        _, _, target = mini_backbone_forward(img, params, config, DILATED)
         c3, c4, c5 = mini_backbone_forward(img, params, config, STRIDE)
-        samples.append(TeacherSample(c3, c4, c5, target))
-    return TeacherDataset(config, tuple(samples))
+        target = _run_stages(c3, params.stages[2:], _routes(DILATED)[2:])[-1]
+        samples.append((c3, c4, c5, target))
+    return TeacherDataset(*(Tensor(np.concatenate([t.data for t in field])) for field in zip(*samples)))
 
 
 @dataclass
@@ -163,13 +164,6 @@ def _sample_mses(diff: np.ndarray) -> list[float]:
     return [float(np.mean(d**2)) for d in diff]
 
 
-def _stack(samples) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """The samples' (c3, c4, c5, target), each stacked along N."""
-    return tuple(
-        Tensor(np.concatenate([getattr(s, f).data for s in samples])) for f in ("c3", "c4", "c5", "target")
-    )
-
-
 def train_approximator(
     method: str,
     dataset: TeacherDataset,
@@ -184,28 +178,28 @@ def train_approximator(
     upsampling module in front of a shared 3x3 head."""
     if method not in ("bilinear", "jpu"):
         raise KeyError(f"unknown method {method!r}")
-    samples = dataset.samples
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < math.inf:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    data = (dataset.c3, dataset.c4, dataset.c5, dataset.target)
+    n = dataset.target.shape[0]
     if holdout is None:
-        holdout = max(1, len(samples) // 4)
-    if not 1 <= holdout <= len(samples) - 1:
-        raise ValueError(f"holdout {holdout} of {len(samples)} samples leaves a training or held-out set empty")
-    train, held = samples[: len(samples) - holdout], samples[len(samples) - holdout :]
-    target_ch = train[0].target.shape[1]
-    out_h, out_w = train[0].target.shape[2], train[0].target.shape[3]
+        holdout = max(1, n // 4)
+    if not 1 <= holdout <= n - 1:
+        raise ValueError(f"holdout {holdout} of {n} samples leaves a training or held-out set empty")
+    n_train = n - holdout
+    target_ch, out_h, out_w = dataset.target.shape[1:]
     rng = Rng(seed)
 
     jpu_cfg = None
     jpu_params: JpuParams | None = None
     if method == "jpu":
-        jpu_cfg = JpuConfig(dataset.config.level_channels, width=jpu_width)
+        jpu_cfg = JpuConfig(tuple(t.shape[1] for t in data[:3]), width=jpu_width)
         jpu_params = jpu_init(jpu_cfg, rng)
         head_in = jpu_cfg.out_channels
     else:
-        head_in = dataset.config.level_channels[2]
+        head_in = dataset.c5.shape[1]
     head_spec = ConvSpec(head_in, target_ch, kernel=(3, 3), padding=(1, 1))
     head = init_weights(head_spec, rng)
 
@@ -220,15 +214,15 @@ def train_approximator(
     # One batched forward and backward per step. The loss is the mean of the
     # per-sample MSEs, so each sample's error is scaled by its own size and the
     # batch gradient is the sum of the per-sample gradients.
-    *pyramid, target = _stack(train)
+    *pyramid, target = (Tensor(t.data[:n_train]) for t in data)  # views, not copies
     sample_size = target.data[0].size
-    scale = lr / len(train)
+    scale = lr / n_train
     loss_curve: list[float] = []
     for step in range(steps):
         pred, feat, cache = forward(*pyramid)
         diff = pred.data - target.data
         with np.errstate(over="ignore"):  # an overflow is reported as TrainingDiverged below
-            loss = sum(_sample_mses(diff)) / len(train)
+            loss = sum(_sample_mses(diff)) / n_train
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         loss_curve.append(loss)
@@ -240,7 +234,7 @@ def train_approximator(
                 _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
             )
 
-    *pyramid, target = _stack(held)
+    *pyramid, target = (Tensor(t.data[n_train:]) for t in data)
     final = float(np.mean(_sample_mses(forward(*pyramid)[0].data - target.data)))
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":

@@ -89,6 +89,10 @@ class Rng:
     seed: int
     counter: int = field(default=0)
 
+    def __post_init__(self):  # the seed feeds a uint64 on the first draw
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+
     def next_u64(self, count: int) -> np.ndarray:
         base = _mix64(np.array([self.seed], dtype=np.uint64))[0]
         idx = np.arange(self.counter, self.counter + count, dtype=np.uint64)

@@ -4,6 +4,8 @@ Deliberately dumb: plain nested Python loops, no vectorization, no code shared
 with the library paths they check.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -116,19 +118,23 @@ def per_sample_train_approximator(method, dataset, steps, lr, seed, jpu_width=8,
     from jpulite.jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
     from jpulite.tensor import Rng, Tensor, bilinear_resize
 
-    samples = dataset.samples
+    # each sample's c3, c4, c5 and target as n=1 Tensors, sliced out of the stacked dataset
+    fields = {f: getattr(dataset, f) for f in ("c3", "c4", "c5", "target")}
+    samples = [SimpleNamespace(**{f: Tensor(t.data[i : i + 1]) for f, t in fields.items()})
+               for i in range(dataset.target.shape[0])]
     if holdout is None:
         holdout = max(1, len(samples) // 4)
     train, held = samples[: len(samples) - holdout], samples[len(samples) - holdout :]
     target_ch, out_h, out_w = train[0].target.shape[1:]
+    level_channels = tuple(fields[f].shape[1] for f in ("c3", "c4", "c5"))
     rng = Rng(seed)
     jpu_cfg = jpu_params = None
     if method == "jpu":
-        jpu_cfg = JpuConfig(dataset.config.level_channels, width=jpu_width)
+        jpu_cfg = JpuConfig(level_channels, width=jpu_width)
         jpu_params = jpu_init(jpu_cfg, rng)
         head_in = jpu_cfg.out_channels
     else:
-        head_in = dataset.config.level_channels[2]
+        head_in = level_channels[2]
     head_spec = ConvSpec(head_in, target_ch, kernel=(3, 3), padding=(1, 1))
     head = init_weights(head_spec, rng)
 

@@ -194,6 +194,32 @@ def test_train_divergence_exits_1(capsys):
     assert captured.err.splitlines() == ["error: non-finite loss inf at step 23"]
 
 
+_SMALL_RUNS = {
+    "equiv": ["--cases", "1"],
+    "jointup-demo": [],
+    "train-demo": ["--seeds", "1", "--steps", "1", "--samples", "4", "--image", "32"],
+    "bench": ["--repeats", "10", "--input", "32", "32"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2(capsys, command, seed):
+    code = main([command, "--seed", seed, *_SMALL_RUNS[command]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_train_demo_top_seed_exits_2(capsys):
+    # the trainer's seed is --seed + 1000, past the range at the top seed
+    code = main(["train-demo", "--seed", str(2**64 - 1), *_SMALL_RUNS["train-demo"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: seed must be an int in [0, 2**64), got {2**64 - 1 + 1000}"]
+
+
 def test_degenerate_problem_exits_1(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateProblemError("singular normal equations")

@@ -119,7 +119,7 @@ def test_forward_shapes_dilated():
 
 def test_forward_rejects_indivisible_input():
     params = init_mini_backbone(CFG, Rng(0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="positive multiples of 32"):  # the cost model's rule
         mini_backbone_forward(random_uniform((1, 3, 48, 64), Rng(0)), params, CFG, STRIDE)
 
 
@@ -141,21 +141,44 @@ def test_end_to_end_phase_consistency():
     assert max_abs_diff(reduce_even(reduce_even(d5)), s5) <= 1e-10
 
 
+FIELDS = ("c3", "c4", "c5", "target")
+
+
 def test_teacher_deterministic():
     a = synthetic_teacher(3, 2, CFG)
     b = synthetic_teacher(3, 2, CFG)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.target.data.tobytes() == sb.target.data.tobytes()
-        assert sa.c5.data.tobytes() == sb.c5.data.tobytes()
+    for f in FIELDS:
+        assert getattr(a, f).data.tobytes() == getattr(b, f).data.tobytes()
     c = synthetic_teacher(4, 1, CFG)
-    assert c.samples[0].target.data.tobytes() != a.samples[0].target.data.tobytes()
+    assert c.target.data[0].tobytes() != a.target.data[0].tobytes()
 
 
 def test_teacher_target_dims_and_consistency():
     ds = synthetic_teacher(5, 2, CFG)
-    for s in ds.samples:
-        assert s.target.shape[2:] == s.c3.shape[2:]
-        assert max_abs_diff(reduce_even(reduce_even(s.target)), s.c5) <= 1e-10
+    assert all(getattr(ds, f).shape[0] == 2 for f in FIELDS)
+    assert ds.target.shape[2:] == ds.c3.shape[2:]
+    assert max_abs_diff(reduce_even(reduce_even(ds.target)), ds.c5) <= 1e-10
+
+
+@pytest.mark.parametrize("config", [CFG, MiniBackboneConfig(stages=((2, 8), (1, 12), (3, 16), (1, 16)))])
+def test_teacher_equals_both_wirings_forwards(config):
+    # the teacher runs the stride wiring once and continues the dilated stages
+    # 4-5 from its c3; that equals both full forwards, byte for byte
+    ds = synthetic_teacher(9, 3, config)
+    rng = Rng(9)
+    params = init_mini_backbone(config, rng)
+    for i in range(3):
+        img = random_uniform((1, config.in_channels, 64, 64), rng, -1.0, 1.0)
+        c3, c4, c5 = mini_backbone_forward(img, params, config, STRIDE)
+        target = mini_backbone_forward(img, params, config, DILATED)[2]
+        for f, want in zip(FIELDS, (c3, c4, c5, target)):
+            assert getattr(ds, f).data[i : i + 1].tobytes() == want.data.tobytes(), f
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_teacher_rejects_an_empty_dataset(n_samples):
+    with pytest.raises(ValueError, match=f"got {n_samples}"):
+        synthetic_teacher(0, n_samples, CFG)
 
 
 @pytest.fixture(scope="module")

@@ -55,6 +55,13 @@ def test_rng_range_and_mean():
     assert abs(big.mean() - 0.5) < 0.01
 
 
+def test_rng_takes_only_uint64_seeds():
+    assert Rng(2**64 - 1).next_u64(1).dtype == np.uint64
+    for seed in (-1, 2**64, 1.0, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            Rng(seed)
+
+
 def test_rng_rejects_bad_range():
     with pytest.raises(ValueError):
         random_uniform((1, 1, 1, 1), Rng(0), lo=1.0, hi=1.0)
