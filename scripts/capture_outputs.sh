@@ -3,9 +3,11 @@
 # writes OUTDIR/NAME.out (stdout), NAME.err (stderr) and NAME.code (exit code):
 # the cost, equiv, jointup-demo, train-demo and bench commands, the file that
 # `equiv --output` writes (OUTDIR/equiv_output.json), the key set of a timed
-# bench's environment, criterion 8's two MSEs, and a sha256 of the
+# bench's environment, criterion 8's two MSEs, a sha256 of the
 # mini-backbone's weights, layer tables and outputs for the default config and
-# the bench config (perfbench's Forward256.config).
+# the bench config (perfbench's Forward256.config), and the name and sha256 of
+# each file `save_jpu_params` writes for the bench config's width-8 JPU, with
+# whether `load_jpu_params` reads back an equal config.
 #
 # Run it in two checkouts and compare; an empty diff is the check:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
@@ -80,4 +82,20 @@ for label, config in (("default", exp.MiniBackboneConfig()), ("bench", Forward25
     for mode in (exp.STRIDE, exp.DILATED):
         print(label, mode, "layers", sha([repr(config.layers(mode)).encode()]))
         print(label, mode, "outputs", sha(t.data.tobytes() for t in exp.mini_backbone_forward(img, params, config, mode)))
+EOF
+capture jpu_checkpoint python3 - <<'EOF'
+import hashlib
+import tempfile
+from pathlib import Path
+
+from jpulite.experiments import BENCH_CONFIG
+from jpulite.jpu import JpuConfig, jpu_init, load_jpu_params, save_jpu_params
+from jpulite.tensor import Rng
+
+config = JpuConfig(BENCH_CONFIG.level_channels, width=8)
+with tempfile.TemporaryDirectory() as d:
+    save_jpu_params(d, jpu_init(config, Rng(0)), config)
+    for path in sorted(Path(d).iterdir()):
+        print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+    print("loads an equal config:", load_jpu_params(d)[1] == config)
 EOF

@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Tier-1 tests, then the benchmark's self-tests. Tier-1's testpaths leave out
-# perfbench/, whose tests pin library names (experiments.stride_stage,
-# experiments.conv2d_backward), so a change can pass tier-1 and still break them.
-# Both suites always run; the exit status is the last failing suite's, so
-# criterion 4b's honest failure alone makes it nonzero. Run from the repository root.
+# Tier-1 tests, the benchmark's self-tests, then scripts/unreached_lines.py
+# (about 5 s; nonzero when a captured command or a workload operation fails).
+# Tier-1's testpaths leave out perfbench/, whose tests pin library names
+# (experiments.stride_stage, experiments.conv2d_backward), so a change can pass
+# tier-1 and still break them. All three always run; the exit status is the last
+# failing one's, so criterion 4b's honest failure alone makes it nonzero. Run from
+# the repository root.
 status=0
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors "$@" || status=$?
 python3 -m pytest -q perfbench || status=$?
+python3 scripts/unreached_lines.py || status=$?
 exit $status

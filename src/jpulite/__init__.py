@@ -1,7 +1,7 @@
 """Small NCHW tensor core, dilated/stride convolution equivalences, joint
 pyramid upsampling, and an analytic cost model."""
 
-from .tensor import Rng, Tensor, bilinear_resize, concat_channels, max_abs_diff, random_uniform, zeros
+from .tensor import Rng, Tensor, bilinear_resize, concat_channels, max_abs_diff, random_uniform
 
 __all__ = [
     "Rng",
@@ -10,5 +10,4 @@ __all__ = [
     "concat_channels",
     "max_abs_diff",
     "random_uniform",
-    "zeros",
 ]

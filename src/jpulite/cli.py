@@ -145,6 +145,8 @@ def cmd_jointup_demo(args) -> int:
 def cmd_train_demo(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    for seed in (args.seed, args.seed + 1000 + args.seeds - 1):  # the lowest and highest seeds used below
+        Rng(seed)  # rejects one out of range before any teacher is built
     config = exp.MiniBackboneConfig()
     runs = {"bilinear": [], "jpu": []}
     for s in range(args.seeds):

@@ -5,7 +5,8 @@ zero-padded input is written once into a buffer of its stride phases, each
 flattened to rows of one common width, and the output is computed on a "wide"
 grid of that width. Each kernel tap then reads one contiguous slice of one
 phase and is one BLAS `matmul`, accumulated in a fixed tap order; the wide
-grid's extra columns are dropped. Padding is always zero padding.
+grid's extra columns are dropped. Padding is always zero padding, and every
+conv adds a per-channel bias (a BatchNorm folded in for inference is one).
 
 The backward writes the phases with the samples side by side in each
 channel's row and puts grad_out on the same stacked wide grid, zero in the
@@ -57,7 +58,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -114,25 +114,23 @@ class ConvSpec:
 @dataclass(frozen=True, eq=False)
 class ConvWeights:
     weight: Tensor  # (out_channels, in_channels/groups, kh, kw)
-    bias: Optional[np.ndarray] = None  # (out_channels,)
+    bias: np.ndarray  # (out_channels,)
 
     def __post_init__(self):
-        if self.bias is not None:
-            b = np.asarray(self.bias)
-            if b.shape != (self.weight.shape[0],):
-                raise ShapeError(f"bias shape {b.shape} vs out_channels {self.weight.shape[0]}")
-            b.flags.writeable = False
-            object.__setattr__(self, "bias", b)
+        b = np.asarray(self.bias)
+        if b.shape != (self.weight.shape[0],):
+            raise ShapeError(f"bias shape {b.shape} vs out_channels {self.weight.shape[0]}")
+        b.flags.writeable = False
+        object.__setattr__(self, "bias", b)
 
 
-def init_weights(spec: ConvSpec, rng: Rng, with_bias: bool = True, dtype=np.float64) -> ConvWeights:
+def init_weights(spec: ConvSpec, rng: Rng, dtype=np.float64) -> ConvWeights:
     """Fan-in-scaled uniform init: bound = sqrt(1 / fan_in); zero biases."""
     o, cg, kh, kw = spec.weight_shape
     fan_in = cg * kh * kw
     bound = float(np.sqrt(1.0 / fan_in))
     w = rng.uniform(o * cg * kh * kw, -bound, bound).reshape(spec.weight_shape).astype(dtype)
-    bias = np.zeros(o, dtype=dtype) if with_bias else None
-    return ConvWeights(Tensor(w), bias)
+    return ConvWeights(Tensor(w), np.zeros(o, dtype=dtype))
 
 
 def _check_input(x: Tensor, w: ConvWeights, spec: ConvSpec) -> None:
@@ -228,7 +226,6 @@ def _tap_walk(spec: ConvSpec, x_shape: tuple[int, int, int, int]) -> _TapWalk:
     return _TapWalk(spec, x_shape)
 
 
-@lru_cache(maxsize=1024)  # every conv call asks; a handful of geometries recur
 def _axis_taps(size: int, k: int, s: int, d: int, p: int, o: int):
     """One axis of the walk: (kernel index, stride phase, offset in the phase)
     for each tap that reads input, and the (low, high) zero padding they reach.
@@ -339,8 +336,7 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
                 if i:
                     acc_r += prod
         out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, wq)[..., : walk.ow]
-    if w.bias is not None:
-        out += w.bias.astype(x.dtype, copy=False)[:, None, None]
+    out += w.bias.astype(x.dtype, copy=False)[:, None, None]
     return out
 
 
@@ -366,8 +362,7 @@ def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
                     cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
                     y[:, osl] += wt[osl, c, u, v][None, :, None, None] * xc[:, None, rows, cols]
                     macs += n * cg_out * oh * ow
-    if w.bias is not None:
-        y += w.bias[None, :, None, None].astype(x.dtype)
+    y += w.bias[None, :, None, None].astype(x.dtype)
     return y, macs
 
 
@@ -406,18 +401,7 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
                 grad_buf[a, b] += prod
     gw = np.empty(spec.weight_shape, dtype=x.dtype)
     gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 3, 4, 0, 1)
-    grad_bias = grad_out.data.sum(axis=(0, 2, 3)) if w.bias is not None else None
-    return Tensor(walk.unphase(grad_buf)), Tensor(gw), grad_bias
-
-
-def separable_spec(channels: int, out_channels: int, dilation: int) -> tuple[ConvSpec, ConvSpec]:
-    """Depthwise 3x3 (padding = dilation, size-preserving) + pointwise 1x1 specs."""
-    depthwise = ConvSpec(
-        channels, channels, kernel=(3, 3), dilation=(dilation, dilation),
-        padding=(dilation, dilation), groups=channels,
-    )
-    pointwise = ConvSpec(channels, out_channels, kernel=(1, 1))
-    return depthwise, pointwise
+    return Tensor(walk.unphase(grad_buf)), Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 
 
 def relu(x: Tensor) -> Tensor:

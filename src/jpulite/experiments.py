@@ -251,7 +251,6 @@ def bench_forward(
     mode: str,
     input_hw=(256, 256),
     repeats: int = 100,
-    warmup: int = 3,
     seed: int = 0,
 ) -> dict:
     """Wall-clock statistics of a full forward pass, and the minor page faults
@@ -274,6 +273,7 @@ def bench_forward(
         if with_jpu:
             jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
 
+    warmup = 3  # untimed passes first
     for _ in range(warmup):
         run()
     times_ms = []

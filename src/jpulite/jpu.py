@@ -1,11 +1,12 @@
 """Joint pyramid upsampling module: forward pass, exact gradients, serialization.
 
-Pipeline: per-level 3x3 conv + ReLU to a common width, bilinear upsampling of
-the two coarser levels to the finest grid, channel concatenation, a bank of
-parallel separable convolutions (+ ReLU) with increasing dilation rates,
-concatenation of the branch outputs, and a final 3x3 fusion conv + ReLU. The
-parameters and the cost model keep each branch as its depthwise and pointwise
-layers; the forward runs it as one dense dilated conv of the folded weights.
+FastFCN's one design: per-level 3x3 conv + ReLU to a common width C, bilinear
+upsampling of the two coarser levels to the finest grid, channel
+concatenation, four parallel separable convolutions (+ ReLU) at the dilation
+rates `DILATION_RATES`, concatenation of the branch outputs to 4C channels, and
+a final 3x3 4C -> 4C fusion conv + ReLU. The parameters and the cost model keep
+each branch as its depthwise and pointwise layers; the forward runs it as one
+dense dilated conv of the folded weights.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .conv import (
     conv2d_backward,
     init_weights,
     relu_backward,
-    separable_spec,
 )
 from .tensor import (
     Rng,
@@ -39,12 +39,13 @@ from .tensor import (
 )
 
 
+DILATION_RATES = (1, 2, 4, 8)  # one separable branch per rate
+
+
 @dataclass(frozen=True)
 class JpuConfig:
     in_channels: tuple[int, int, int]  # channels of the three input levels, fine to coarse
     width: int
-    dilation_rates: tuple[int, ...] = (1, 2, 4, 8)
-    out_channels: int | None = None  # defaults to 4 * width
 
     def __post_init__(self):
         c = self.in_channels
@@ -52,13 +53,10 @@ class JpuConfig:
             raise ShapeError(f"in_channels must be three positive ints, got {c!r}")
         if not _is_count(self.width):
             raise ShapeError(f"width must be a positive int, got {self.width!r}")
-        r = self.dilation_rates
-        if not (isinstance(r, tuple) and r and all(map(_is_count, r)) and all(a < b for a, b in zip(r, r[1:]))):
-            raise ShapeError(f"dilation rates must be non-empty strictly increasing >= 1, got {r!r}")
-        if self.out_channels is None:
-            object.__setattr__(self, "out_channels", 4 * self.width)
-        elif not _is_count(self.out_channels):
-            raise ShapeError(f"out_channels must be a positive int, got {self.out_channels!r}")
+
+    @property
+    def out_channels(self) -> int:
+        return len(DILATION_RATES) * self.width
 
     @lru_cache(maxsize=64)  # every forward and checkpoint asks
     def layers(self) -> tuple[tuple[str, ConvSpec, int], ...]:
@@ -70,10 +68,11 @@ class JpuConfig:
         """
         w = self.width
         table = [(f"level{i}", ConvSpec(c, w, kernel=(3, 3), padding=(1, 1)), i) for i, c in enumerate(self.in_channels)]
-        for i, rate in enumerate(self.dilation_rates):
-            dspec, pspec = separable_spec(3 * w, w, rate)
-            table += [(f"branch{i}.depthwise", dspec, 0), (f"branch{i}.pointwise", pspec, 0)]
-        fusion = ConvSpec(len(self.dilation_rates) * w, self.out_channels, kernel=(3, 3), padding=(1, 1))
+        c = 3 * w  # the branches read the three levels concatenated
+        for i, r in enumerate(DILATION_RATES):  # a size-preserving depthwise 3x3, then a pointwise 1x1
+            dspec = ConvSpec(c, c, kernel=(3, 3), dilation=(r, r), padding=(r, r), groups=c)
+            table += [(f"branch{i}.depthwise", dspec, 0), (f"branch{i}.pointwise", ConvSpec(c, w, kernel=(1, 1)), 0)]
+        fusion = ConvSpec(self.out_channels, self.out_channels, kernel=(3, 3), padding=(1, 1))
         return (*table, ("fusion", fusion, 0))
 
 
@@ -104,8 +103,8 @@ class JpuParams:
             yield f"{name}.bias", cw.bias
 
 
-def jpu_init(config: JpuConfig, rng: Rng, dtype=np.float64) -> JpuParams:
-    return JpuParams.from_convs(init_weights(spec, rng, dtype=dtype) for _, spec, _ in config.layers())
+def jpu_init(config: JpuConfig, rng: Rng) -> JpuParams:
+    return JpuParams.from_convs(init_weights(spec, rng) for _, spec, _ in config.layers())
 
 
 @dataclass(eq=False)
@@ -174,7 +173,7 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
 
     a3, a4, a5 = (conv(f"level{i}", x) for i, x in enumerate((c3, c4, c5)))
     y_c = concat_channels([a3, bilinear_resize(a4, h, w), bilinear_resize(a5, h, w)])
-    fused_in = concat_channels([conv(f"branch{i}.depthwise", y_c) for i in range(len(config.dilation_rates))])
+    fused_in = concat_channels([conv(f"branch{i}.depthwise", y_c) for i in range(len(DILATION_RATES))])
     out = conv("fusion", fused_in)
     return out, JpuCache(layers, inputs, acts)
 
@@ -205,7 +204,7 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     width = layers["level0"][0].out_channels  # every level and branch emits `width` channels
     g_fused = back("fusion", grad_y).data
     g_yc = np.zeros_like(inputs["branch0.depthwise"].data)
-    for i in range(g_fused.shape[1] // width):
+    for i in range(len(DILATION_RATES)):
         g_yc += back(f"branch{i}.depthwise", Tensor(g_fused[:, i * width : (i + 1) * width])).data
 
     g_levels = [g_yc[:, :width]] + [
@@ -230,7 +229,7 @@ def _manifest(config: JpuConfig) -> dict:
         "config": {
             "in_channels": list(config.in_channels),
             "width": config.width,
-            "dilation_rates": list(config.dilation_rates),
+            "dilation_rates": list(DILATION_RATES),
             "out_channels": config.out_channels,
         },
         "tensors": [f"{name}.{part}" for name, _, _ in config.layers() for part in ("weight", "bias")],
@@ -255,9 +254,9 @@ def _load_shaped(dirpath, name: str, shape) -> Tensor:
 
 def _manifest_config(manifest) -> JpuConfig:
     c = manifest.get("config") if isinstance(manifest, dict) else None
-    if not (isinstance(c, dict) and isinstance(c.get("in_channels"), list) and isinstance(c.get("dilation_rates"), list)):
+    if not (isinstance(c, dict) and isinstance(c.get("in_channels"), list)):
         raise ValueError(f"malformed checkpoint manifest config {c!r}")
-    config = JpuConfig(tuple(c["in_channels"]), c.get("width"), tuple(c["dilation_rates"]), c.get("out_channels"))
+    config = JpuConfig(tuple(c["in_channels"]), c.get("width"))  # any other rates or output width fail the comparison
     if type(manifest.get("schema")) is not int or manifest != _manifest(config):
         raise ValueError(f"checkpoint manifest is not a schema-1 manifest of {config}")
     return config

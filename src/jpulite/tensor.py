@@ -61,12 +61,6 @@ class Tensor:
         return self.data.dtype
 
 
-def zeros(shape, dtype=np.float64) -> Tensor:
-    if any(d < 1 for d in shape):
-        raise ShapeError(f"zero-sized dimension in {shape}")
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
 # ---------------------------------------------------------------------------
 # deterministic counter-based RNG (splitmix64)
 
@@ -87,7 +81,7 @@ class Rng:
     """Counter-based splitmix64 stream; same seed, same platform-independent values."""
 
     seed: int
-    counter: int = field(default=0)
+    counter: int = field(default=0, init=False)
 
     def __post_init__(self):  # the seed feeds a uint64 on the first draw
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):

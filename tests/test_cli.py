@@ -212,8 +212,12 @@ def test_out_of_range_seed_exits_2(capsys, command, seed):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-def test_train_demo_top_seed_exits_2(capsys):
-    # the trainer's seed is --seed + 1000, past the range at the top seed
+def test_train_demo_top_seed_exits_2(capsys, monkeypatch):
+    # the trainer's seed is --seed + 1000, past the range at the top seed; it is rejected before any teacher is built
+    def no_teacher(*args, **kwargs):
+        raise AssertionError("a teacher was built before the seeds were checked")
+
+    monkeypatch.setattr(cli.exp, "synthetic_teacher", no_teacher)
     code = main(["train-demo", "--seed", str(2**64 - 1), *_SMALL_RUNS["train-demo"]])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

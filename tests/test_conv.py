@@ -16,9 +16,9 @@ from jpulite.conv import (
     init_weights,
     relu,
     relu_backward,
-    separable_spec,
 )
 from jpulite.cost import conv_cost_from_spec
+from jpulite.jpu import DILATION_RATES, JpuConfig
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
 
 from reference import central_difference, naive_conv2d, naive_conv2d_backward
@@ -80,6 +80,13 @@ def test_spec_accepts_only_positive_int_counts_and_int_pairs(counts, pairs):
             ConvSpec(*args)
 
 
+def test_weights_need_a_bias():
+    with pytest.raises(TypeError):
+        ConvWeights(Tensor(np.ones((1, 1, 1, 1))))
+    with pytest.raises(ShapeError):  # nor can None stand in for one
+        ConvWeights(Tensor(np.ones((1, 1, 1, 1))), None)
+
+
 def test_identity_kernel():
     x = random_uniform((1, 1, 4, 4), Rng(0))
     w = ConvWeights(Tensor(np.ones((1, 1, 1, 1))), np.zeros(1))
@@ -89,7 +96,7 @@ def test_identity_kernel():
 
 def test_1d_dilated_example():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4))
-    w = ConvWeights(Tensor(np.array([1.0, 0.0, -1.0]).reshape(1, 1, 1, 3)))
+    w = ConvWeights(Tensor(np.array([1.0, 0.0, -1.0]).reshape(1, 1, 1, 3)), np.zeros(1))
     spec = ConvSpec(1, 1, kernel=(1, 3), dilation=(1, 2), padding=(0, 2))
     assert conv2d(x, w, spec).data.ravel().tolist() == [-3.0, -4.0, 1.0, 2.0]
 
@@ -114,7 +121,7 @@ def test_dilation_one_degeneracy():
 def test_linearity():
     rng = Rng(8)
     spec = ConvSpec(2, 3, (3, 3), padding=(1, 1))
-    w = init_weights(spec, rng, with_bias=False)
+    w = init_weights(spec, rng)  # zero biases
     x1 = random_uniform((1, 2, 5, 5), rng, -1, 1)
     x2 = random_uniform((1, 2, 5, 5), rng, -1, 1)
     a, b = 0.7, -1.3
@@ -161,9 +168,9 @@ def close(got, want, tol):
 
 def oracle_forward(x, w, spec):
     """The scalar-loop forward in f64."""
-    b64 = None if w.bias is None else w.bias.astype(np.float64)
     geometry = (spec.stride, spec.dilation, spec.padding, spec.groups)
-    return naive_conv2d(x.data.astype(np.float64), w.weight.data.astype(np.float64), b64, *geometry)[0]
+    f64 = (a.astype(np.float64) for a in (x.data, w.weight.data, w.bias))
+    return naive_conv2d(*f64, *geometry)[0]
 
 
 def oracle_backward(x, w, spec, grad_out):
@@ -173,11 +180,11 @@ def oracle_backward(x, w, spec, grad_out):
     return naive_conv2d_backward(*f64, *geometry)
 
 
-def oracle_case(spec, hw, n, dtype, seed, with_bias):
+def oracle_case(spec, hw, n, dtype, seed):
     """(x, weights, spec, grad_out) for one geometry, drawn from `seed`."""
     rng = Rng(seed)
     x = random_uniform((n, spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
-    bias = rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype) if with_bias else None
+    bias = rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype)
     w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, bias)
     grad_out = random_uniform((n, spec.out_channels, *spec.out_hw(hw)), rng, -1.0, 1.0, dtype=dtype)
     return x, w, spec, grad_out
@@ -191,7 +198,7 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
     dilated reach) or JPU-branch geometry (3x3, padding = dilation up to 12);
     maps from 1 pixel to max_extra past the smallest valid size, so some taps
     read only padding, in one axis or both, and in some geometries no tap
-    reads input; N 1 to max_n; f64 or f32; with or without bias."""
+    reads input; N 1 to max_n; f64 or f32."""
     if draw(st.booleans()):
         g, cg_in, cg_out = draw(st.integers(1, 24)), 1, 1
     else:
@@ -206,19 +213,19 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
     hw = [max(1, d * (k - 1) + 1 - 2 * p) + draw(st.integers(0, max_extra)) for k, d, p in zip(kernel, dilation, padding)]
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     n, seed = draw(st.integers(1, max_n)), draw(st.integers(0, 2**32 - 1))
-    return oracle_case(spec, hw, n, dtype, seed, draw(st.booleans()))
+    return oracle_case(spec, hw, n, dtype, seed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=oracle_cases())
 # JPU rate 8 on an 8x8 map: only the centre tap reads input
-@example(case=oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 1, True))
+@example(case=oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 1))
 # rate 12 on a 4x4 map, depthwise, f32
-@example(case=oracle_case(ConvSpec(3, 3, dilation=(12, 12), padding=(12, 12), groups=3), (4, 4), 1, np.float32, 2, True))
+@example(case=oracle_case(ConvSpec(3, 3, dilation=(12, 12), padding=(12, 12), groups=3), (4, 4), 1, np.float32, 2))
 # a 1x1 kernel with stride 2 and padding 1 on a 1x1 map: no tap reads input, the output is the bias
-@example(case=oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3, True))
+@example(case=oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3))
 # taps dead in the row axis only
-@example(case=oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4, False))
+@example(case=oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4))
 def test_conv_and_backward_match_scalar_oracles(case):
     x, w, spec, grad_out = case
     tol = ORACLE_TOL[x.dtype]
@@ -234,8 +241,7 @@ def test_conv_and_backward_match_scalar_oracles(case):
     gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
     want_gx, want_gw, want_gb = oracle_backward(x, w, spec, grad_out)
     assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
-    assert (gb is None) == (w.bias is None)
-    assert gb is None or close(gb, want_gb, tol)
+    assert close(gb, want_gb, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,7 +263,7 @@ def test_rate_past_the_map_is_the_centre_tap_1x1_conv(hw, past, depthwise, dtype
     c, o, g = (3, 3, 3) if depthwise else (4, 2, 1)
     spec3 = ConvSpec(c, o, (3, 3), dilation=(rate, rate), padding=(rate, rate), groups=g)
     spec1 = ConvSpec(c, o, (1, 1), groups=g)
-    x, w3, _, grad_out = oracle_case(spec3, hw, 2, dtype, seed, True)
+    x, w3, _, grad_out = oracle_case(spec3, hw, 2, dtype, seed)
     weight = w3.weight.data.copy()
     if nan_off_centre:
         centre = weight[..., 1, 1].copy()
@@ -292,15 +298,15 @@ def test_back_to_back_convs_match_scalar_oracle(cases):
         gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
         want_gx, want_gw, want_gb = oracle_backward(x, w, spec, grad_out)
         assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
-        assert gb is None or close(gb, want_gb, tol)
+        assert close(gb, want_gb, tol)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=oracle_cases(max_cg_in=10, max_n=6))
 # JPU fusion at train shapes: wide, every tap reads input
-@example(case=oracle_case(ConvSpec(32, 32, padding=(1, 1)), (8, 8), 6, np.float64, 5, True))
+@example(case=oracle_case(ConvSpec(32, 32, padding=(1, 1)), (8, 8), 6, np.float64, 5))
 # stride 3, grouped, thin
-@example(case=oracle_case(ConvSpec(6, 4, stride=(3, 3), padding=(1, 2), groups=2), (7, 8), 5, np.float64, 6, False))
+@example(case=oracle_case(ConvSpec(6, 4, stride=(3, 3), padding=(1, 2), groups=2), (7, 8), 5, np.float64, 6))
 def test_backward_batch_is_the_per_sample_backwards(case):
     """The backward runs the whole batch in one GEMM per tap, yet each
     sample's input gradient is byte-identical to a backward of that sample
@@ -315,7 +321,7 @@ def test_backward_batch_is_the_per_sample_backwards(case):
         assert gx.data[k : k + 1].tobytes() == gx_k.data.tobytes()
     tol = ORACLE_TOL[x.dtype]
     assert close(gw.data, sum(gw_k.data for _, gw_k, _ in singles), tol)
-    assert gb is None or close(gb, sum(gb_k for *_, gb_k in singles), tol)
+    assert close(gb, sum(gb_k for *_, gb_k in singles), tol)
 
 
 @pytest.mark.parametrize(
@@ -331,7 +337,7 @@ def test_warm_backward_allocates_only_its_outputs(spec):
     """Once the thread's workspace has grown, a backward's scratch (phase
     buffers, padded gradient grid, tap products) comes from it: what it
     allocates beyond gx, gw and gb stays far below the size of its input."""
-    x, w, spec, grad_out = oracle_case(spec, (32, 32), 6, np.float64, 7, True)
+    x, w, spec, grad_out = oracle_case(spec, (32, 32), 6, np.float64, 7)
     conv2d_backward(x, w, spec, grad_out)
     tracemalloc.start()
     try:
@@ -343,9 +349,9 @@ def test_warm_backward_allocates_only_its_outputs(spec):
 
 
 def test_output_never_shares_the_workspace():
-    small = oracle_case(ConvSpec(3, 4, padding=(1, 1)), (6, 6), 1, np.float64, 0, True)
-    pointwise = oracle_case(ConvSpec(4, 4, (1, 1)), (5, 5), 2, np.float64, 2, True)
-    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1, True)
+    small = oracle_case(ConvSpec(3, 4, padding=(1, 1)), (6, 6), 1, np.float64, 0)
+    pointwise = oracle_case(ConvSpec(4, 4, (1, 1)), (5, 5), 2, np.float64, 2)
+    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1)
     outputs = [conv2d(*small[:3]), conv2d(*small[:3], relu=True), conv2d(*small[:3], count_macs=True)[0]]
     outputs = [y.data for y in outputs]
     for case in (small, pointwise):
@@ -364,16 +370,16 @@ def test_concurrent_threads_give_serial_bytes():
     thin and wide, forward and backward, at once; each output is
     byte-identical to a serial run."""
     cases = [
-        oracle_case(ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (64, 64), 1, np.float64, 0, True),
-        oracle_case(ConvSpec(16, 8, dilation=(2, 2), padding=(2, 2)), (24, 24), 2, np.float64, 1, True),
-        oracle_case(ConvSpec(6, 6, groups=6, dilation=(4, 4), padding=(4, 4)), (9, 9), 3, np.float32, 2, False),
-        oracle_case(ConvSpec(24, 12, (1, 1)), (16, 16), 1, np.float32, 3, True),
+        oracle_case(ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (64, 64), 1, np.float64, 0),
+        oracle_case(ConvSpec(16, 8, dilation=(2, 2), padding=(2, 2)), (24, 24), 2, np.float64, 1),
+        oracle_case(ConvSpec(6, 6, groups=6, dilation=(4, 4), padding=(4, 4)), (9, 9), 3, np.float32, 2),
+        oracle_case(ConvSpec(24, 12, (1, 1)), (16, 16), 1, np.float32, 3),
     ]
 
     def run(i):
         """Case i's forward, then its backward, as bytes."""
         gx, gw, gb = conv2d_backward(*cases[i])
-        return [conv2d(*cases[i][:3]).data.tobytes(), gx.data.tobytes(), gw.data.tobytes(), gb is None or gb.tobytes()]
+        return [conv2d(*cases[i][:3]).data.tobytes(), gx.data.tobytes(), gw.data.tobytes(), gb.tobytes()]
 
     serial = [run(i) for i in range(len(cases))]
     mismatches, done = [], []
@@ -412,30 +418,40 @@ def test_fused_relu_is_relu_of_the_conv(case):
     assert fused.data.tobytes() == relu(counted).data.tobytes() and fused_macs == macs
 
 
-# --- separable ---------------------------------------------------------------
+# --- separable (the JPU's branches) ---------------------------------------------
+
+
+def branch_specs(config: JpuConfig, dilation: int) -> tuple[ConvSpec, ConvSpec]:
+    """The (depthwise, pointwise) specs of the JPU branch at one dilation rate."""
+    specs = {name: spec for name, spec, _ in config.layers()}
+    i = DILATION_RATES.index(dilation)
+    return specs[f"branch{i}.depthwise"], specs[f"branch{i}.pointwise"]
 
 
 def test_separable_delta_identity():
-    c = 3
+    # a centre-tap depthwise and a pointwise that keeps the first `width` channels pass those through
+    width = 2
+    c = 3 * width
     dw = np.zeros((c, 1, 3, 3))
     dw[:, 0, 1, 1] = 1.0
-    pw = np.eye(c).reshape(c, c, 1, 1)
+    pw = np.eye(width, c).reshape(width, c, 1, 1)
     x = random_uniform((1, c, 6, 6), Rng(2), -1, 1)
-    dspec, pspec = separable_spec(c, c, 2)
-    y = conv2d(conv2d(x, ConvWeights(Tensor(dw)), dspec), ConvWeights(Tensor(pw)), pspec)
-    assert max_abs_diff(y, x) == 0.0
+    dspec, pspec = branch_specs(JpuConfig((1, 1, 1), width), 2)
+    y = conv2d(conv2d(x, ConvWeights(Tensor(dw), np.zeros(c)), dspec), ConvWeights(Tensor(pw), np.zeros(width)), pspec)
+    assert max_abs_diff(y, Tensor(x.data[:, :width])) == 0.0
 
 
-@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+@pytest.mark.parametrize("dilation", DILATION_RATES)
 def test_separable_shape_preserved(dilation):
     rng = Rng(dilation)
-    c, out = 4, 6
-    dspec, pspec = separable_spec(c, out, dilation)
+    width = 2
+    dspec, pspec = branch_specs(JpuConfig((1, 1, 1), width), dilation)
+    assert dspec.dilation == dspec.padding == (dilation, dilation)
     dw = init_weights(dspec, rng)
     pw = init_weights(pspec, rng)
-    x = random_uniform((2, c, 16, 16), rng, -1, 1)
+    x = random_uniform((2, 3 * width, 16, 16), rng, -1, 1)
     y = conv2d(conv2d(x, dw, dspec), pw, pspec)
-    assert y.shape == (2, out, 16, 16)
+    assert y.shape == (2, width, 16, 16)
 
 
 # --- backward ----------------------------------------------------------------

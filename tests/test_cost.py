@@ -140,7 +140,8 @@ def test_preset_table_matches_loop_nest(mode):
     assert [name for name, _, _ in table] == [e.name for e in entries[:53]]
     for (name, cs, grid), entry in zip(table, entries):
         x = Tensor(np.zeros((1, cs.in_channels, *grid), np.float32))
-        _, macs = conv2d(x, ConvWeights(Tensor(np.zeros(cs.weight_shape, np.float32))), cs, count_macs=True)
+        w = ConvWeights(Tensor(np.zeros(cs.weight_shape, np.float32)), np.zeros(cs.out_channels, np.float32))
+        _, macs = conv2d(x, w, cs, count_macs=True)
         assert macs == entry.cost.macs, name
     # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1; each one's first 3x3
     # conv keeps the previous stage's dilation (1, then 2) and the others take 2 and 4

@@ -34,7 +34,7 @@ def delta_stage(cin, depth):
         w = np.zeros((co, ci, 3, 3))
         for i in range(min(ci, co)):
             w[i, i, 1, 1] = 1.0
-        return ConvWeights(Tensor(w))
+        return ConvWeights(Tensor(w), np.zeros(co))
 
     return StageWeights(delta(cin, cin), [delta(cin, cin) for _ in range(depth)])
 
@@ -129,7 +129,7 @@ def test_parity_separation():
 
 def test_stride_stage_1d_example():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4))
-    w = ConvWeights(Tensor(np.ones((1, 1, 1, 3))))
+    w = ConvWeights(Tensor(np.ones((1, 1, 1, 3))), np.zeros(1))
     spec_s = ConvSpec(1, 1, (1, 3), stride=(1, 2), padding=(0, 1))
     spec_f = ConvSpec(1, 1, (1, 3), padding=(0, 1))
     full = conv2d(x, w, spec_f)

@@ -258,10 +258,11 @@ def test_train_rejects_non_finite_or_negative_lr(small_dataset, lr):
 
 def test_bench_basic():
     cfg = MiniBackboneConfig()
-    out = bench_forward(cfg, "dilated_os8", input_hw=(64, 64), repeats=10, warmup=1)
-    assert out["repeats"] == 10
+    out = bench_forward(cfg, "dilated_os8", input_hw=(64, 64), repeats=10)
+    assert out["repeats"] == 10 and out["warmup"] == 3
     assert out["min_ms"] <= out["mean_ms"] <= out["max_ms"]
-    out2 = bench_forward(cfg, "stride_os32_plus_jpu", input_hw=(64, 64), repeats=10, warmup=1)
+    out2 = bench_forward(cfg, "stride_os32_plus_jpu", input_hw=(64, 64), repeats=10)
+    assert out2["mode"] == "stride_os32_plus_jpu"
 
 
 def test_bench_rejects_low_repeats():

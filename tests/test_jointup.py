@@ -114,7 +114,7 @@ def delta_head(c):
     w = np.zeros((c, c, 3, 3))
     for i in range(c):
         w[i, i, 1, 1] = 1.0
-    return ConvWeights(Tensor(w))
+    return ConvWeights(Tensor(w), np.zeros(c))
 
 
 def test_recovery_when_target_is_linear_in_even_phase():
