@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 tests, the benchmark's self-tests, then scripts/unreached_lines.py
 # (about 5 s; nonzero when a captured command or a workload operation fails).
-# Tier-1's testpaths leave out perfbench/, whose tests pin library names
-# (experiments.stride_stage, experiments.conv2d_backward), so a change can pass
-# tier-1 and still break them. All three always run; the exit status is the last
+# Tier-1's testpaths leave out perfbench/, whose tests pin the library names
+# listed under "Tests" in README.md, so a change can pass tier-1 and still
+# break them. All three always run; the exit status is the last
 # failing one's, so criterion 4b's honest failure alone makes it nonzero. Run from
 # the repository root.
 status=0

@@ -30,7 +30,8 @@ from .decomp import (
     reduce_even,
     stage_specs,
 )
-from .jointup import DegenerateProblemError, solve_joint_upsample
+from .jointup import DegenerateProblemError, LinearMap, solve_joint_upsample
+from .jpu import JpuConfig
 from .tensor import Rng, Tensor, max_abs_diff, random_uniform
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -125,8 +126,6 @@ def cmd_jointup_demo(args) -> int:
     x_h = random_uniform((1, gc, 2 * h, 2 * w), rng, -1.0, 1.0)
     w_true = rng.uniform(tc * gc, -1.0, 1.0).reshape(tc, gc)
     b_true = rng.uniform(tc, -1.0, 1.0)
-    from .jointup import LinearMap
-
     truth = LinearMap(w_true, b_true)
     y_l = truth.apply(x_l)
     res = solve_joint_upsample(x_l, y_l, x_h)
@@ -148,6 +147,7 @@ def cmd_train_demo(args) -> int:
     for seed in (args.seed, args.seed + 1000 + args.seeds - 1):  # the lowest and highest seeds used below
         Rng(seed)  # rejects one out of range before any teacher is built
     config = exp.MiniBackboneConfig()
+    JpuConfig(config.level_channels, width=args.width)  # rejects a bad --width before any teacher is built
     runs = {"bilinear": [], "jpu": []}
     for s in range(args.seeds):
         dataset = exp.synthetic_teacher(args.seed + s, args.n_samples, config, image_hw=(args.image, args.image))

@@ -182,21 +182,12 @@ def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_width:
     return CostReport(spec.name, mode, _check_input_hw(input_hw), entries)
 
 
-def compare_costs(a: CostReport, b: CostReport, per_layer: bool = False) -> dict:
-    """Ratio table a/b (MACs); per-layer mode requires matching layer structure."""
+def compare_costs(a: CostReport, b: CostReport) -> dict:
+    """Ratio table a/b (MACs), per stage and in total."""
     out: dict = {"a": a.mode, "b": b.mode, "stages": {}, "total_ratio": None}
     at, bt = a.stage_totals(), b.stage_totals()
     for stage in at:
         if stage in bt and bt[stage].macs:
             out["stages"][stage] = at[stage].macs / bt[stage].macs
     out["total_ratio"] = a.total().macs / b.total().macs
-    if per_layer:
-        b_back = [e for e in b.entries if e.stage != "jpu"]
-        if [e.name for e in a.entries] != [e.name for e in b_back]:
-            raise ValueError("layer structures differ; per-layer comparison undefined")
-        out["layers"] = {
-            ea.name: ea.cost.macs / eb.cost.macs
-            for ea, eb in zip(a.entries, b_back)
-            if eb.cost.macs
-        }
     return out

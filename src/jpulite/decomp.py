@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,43 +27,24 @@ from .conv import ConvSpec, ConvWeights, conv2d
 from .tensor import ShapeError, Tensor
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSet:
-    """The four 2-D parity phases (even/odd row x even/odd column) of a tensor."""
-
-    ee: Tensor
-    eo: Tensor
-    oe: Tensor
-    oo: Tensor
-
-    @property
-    def phases(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.ee, self.eo, self.oe, self.oo)
-
-
-def split_parity(x: Tensor) -> PhaseSet:
+def split_parity(x: Tensor) -> tuple[Tensor, ...]:
+    """The four parity phases x[..., a::2, b::2], in row-major (a, b) order."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"parity split needs even spatial dims, got {(h, w)}")
     d = x.data
-    return PhaseSet(
-        ee=Tensor(np.ascontiguousarray(d[:, :, 0::2, 0::2])),
-        eo=Tensor(np.ascontiguousarray(d[:, :, 0::2, 1::2])),
-        oe=Tensor(np.ascontiguousarray(d[:, :, 1::2, 0::2])),
-        oo=Tensor(np.ascontiguousarray(d[:, :, 1::2, 1::2])),
-    )
+    return tuple(Tensor(np.ascontiguousarray(d[:, :, a::2, b::2])) for a in (0, 1) for b in (0, 1))
 
 
-def merge_parity(p: PhaseSet) -> Tensor:
-    shapes = {t.shape for t in p.phases}
-    if len(shapes) != 1:
-        raise ShapeError(f"phase shapes differ: {shapes}")
-    n, c, hh, hw = p.ee.shape
-    out = np.empty((n, c, 2 * hh, 2 * hw), dtype=p.ee.dtype)
-    out[:, :, 0::2, 0::2] = p.ee.data
-    out[:, :, 0::2, 1::2] = p.eo.data
-    out[:, :, 1::2, 0::2] = p.oe.data
-    out[:, :, 1::2, 1::2] = p.oo.data
+def merge_parity(phases: Sequence[Tensor]) -> Tensor:
+    """Interleave four phases of one shape, given in split_parity's (a, b) order."""
+    shapes = [t.shape for t in phases]
+    if len(shapes) != 4 or len(set(shapes)) != 1:
+        raise ShapeError(f"parity merge needs four phases of one shape, got {shapes}")
+    n, c, hh, hw = shapes[0]
+    out = np.empty((n, c, 2 * hh, 2 * hw), dtype=phases[0].dtype)
+    for k, t in enumerate(phases):
+        out[:, :, k // 2::2, k % 2::2] = t.data
     return Tensor(out)
 
 
@@ -122,7 +103,6 @@ def stage_routes(entry_strides: tuple[int, ...], dilated: bool, output_stride: i
 
 class StageOutput(NamedTuple):
     y: Tensor
-    y_m: Tensor  # intermediate feature after the head conv
 
 
 def _run_body(y: Tensor, sw: StageWeights, specs) -> Tensor:
@@ -133,8 +113,7 @@ def _run_body(y: Tensor, sw: StageWeights, specs) -> Tensor:
 
 def _run_stage(x: Tensor, sw: StageWeights, stride: int, head_dilation: int, body_dilation: int) -> StageOutput:
     head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), stride, head_dilation, body_dilation)
-    y_m = conv2d(x, sw.head, head)
-    return StageOutput(_run_body(y_m, sw, body), y_m)
+    return StageOutput(_run_body(conv2d(x, sw.head, head), sw, body))
 
 
 def dilated_stage(x: Tensor, sw: StageWeights, head_dilation: int = 1, body_dilation: int = 2) -> StageOutput:
@@ -145,10 +124,8 @@ def dilated_stage(x: Tensor, sw: StageWeights, head_dilation: int = 1, body_dila
 def dilated_stage_decomposed(x: Tensor, sw: StageWeights) -> StageOutput:
     """Same result as dilated_stage (body dilation 2) via split -> regular body -> merge."""
     head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), 1, 1, 1)
-    y_m = conv2d(x, sw.head, head)
-    p = split_parity(y_m)
-    merged = merge_parity(PhaseSet(*(_run_body(phase, sw, body) for phase in p.phases)))
-    return StageOutput(merged, y_m)
+    phases = split_parity(conv2d(x, sw.head, head))
+    return StageOutput(merge_parity([_run_body(p, sw, body) for p in phases]))
 
 
 def stride_stage(x: Tensor, sw: StageWeights) -> StageOutput:

@@ -95,7 +95,7 @@ def init_mini_backbone(config: MiniBackboneConfig, rng: Rng) -> MiniBackbonePara
 
 
 def _run_stages(a: Tensor, stages, routes) -> list[Tensor]:
-    """Each stage's ReLU'd output from `a` along `routes`; each StageOutput is dropped at once, freeing its buffers."""
+    """Each stage's ReLU'd output from `a` along `routes`."""
     levels = []
     for sw, (stride, head_dilation, body_dilation) in zip(stages, routes):
         a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)

@@ -5,8 +5,7 @@ the affine map h minimizing the summed squared error ||y_l - h(x_l)||^2 over
 pixels (normal equations with the fixed Tikhonov damping `DAMPING` on the Gram
 matrix), then apply it per pixel to x_h. This is the linear oracle for what the
 learned upsampling module approximates: the guidance is the pre-downsampling
-feature, the target is the stride-path output, and the fitted map is replayed
-on every parity phase.
+feature and the target is the stride-path output.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvWeights, conv2d
-from .decomp import PhaseSet, merge_parity, split_parity, stage_specs
 from .tensor import ShapeError, Tensor
 
 DAMPING = 1e-8  # added to the Gram matrix's diagonal
@@ -32,7 +29,6 @@ class LinearMap:
     bias: np.ndarray  # (target_channels,)
 
     def apply(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
         out = np.einsum("tc,nchw->nthw", self.matrix.astype(x.dtype), x.data)
         out += self.bias[None, :, None, None].astype(x.dtype)
         return Tensor(out)
@@ -73,20 +69,3 @@ def solve_joint_upsample(x_l: Tensor, y_l: Tensor, x_h: Tensor) -> JointUpsample
     pred = Xa @ sol
     residual = float(np.sqrt(np.mean((Y - pred) ** 2)))
     return JointUpsampleResult(mapping, mapping.apply(x_h), residual)
-
-
-def approximate_full_res(x: Tensor, y_s: Tensor, head: ConvWeights) -> tuple[Tensor, JointUpsampleResult]:
-    """Recover a full-resolution stand-in for the dilated-path output.
-
-    Computes the intermediate feature from the stage head, fits the affine map
-    from its even-even phase to the half-resolution target y_s, then applies
-    the map to all four phases and re-interleaves.
-    """
-    cout, cin = head.weight.shape[:2]
-    y_m = conv2d(x, head, stage_specs(cin, cout, 0, 1, 1, 1)[0])
-    p = split_parity(y_m)
-    if p.ee.shape[2:] != y_s.shape[2:]:
-        raise ShapeError(f"target dims {y_s.shape[2:]} vs half-res dims {p.ee.shape[2:]}")
-    fit = solve_joint_upsample(p.ee, y_s, p.ee)
-    mapped = PhaseSet(*(fit.map.apply(ph) for ph in p.phases))
-    return merge_parity(mapped), fit

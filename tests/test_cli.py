@@ -224,6 +224,17 @@ def test_train_demo_top_seed_exits_2(capsys, monkeypatch):
     assert captured.err.splitlines() == [f"error: seed must be an int in [0, 2**64), got {2**64 - 1 + 1000}"]
 
 
+def test_train_demo_bad_width_exits_2_before_any_teacher(capsys, monkeypatch):
+    def no_teacher(*args, **kwargs):
+        raise AssertionError("a teacher was built before the width was checked")
+
+    monkeypatch.setattr(cli.exp, "synthetic_teacher", no_teacher)
+    code = main(["train-demo", "--width", "0", *_SMALL_RUNS["train-demo"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: width must be a positive int, got 0"]
+
+
 def test_degenerate_problem_exits_1(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateProblemError("singular normal equations")

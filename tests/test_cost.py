@@ -250,26 +250,16 @@ def test_jpu_cost_entries_rejects_input_not_multiple_of_32(hw):
 
 def test_compare_identity():
     r = backbone_cost(resnet_preset("resnet50"), DILATED_MODE, (512, 512))
-    cmp = compare_costs(r, r, per_layer=True)
+    cmp = compare_costs(r, r)
     assert cmp["total_ratio"] == 1.0
     assert all(v == 1.0 for v in cmp["stages"].values())
-    assert all(v == 1.0 for v in cmp["layers"].values())
 
 
 def test_compare_hand_built():
     a = CostReport("x", "a", (8, 8), [CostEntry("s.l0", LayerCost(macs=60)), CostEntry("s.l1", LayerCost(macs=40))])
     b = CostReport("x", "b", (8, 8), [CostEntry("s.l0", LayerCost(macs=30)), CostEntry("s.l1", LayerCost(macs=20))])
-    cmp = compare_costs(a, b, per_layer=True)
-    assert cmp["total_ratio"] == 2.0
-    assert cmp["stages"] == {"s": 2.0}
-    assert cmp["layers"] == {"s.l0": 2.0, "s.l1": 2.0}
-
-
-def test_compare_rejects_structure_mismatch():
-    a = CostReport("x", "a", (8, 8), [CostEntry("s.l0", LayerCost(macs=1))])
-    b = CostReport("x", "b", (8, 8), [CostEntry("s.other", LayerCost(macs=1))])
-    with pytest.raises(ValueError):
-        compare_costs(a, b, per_layer=True)
+    cmp = compare_costs(a, b)
+    assert cmp == {"a": "a", "b": "b", "stages": {"s": 2.0}, "total_ratio": 2.0}
 
 
 def test_resnet101_dilated_exceeds_resnet50():

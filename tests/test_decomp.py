@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights
 from jpulite.decomp import (
-    PhaseSet,
     StageWeights,
     check_phase_consistency,
     dilated_stage,
@@ -42,14 +41,13 @@ def delta_stage(cin, depth):
 def test_split_2x2():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
     p = split_parity(x)
-    assert (p.ee.data.item(), p.eo.data.item(), p.oe.data.item(), p.oo.data.item()) == (1, 2, 3, 4)
+    assert tuple(ph.data.item() for ph in p) == (1, 2, 3, 4)
     assert max_abs_diff(merge_parity(p), x) == 0.0
 
 
 def test_split_constant():
     x = Tensor(np.full((1, 2, 4, 6), 3.5))
-    p = split_parity(x)
-    for ph in p.phases:
+    for ph in split_parity(x):
         assert np.all(ph.data == 3.5)
 
 
@@ -67,17 +65,27 @@ def test_split_merge_inverse(seed, hh, hw):
     p = split_parity(x)
     assert merge_parity(p).data.tobytes() == x.data.tobytes()
     p2 = split_parity(merge_parity(p))
-    for a, b in zip(p.phases, p2.phases):
+    for a, b in zip(p, p2):
         assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_merge_constant_tiling():
     phases = [Tensor(np.full((1, 1, 2, 2), float(k))) for k in range(4)]
-    m = merge_parity(PhaseSet(*phases))
+    m = merge_parity(phases)
     want = np.array(
         [[0, 1, 0, 1], [2, 3, 2, 3], [0, 1, 0, 1], [2, 3, 2, 3]], dtype=float
     ).reshape(1, 1, 4, 4)
     assert np.array_equal(m.data, want)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(1, 1, 2, 2)] * 3,
+    [(1, 1, 2, 2)] * 5,
+    [(1, 1, 2, 2)] * 3 + [(1, 1, 2, 3)],
+], ids=["three", "five", "one_shape_differs"])
+def test_merge_rejects_anything_but_four_phases_of_one_shape(shapes):
+    with pytest.raises(ShapeError):
+        merge_parity([Tensor(np.zeros(s)) for s in shapes])
 
 
 def test_reduce_even_examples():
@@ -86,14 +94,13 @@ def test_reduce_even_examples():
     y = random_uniform((1, 3, 6, 8), Rng(1), -1, 1)
     assert np.array_equal(reduce_even(y).data, y.data[:, :, 0::2, 0::2])
     p = split_parity(y)
-    assert reduce_even(merge_parity(p)).data.tobytes() == p.ee.data.tobytes()
+    assert reduce_even(merge_parity(p)).data.tobytes() == p[0].data.tobytes()
 
 
 def test_dilated_stage_delta_identity():
     x = random_uniform((1, 2, 6, 6), Rng(2), -1, 1)
     out = dilated_stage(x, delta_stage(2, 1))
     assert max_abs_diff(out.y, x) == 0.0
-    assert max_abs_diff(out.y_m, x) == 0.0
 
 
 def test_dilated_stage_shape():
@@ -110,7 +117,6 @@ def test_dilated_equals_decomposed(seed):
     a = dilated_stage(x, sw)
     b = dilated_stage_decomposed(x, sw)
     assert max_abs_diff(a.y, b.y) <= 1e-12
-    assert max_abs_diff(a.y_m, b.y_m) == 0.0
 
 
 def test_parity_separation():

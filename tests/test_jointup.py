@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights
-from jpulite.decomp import reduce_even, stride_stage, StageWeights
-from jpulite.jointup import (
-    DegenerateProblemError,
-    LinearMap,
-    approximate_full_res,
-    solve_joint_upsample,
-)
+from jpulite.jointup import DegenerateProblemError, LinearMap, solve_joint_upsample
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
 
 
@@ -105,60 +98,3 @@ def test_degenerate_guidance_still_deterministic():
     r2 = solve_joint_upsample(x_l, y_l, x_l)
     assert r1.y_h.data.tobytes() == r2.y_h.data.tobytes()
     assert np.all(np.isfinite(r1.y_h.data))
-
-
-# --- full-resolution recovery through the head --------------------------------
-
-
-def delta_head(c):
-    w = np.zeros((c, c, 3, 3))
-    for i in range(c):
-        w[i, i, 1, 1] = 1.0
-    return ConvWeights(Tensor(w), np.zeros(c))
-
-
-def test_recovery_when_target_is_linear_in_even_phase():
-    rng = Rng(6)
-    cin, ch = 2, 3
-    head = init_weights(ConvSpec(cin, ch, (3, 3), padding=(1, 1)), rng)
-    x = random_uniform((1, cin, 8, 8), rng, -1, 1)
-    truth = LinearMap(rng.uniform(2 * ch, -1, 1).reshape(2, ch), rng.uniform(2, -1, 1))
-    spec = ConvSpec(cin, ch, (3, 3), padding=(1, 1))
-    y_m = conv2d(x, head, spec)
-    y_s = truth.apply(reduce_even(y_m))
-    y, fit = approximate_full_res(x, y_s, head)
-    assert max_abs_diff(reduce_even(y), y_s) <= 1e-8
-    assert fit.residual <= 1e-8
-
-
-def test_delta_head_identity_map():
-    x = random_uniform((1, 2, 6, 6), Rng(8), -1, 1)
-    y_s = reduce_even(x)
-    y, fit = approximate_full_res(x, y_s, delta_head(2))
-    assert max_abs_diff(y, x) <= 1e-8
-
-
-def test_nonlinear_target_reports_positive_residual():
-    rng = Rng(11)
-    head = init_weights(ConvSpec(2, 3, (3, 3), padding=(1, 1)), rng)
-    body = [init_weights(ConvSpec(3, 3, (3, 3), padding=(1, 1)), rng)]
-    x = random_uniform((1, 2, 8, 8), rng, -1, 1)
-    y_s = stride_stage(x, StageWeights(head, body)).y  # genuinely not a per-pixel map of the even phase
-    _, fit = approximate_full_res(x, y_s, head)
-    assert fit.residual > 1e-6
-
-
-def test_recovery_residual_matches_solver_residual():
-    rng = Rng(14)
-    head = init_weights(ConvSpec(2, 3, (3, 3), padding=(1, 1)), rng)
-    x = random_uniform((1, 2, 8, 8), rng, -1, 1)
-    y_s = random_uniform((1, 2, 4, 4), rng, -1, 1)
-    y, fit = approximate_full_res(x, y_s, head)
-    # the even-even phase of the output is exactly the solver's fit on the target grid
-    from jpulite.jointup import solve_joint_upsample as sju
-    from jpulite.decomp import split_parity
-
-    spec = ConvSpec(2, 3, (3, 3), padding=(1, 1))
-    p = split_parity(conv2d(x, head, spec))
-    direct = sju(p.ee, y_s, p.ee)
-    assert abs(fit.residual - direct.residual) <= 1e-10
