@@ -6,8 +6,9 @@
 # bench's environment, criterion 8's two MSEs, a sha256 of the
 # mini-backbone's weights, layer tables and outputs for the default config and
 # the bench config (perfbench's Forward256.config), and the name and sha256 of
-# each file `save_jpu_params` writes for the bench config's width-8 JPU, with
-# whether `load_jpu_params` reads back an equal config.
+# each file `save_jpu_params` writes for the bench config's width-8 JPU (saved
+# twice into one directory, so the second save writes over the first's
+# files), with whether `load_jpu_params` reads back an equal config.
 #
 # Run it in two checkouts and compare; an empty diff is the check:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
@@ -94,7 +95,8 @@ from jpulite.tensor import Rng
 
 config = JpuConfig(BENCH_CONFIG.level_channels, width=8)
 with tempfile.TemporaryDirectory() as d:
-    save_jpu_params(d, jpu_init(config, Rng(0)), config)
+    for _ in range(2):
+        save_jpu_params(d, jpu_init(config, Rng(0)), config)
     for path in sorted(Path(d).iterdir()):
         print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
     print("loads an equal config:", load_jpu_params(d)[1] == config)

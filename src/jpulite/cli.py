@@ -32,7 +32,7 @@ from .decomp import (
 )
 from .jointup import DegenerateProblemError, LinearMap, solve_joint_upsample
 from .jpu import JpuConfig
-from .tensor import Rng, Tensor, max_abs_diff, random_uniform
+from .tensor import Rng, Tensor, _open_new, max_abs_diff, random_uniform
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 DEFAULT_TOL = {"f32": 1e-5, "f64": 1e-12}
@@ -43,7 +43,7 @@ def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True)
     print(text)
     if args.output:
-        with open(args.output, "w") as f:
+        with _open_new(args.output, "w") as f:
             f.write(text + "\n")
 
 

@@ -31,6 +31,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     _is_count,
+    _open_new,
     bilinear_resize,
     bilinear_resize_backward,
     concat_channels,
@@ -241,7 +242,7 @@ def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
     for name, arr in params.named_tensors():
         t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)
         save_jt(os.path.join(dirpath, name + ".jt"), t)
-    with open(os.path.join(dirpath, "manifest.json"), "w") as f:
+    with _open_new(os.path.join(dirpath, "manifest.json"), "w") as f:
         json.dump(_manifest(config), f, indent=2, sort_keys=True)
 
 

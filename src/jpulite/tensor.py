@@ -15,8 +15,11 @@ linear interpolation between the two neighbors per axis.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,8 +114,10 @@ def random_uniform(shape, rng: Rng, lo: float = 0.0, hi: float = 1.0, dtype=np.f
 # resizing, concatenation, comparison
 
 
+@lru_cache(maxsize=256)  # every resize and its adjoint ask twice; a handful of map sizes recur
 def _axis_weights(in_size: int, out_size: int, dtype) -> np.ndarray:
-    """(out_size, in_size) interpolation matrix for half-pixel-center bilinear."""
+    """(out_size, in_size) interpolation matrix for half-pixel-center bilinear;
+    read-only, since the cache hands the same array to every caller."""
     d = np.arange(out_size, dtype=np.float64)
     s = (d + 0.5) * (in_size / out_size) - 0.5
     s = np.clip(s, 0.0, in_size - 1)
@@ -122,7 +127,9 @@ def _axis_weights(in_size: int, out_size: int, dtype) -> np.ndarray:
     A = np.zeros((out_size, in_size), dtype=np.float64)
     A[np.arange(out_size), i0] += 1.0 - f
     A[np.arange(out_size), i1] += f
-    return A.astype(dtype)
+    A = A.astype(dtype)
+    A.flags.writeable = False
+    return A
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -166,8 +173,24 @@ def max_abs_diff(a: Tensor, b: Tensor) -> float:
 # then raw row-major little-endian data.
 
 
+def _open_new(path, mode: str = "wb"):
+    """Open path for writing as a new file. A regular file already at path, or
+    a symlink leading to one, is unlinked first (the link, not its target)
+    instead of truncated: on ext4 with the default auto_da_alloc, closing a
+    truncated and rewritten file starts its writeback, several times the cost
+    of writing a new one. A crash still leaves a short or missing file. A path
+    that is or leads to anything else, such as /dev/null or a pipe, is opened
+    in place."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode)
+
+
 def save_jt(path, x: Tensor) -> None:
-    with open(path, "wb") as f:
+    with _open_new(path) as f:
         f.write(struct.pack(_JT_HEADER, _JT_MAGIC, _JT_DTYPE_CODES[x.dtype], *x.shape))
         f.write(x.data.astype(x.dtype.newbyteorder("<"), copy=False).tobytes())
 

@@ -278,8 +278,10 @@ def test_bench_records_environment_unless_no_timing(capsys, monkeypatch):
 
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
+    path.write_text("x" * 100_000)  # a longer file already there leaves none of its bytes
     code, out = run_cli(capsys, "equiv", "--cases", "3", "--output", str(path))
     assert code == 0
+    assert path.read_text() == out
     assert json.loads(path.read_text()) == json.loads(out)
 
 

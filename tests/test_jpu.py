@@ -248,6 +248,22 @@ def test_serialization_round_trip(tmp_path):
     assert y1.data.tobytes() == y2.data.tobytes()
 
 
+def test_save_over_a_wider_checkpoint(tmp_path):
+    # every file is written new, so what a wider config left behind cannot survive in a narrower one's files
+    wide, narrow = JpuConfig((3, 4, 5), width=4), JpuConfig((3, 4, 5), width=2)
+    p = jpu_init(narrow, Rng(21))
+    save_jpu_params(tmp_path / "fresh", p, narrow)
+    save_jpu_params(tmp_path / "reused", jpu_init(wide, Rng(20)), wide)
+    save_jpu_params(tmp_path / "reused", p, narrow)
+    fresh = sorted(f.name for f in (tmp_path / "fresh").iterdir())
+    assert sorted(f.name for f in (tmp_path / "reused").iterdir()) == fresh
+    for name in fresh:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+    p2, cfg2 = load_jpu_params(tmp_path / "reused")
+    assert cfg2 == narrow
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(p.named_tensors(), p2.named_tensors(), strict=True))
+
+
 @pytest.mark.parametrize("name, shape", [("fusion.weight", (12, 12, 1, 1)), ("branch1.pointwise.bias", (1, 2, 1, 1))])
 def test_load_rejects_tensor_shape_mismatch(tmp_path, name, shape):
     cfg = JpuConfig((3, 4, 5), width=3)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from jpulite.tensor import (
     Rng,
     ShapeError,
     Tensor,
+    _axis_weights,
     bilinear_resize,
+    bilinear_resize_backward,
     concat_channels,
     load_jt,
     max_abs_diff,
@@ -80,6 +84,23 @@ def test_bilinear_matches_reference(seed, oh, ow):
     assert np.max(np.abs(got.data - want)) < 1e-13
 
 
+def test_axis_weights_cached_read_only():
+    # the cache hands one matrix to every caller, so none of them may write into it
+    x = random_uniform((2, 3, 5, 4), Rng(12), -1.0, 1.0, dtype=np.float32)
+    y = bilinear_resize(x, 9, 7)
+    ah, aw = _axis_weights(5, 9, x.dtype), _axis_weights(4, 7, x.dtype)
+    assert ah is _axis_weights(5, 9, x.dtype)
+    for a in (ah, aw):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    fresh_h, fresh_w = _axis_weights.__wrapped__(5, 9, x.dtype), _axis_weights.__wrapped__(4, 7, x.dtype)
+    assert fresh_h.tobytes() == ah.tobytes() and fresh_w.tobytes() == aw.tobytes()
+    assert y.data.tobytes() == (fresh_h @ (x.data @ fresh_w.T)).tobytes()
+    g = random_uniform(y.shape, Rng(13), -1.0, 1.0, dtype=np.float32).data
+    assert bilinear_resize_backward(g, 5, 4).tobytes() == (fresh_h.T @ (g @ fresh_w)).tobytes()
+
+
 def test_concat_single_identity():
     a = random_uniform((1, 3, 2, 2), Rng(0))
     assert max_abs_diff(concat_channels([a]), a) == 0.0
@@ -123,10 +144,31 @@ def test_max_abs_diff():
 def test_jt_round_trip(tmp_path, dtype):
     x = random_uniform((2, 3, 4, 5), Rng(11), -2.0, 2.0, dtype=dtype)
     path = tmp_path / "t.jt"
+    path.write_bytes(b"\xff" * 4096)  # a longer file already there leaves none of its bytes
     save_jt(path, x)
     y = load_jt(path)
     assert y.dtype == x.dtype
     assert y.data.tobytes() == x.data.tobytes()
+
+
+def test_jt_save_replaces_symlink_not_its_target(tmp_path):
+    # a file is written new, not truncated: a link at the path is replaced, its target kept
+    target, link = tmp_path / "target.jt", tmp_path / "link.jt"
+    target.write_bytes(b"keep me")
+    link.symlink_to(target)
+    x = random_uniform((1, 2, 3, 1), Rng(15))
+    save_jt(link, x)
+    assert not link.is_symlink()
+    assert target.read_bytes() == b"keep me"
+    assert load_jt(link).data.tobytes() == x.data.tobytes()
+
+
+def test_jt_save_writes_through_link_to_device(tmp_path):
+    # only regular files are unlinked: a path leading to a device is written in place
+    link = tmp_path / "null.jt"
+    link.symlink_to(os.devnull)
+    save_jt(link, random_uniform((1, 1, 1, 1), Rng(16)))
+    assert link.is_symlink() and os.readlink(link) == os.devnull
 
 
 def test_jt_rejects_bad_magic(tmp_path):
