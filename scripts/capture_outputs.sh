@@ -50,7 +50,9 @@ bench_environment_keys() {  # only the keys: the values and the timings vary by 
 capture cost_resnet101_compare cli cost --backbone resnet101 --compare
 capture cost_resnet50_compare_96x2048 cli cost --backbone resnet50 --compare --input 96 2048
 capture cost_resnet101_dilated cli cost --backbone resnet101 --mode dilated
+capture cost_resnet50_dilated cli cost --backbone resnet50 --mode dilated
 capture cost_resnet50_jpu_width64 cli cost --backbone resnet50 --mode jpu --jpu-width 64
+capture cost_resnet101_jpu_96x2048 cli cost --backbone resnet101 --mode jpu --input 96 2048
 capture equiv_f64 cli equiv --cases 30 --seed 3
 capture equiv_f32 cli equiv --cases 30 --seed 3 --dtype f32
 capture equiv_output cli equiv --cases 2 --seed 3 --output "$out/equiv_output.json"

@@ -71,7 +71,8 @@ def _family_diffs(x: Tensor, sw: StageWeights) -> dict[str, float]:
 
 def cmd_equiv(args) -> int:
     """Each family reports its worst diff with the seed and case index it came
-    from: case i is the (i+1)-th `_random_stage` drawn from `Rng(seed)`."""
+    from: case i is the (i+1)-th `_random_stage` drawn from `Rng(seed)`. A
+    non-finite diff is the worst and fails; its `max_abs_diff` is null."""
     if args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     dtype = DTYPES[args.dtype]
@@ -84,13 +85,15 @@ def cmd_equiv(args) -> int:
     for i in range(args.cases):
         for name, d in _family_diffs(*_random_stage(rng, dtype)).items():
             fam = families[name]
+            d = d if math.isfinite(d) else math.inf  # NaN too: worse than any finite diff; the first stays worst
             if fam["worst_case"] is None or d > fam["max_abs_diff"]:
-                fam["worst_case"] = i
-            fam["max_abs_diff"] = max(fam["max_abs_diff"], d)
+                fam["worst_case"], fam["max_abs_diff"] = i, d
     all_pass = True
     for fam in families.values():
+        worst = fam["max_abs_diff"]
+        fam["max_abs_diff"] = worst if worst < math.inf else None  # JSON has no NaN or infinity
         fam["tolerance"] = tol
-        fam["pass"] = fam["max_abs_diff"] <= tol
+        fam["pass"] = worst <= tol
         all_pass &= fam["pass"]
     _emit({"command": "equiv", "dtype": args.dtype, "seed": args.seed, "families": families,
            "pass": all_pass}, args)

@@ -1,4 +1,4 @@
-"""Analytic MAC / parameter / activation-memory model over symbolic backbone specs.
+"""Analytic MAC / parameter / activation-memory model of the two ResNet presets.
 
 All counts are exact Python integers. `conv_cost_from_spec` charges a ConvSpec
 kh*kw*(in_ch/groups)*out_ch*out_h*out_w multiply-accumulates; bias adds are
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .conv import ConvSpec
 from .decomp import stage_routes
 from .jpu import JpuConfig
-from .tensor import ShapeError, _is_count
+from .tensor import ShapeError
 
 RESIZE_MACS_PER_ELEM = 8
 
@@ -53,61 +53,51 @@ def conv_cost_from_spec(spec: ConvSpec, in_hw, with_bias=False) -> LayerCost:
     return LayerCost(weights * oh * ow, weights + (o if with_bias else 0), act, act if with_bias else 0)
 
 
-@dataclass(frozen=True)
-class StageSpec:
-    """One bottleneck stage; it reads the stem's or the previous stage's `out_channels`."""
-
-    blocks: int
-    mid_channels: int
-    out_channels: int
-    entry_stride: int  # 1 or 2; decomp.stage_routes drops it in dilated mode past output stride 8
-
-    def __post_init__(self):
-        counts = (self.blocks, self.mid_channels, self.out_channels)
-        if not (all(map(_is_count, counts)) and _is_count(self.entry_stride) and self.entry_stride <= 2):
-            raise ShapeError(f"need positive int blocks and channels and an entry stride of 1 or 2, got {self!r}")
+RESNET_BLOCKS = {"resnet50": (3, 4, 6, 3), "resnet101": (3, 4, 23, 3)}  # bottleneck blocks per stage
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
+    """A bottleneck ResNet preset named in `RESNET_BLOCKS`, and nothing else."""
+
     name: str
-    stem_channels: int
-    stages: tuple[StageSpec, ...]
+
+    def __post_init__(self):
+        if self.name not in RESNET_BLOCKS:
+            raise KeyError(f"unknown backbone preset {self.name!r}")
 
     def layers(self, mode: str, input_hw) -> list[tuple[str, ConvSpec, tuple[int, int]]]:
-        """The convs in execution order, as (name, spec, input grid). A 3x3 stride-2 max
-        pool (0 MACs) follows the stem. Strides and dilations follow `decomp.stage_routes`:
-        a stage's first 3x3 conv takes the head dilation, the others the body's."""
+        """The convs in execution order, as (name, spec, input grid). A 64-channel
+        7x7 stem reads RGB and a 3x3 stride-2 max pool (0 MACs) follows it; then
+        stage i (0-based) has 64·2^i mid and 256·2^i out channels and enters at
+        stride 1, then 2. Strides and dilations follow `decomp.stage_routes`: a
+        stage's first 3x3 conv takes the head dilation, the others the body's."""
         if mode not in MODES:
             raise KeyError(f"unknown mode {mode!r}")
         grid = _check_input_hw(input_hw)
-        stem = ConvSpec(3, self.stem_channels, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
+        stem = ConvSpec(3, 64, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
         table = [("stem.conv", stem, grid)]
-        grid, ci = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid)), self.stem_channels
-        routes = stage_routes(tuple(st.entry_stride for st in self.stages), mode == DILATED_MODE, 4)
-        for i, (st, (s, d, body_d)) in enumerate(zip(self.stages, routes), 1):
-            for b in range(st.blocks):
-                prefix = f"stage{i}.block{b:02d}"
-                conv1 = ConvSpec(ci, st.mid_channels, kernel=(1, 1), stride=(s, s))
+        grid, ci = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid)), stem.out_channels
+        routes = stage_routes((1, 2, 2, 2), mode == DILATED_MODE, 4)
+        for i, (blocks, (s, d, body_d)) in enumerate(zip(RESNET_BLOCKS[self.name], routes)):
+            mid, out = 64 << i, 256 << i
+            for b in range(blocks):
+                prefix = f"stage{i + 1}.block{b:02d}"
+                conv1 = ConvSpec(ci, mid, kernel=(1, 1), stride=(s, s))
                 inner = conv1.out_hw(grid)
                 table += [
                     (f"{prefix}.conv1", conv1, grid),
-                    (f"{prefix}.conv2", ConvSpec(st.mid_channels, st.mid_channels, dilation=(d, d), padding=(d, d)), inner),
-                    (f"{prefix}.conv3", ConvSpec(st.mid_channels, st.out_channels, kernel=(1, 1)), inner),
+                    (f"{prefix}.conv2", ConvSpec(mid, mid, dilation=(d, d), padding=(d, d)), inner),
+                    (f"{prefix}.conv3", ConvSpec(mid, out, kernel=(1, 1)), inner),
                 ]
                 if b == 0:
-                    table.append((f"{prefix}.downsample", ConvSpec(ci, st.out_channels, kernel=(1, 1), stride=(s, s)), grid))
-                grid, ci, s, d = inner, st.out_channels, 1, body_d
+                    table.append((f"{prefix}.downsample", ConvSpec(ci, out, kernel=(1, 1), stride=(s, s)), grid))
+                grid, ci, s, d = inner, out, 1, body_d
         return table
 
 
 def resnet_preset(name: str) -> BackboneSpec:
-    blocks = {"resnet50": (3, 4, 6, 3), "resnet101": (3, 4, 23, 3)}.get(name)
-    if blocks is None:
-        raise KeyError(f"unknown backbone preset {name!r}")
-    # stage i has 64·2^i mid and 256·2^i out channels
-    stages = (StageSpec(nb, 64 * 2**i, 256 * 2**i, 2 if i else 1) for i, nb in enumerate(blocks))
-    return BackboneSpec(name, 64, tuple(stages))
+    return BackboneSpec(name)
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def backbone_cost(spec: BackboneSpec, mode: str, input_hw=(512, 512), jpu_width:
     table = spec.layers(mode, input_hw)
     entries = [CostEntry(name, conv_cost_from_spec(cs, grid)) for name, cs, grid in table]
     if mode == STRIDE_JPU_MODE:
-        levels = tuple(st.out_channels for st in spec.stages[-3:])
+        levels = tuple(cs.out_channels for name, cs, _ in table if name.endswith("block00.conv3"))[1:]
         entries += jpu_cost_entries(JpuConfig(levels, width=jpu_width), input_hw)
     return CostReport(spec.name, mode, _check_input_hw(input_hw), entries)
 

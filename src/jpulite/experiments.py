@@ -18,6 +18,7 @@ import resource
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,12 +42,11 @@ def _routes(mode: str) -> tuple[tuple[int, int, int], ...]:
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, loss: float):
         super().__init__(f"non-finite loss {loss} at step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
 class MiniBackboneConfig:
-    in_channels: int = 3
+    in_channels: ClassVar[int] = 3  # the stem reads RGB
     stem_channels: int = 8
     # (body depth, channels) for the four stages after the stem (levels 2..5)
     stages: tuple[tuple[int, int], ...] = ((1, 8), (1, 12), (1, 16), (1, 16))
@@ -57,7 +57,7 @@ class MiniBackboneConfig:
             raise ShapeError(f"need exactly four (depth, channels) tuples after the stem, got {s!r}")
         widths = (self.stem_channels, *(ch for _, ch in s))
         depths_ok = all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d, _ in s)
-        if not (depths_ok and all(map(_is_count, (self.in_channels, *widths)))):
+        if not (depths_ok and all(map(_is_count, widths))):
             raise ShapeError(f"need positive int channel counts and non-negative int depths, got {self!r}")
         if max(widths) > 64:
             raise ShapeError("toy widths only (<= 64 channels)")

@@ -238,6 +238,11 @@ def _manifest(config: JpuConfig) -> dict:
 
 
 def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
+    """Checks each layer's weight shape, which fixes its bias's, against `config`
+    before writing any file (ValueError), so a checkpoint that saves also loads."""
+    for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True):
+        if cw.weight.shape != spec.weight_shape:
+            raise ValueError(f"{name} holds a {cw.weight.shape} weight, the config needs {spec.weight_shape}")
     os.makedirs(dirpath, exist_ok=True)
     for name, arr in params.named_tensors():
         t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)

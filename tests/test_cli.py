@@ -9,7 +9,7 @@ import pytest
 from jpulite import cli
 from jpulite.cli import main
 from jpulite.jointup import DegenerateProblemError
-from jpulite.tensor import Rng
+from jpulite.tensor import Rng, Tensor
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +66,33 @@ def test_equiv_impossible_tolerance_exits_1(capsys):
     code, out = run_cli(capsys, "equiv", "--cases", "5", "--tolerance", "0")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_equiv_nan_diff_fails(capsys, monkeypatch):
+    # one NaN in the second case's decomposed output: that family and the command fail,
+    # the case is named as the worst, and the document stays strict JSON
+    original, calls = cli.dilated_stage_decomposed, []
+
+    def one_nan(x, sw):
+        out = original(x, sw)
+        calls.append(None)
+        if len(calls) != 2:
+            return out
+        y = out.y.data.copy()
+        y.flat[0] = np.nan
+        return out._replace(y=Tensor(y))
+
+    monkeypatch.setattr(cli, "dilated_stage_decomposed", one_nan)
+    code, out = run_cli(capsys, "equiv", "--cases", "3")
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 1 and doc["pass"] is False
+    fam = doc["families"]["dilated_decomp"]
+    assert (fam["max_abs_diff"], fam["worst_case"], fam["pass"]) == (None, 1, False)
+    assert doc["families"]["stride_reduce"]["pass"] and doc["families"]["phase_consistency"]["pass"]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "-1e-300", "inf", "-inf"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,8 @@ from jpulite.cost import (
     BackboneSpec,
     CostReport,
     CostEntry,
+    RESNET_BLOCKS,
     LayerCost,
-    StageSpec,
     backbone_cost,
     compare_costs,
     conv_cost_from_spec,
@@ -72,21 +74,6 @@ def test_conv_cost_accepts_only_positive_ints(kernel, in_hw, padding, counts):
             cost()
 
 
-@given(fields=st.tuples(*[FIELD_VALUES] * 4))
-@example(fields=(4, 128, 512, 3))  # a stride no backbone has: it ran the dilated table at output stride 12
-@example(fields=(True, -1, 2.5, 2))
-@example(fields=(0, 64, 256, 1))
-def test_stage_spec_accepts_only_buildable_geometry(fields):
-    *counts, stride = fields
-    if all(map(is_count, counts)) and stride in (1, 2) and type(stride) is int:
-        assert StageSpec(*fields).entry_stride == stride
-    else:
-        with pytest.raises(ShapeError):
-            StageSpec(*fields)
-    with pytest.raises(TypeError):  # no input width: a stage reads the stem's or the previous stage's
-        StageSpec(fields[0], 64, *fields[1:])
-
-
 def _assert_stages_chain(spec: BackboneSpec, mode: str):
     """Every block's conv1 and downsample read the stem's or the previous block's conv3 width."""
     width = block_in = None
@@ -100,26 +87,13 @@ def _assert_stages_chain(spec: BackboneSpec, mode: str):
             checked += 1
         if part in ("conv", "conv3"):  # the stem, then each block's last conv
             width = cs.out_channels
-    assert checked == sum(stage.blocks + 1 for stage in spec.stages)
+    assert checked == sum(blocks + 1 for blocks in RESNET_BLOCKS[spec.name])
 
 
 @pytest.mark.parametrize("mode", [DILATED_MODE, STRIDE_JPU_MODE])
 @pytest.mark.parametrize("name", ["resnet50", "resnet101"])
 def test_preset_stages_chain(name, mode):
     _assert_stages_chain(resnet_preset(name), mode)
-
-
-@given(
-    stem=st.integers(1, 64),
-    stages=st.lists(
-        st.builds(StageSpec, st.integers(1, 3), st.integers(1, 64), st.integers(1, 256), st.sampled_from([1, 2])),
-        min_size=1, max_size=5,
-    ),
-    mode=st.sampled_from([DILATED_MODE, STRIDE_JPU_MODE]),
-)
-@settings(max_examples=50, deadline=None)
-def test_drawn_stages_chain(stem, stages, mode):
-    _assert_stages_chain(BackboneSpec("drawn", stem, tuple(stages)), mode)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -156,14 +130,29 @@ def test_preset_table_matches_loop_nest(mode):
 
 
 def test_preset_shapes():
-    r50 = resnet_preset("resnet50")
-    r101 = resnet_preset("resnet101")
-    assert tuple(s.blocks for s in r50.stages) == (3, 4, 6, 3)
-    assert tuple(s.blocks for s in r101.stages) == (3, 4, 23, 3)
-    assert tuple(s.out_channels for s in r101.stages) == (256, 512, 1024, 2048)
-    assert tuple(s.mid_channels for s in r101.stages) == (64, 128, 256, 512)
-    with pytest.raises(KeyError):
-        resnet_preset("vgg")
+    for name, blocks in (("resnet50", (3, 4, 6, 3)), ("resnet101", (3, 4, 23, 3))):
+        spec = resnet_preset(name)
+        assert RESNET_BLOCKS[spec.name] == blocks
+        table = spec.layers(DILATED_MODE, (64, 64))
+        assert (table[0][1].in_channels, table[0][1].out_channels) == (3, 64)  # the stem reads RGB
+        # stage i (0-based) has 64·2^i mid and 256·2^i out channels, in every block
+        for i, n in enumerate(blocks):
+            stage = [cs for layer, cs, _ in table if layer.startswith(f"stage{i + 1}.")]
+            assert len(stage) == 3 * n + 1, (name, i)
+            assert {cs.out_channels for cs in stage} == {64 << i, 256 << i}
+            assert {(cs.in_channels, cs.out_channels) for cs in stage if cs.kernel == (3, 3)} == {(64 << i, 64 << i)}
+
+
+@pytest.mark.parametrize("name", ["vgg", "resnet18", "ResNet50", ""])
+def test_only_the_two_presets_can_be_costed(name):
+    with pytest.raises(KeyError, match="unknown backbone preset"):
+        resnet_preset(name)
+    with pytest.raises(KeyError, match="unknown backbone preset"):
+        BackboneSpec(name)
+    # the name is the only field: no stem width or stage table can be set
+    assert [f.name for f in dataclasses.fields(BackboneSpec)] == ["name"]
+    with pytest.raises(TypeError):
+        BackboneSpec("resnet50", 64, ())
 
 
 def _block_macs(report, stage):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -41,29 +42,37 @@ _STAGES = st.one_of(
 )
 
 
-@given(in_channels=_FIELD_VALUES, stem_channels=_FIELD_VALUES, stages=_STAGES)
-@example(in_channels=3, stem_channels=8, stages=((1, 8), (-1, 8), (1, 16), (1, 16)))
-@example(in_channels=3, stem_channels=0, stages=CFG.stages)
-@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, True), (1, 16), (1, 16)))
-@example(in_channels=3, stem_channels=8, stages=None)
-@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, 12, 3), (1, 16), (1, 16)))
-@example(in_channels=3, stem_channels=8, stages=((1, 8), (1, "16"), (1, 16), (1, 16)))
-def test_config_accepts_only_buildable_geometry(in_channels, stem_channels, stages):
+@given(stem_channels=_FIELD_VALUES, stages=_STAGES)
+@example(stem_channels=8, stages=((1, 8), (-1, 8), (1, 16), (1, 16)))
+@example(stem_channels=0, stages=CFG.stages)
+@example(stem_channels=8, stages=((1, 8), (1, True), (1, 16), (1, 16)))
+@example(stem_channels=8, stages=None)
+@example(stem_channels=8, stages=((1, 8), (1, 12, 3), (1, 16), (1, 16)))
+@example(stem_channels=8, stages=((1, 8), (1, "16"), (1, 16), (1, 16)))
+def test_config_accepts_only_buildable_geometry(stem_channels, stages):
     def is_int(v, lo):
         return type(v) is int and v >= lo
 
     pairs = type(stages) is tuple and len(stages) == 4 and all(type(p) is tuple and len(p) == 2 for p in stages)
-    if pairs and is_int(in_channels, 1) and all(
+    if pairs and all(
         is_int(d, 0) and is_int(c, 1) and c <= 64 for d, c in ((0, stem_channels), *stages)  # the stem as depth 0
     ):
-        cfg = MiniBackboneConfig(in_channels, stem_channels, stages)
+        cfg = MiniBackboneConfig(stem_channels, stages)
         assert [name for name, _ in cfg.layers(STRIDE)] == ["stem"] + [
             f"stage{level}.{part}" for level, (depth, _) in enumerate(stages, 2)
             for part in ["head", *(f"body{j}" for j in range(depth))]
         ]
     else:
         with pytest.raises(ShapeError):
-            MiniBackboneConfig(in_channels, stem_channels, stages)
+            MiniBackboneConfig(stem_channels, stages)
+
+
+def test_stem_reads_rgb():
+    # the input width is the RGB constant, not a setting
+    assert CFG.in_channels == BENCH_CONFIG.in_channels == CFG.layers(STRIDE)[0][1].in_channels == 3
+    assert [f.name for f in dataclasses.fields(MiniBackboneConfig)] == ["stem_channels", "stages"]
+    with pytest.raises(TypeError):
+        MiniBackboneConfig(in_channels=3)
 
 
 @pytest.mark.parametrize("stages", [((2, 8), (1, 12), (1, 16), (1, 16)), ((1, 8), (1, 12), (1, 16), (1, 32))])

@@ -264,6 +264,24 @@ def test_save_over_a_wider_checkpoint(tmp_path):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(p.named_tensors(), p2.named_tensors(), strict=True))
 
 
+def test_save_rejects_params_of_another_config(tmp_path):
+    # saving width-2 params under a width-3 config fails before any file is written,
+    # so the checkpoint already in the directory stays as it was and still loads
+    cfg = JpuConfig((3, 4, 5), width=3)
+    p = jpu_init(cfg, Rng(23))
+    save_jpu_params(tmp_path, p, cfg)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match=r"^level0 holds a \(2, 3, 3, 3\) weight"):
+        save_jpu_params(tmp_path, jpu_init(JpuConfig((3, 4, 5), width=2), Rng(24)), cfg)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    p2, cfg2 = load_jpu_params(tmp_path)
+    assert cfg2 == cfg
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(p.named_tensors(), p2.named_tensors(), strict=True))
+    with pytest.raises(ValueError, match=r"^level2 holds a \(3, 6, 3, 3\) weight"):
+        save_jpu_params(tmp_path / "fresh", jpu_init(JpuConfig((3, 4, 6), width=3), Rng(25)), cfg)
+    assert not (tmp_path / "fresh").exists()
+
+
 @pytest.mark.parametrize("name, shape", [("fusion.weight", (12, 12, 1, 1)), ("branch1.pointwise.bias", (1, 2, 1, 1))])
 def test_load_rejects_tensor_shape_mismatch(tmp_path, name, shape):
     cfg = JpuConfig((3, 4, 5), width=3)
