@@ -8,7 +8,10 @@
 # the bench config (perfbench's Forward256.config), and the name and sha256 of
 # each file `save_jpu_params` writes for the bench config's width-8 JPU (saved
 # twice into one directory, so the second save writes over the first's
-# files), with whether `load_jpu_params` reads back an equal config.
+# files), with whether `load_jpu_params` reads back an equal config, and a
+# sha256 of the JPU output and of every parameter and input gradient of one
+# `jpu_forward` and `jpu_backward` at training shapes (the default config's
+# 64x64 teacher pyramid, N 6 in f64, then N 3 in f32).
 #
 # Run it in two checkouts and compare; an empty diff is the check:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
@@ -102,4 +105,37 @@ with tempfile.TemporaryDirectory() as d:
     for path in sorted(Path(d).iterdir()):
         print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
     print("loads an equal config:", load_jpu_params(d)[1] == config)
+EOF
+capture jpu_train_step python3 - <<'EOF'
+import hashlib
+
+import numpy as np
+
+from jpulite import experiments as exp
+from jpulite.conv import ConvWeights
+from jpulite.jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
+from jpulite.tensor import Rng, Tensor, random_uniform
+
+
+def sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+config = exp.MiniBackboneConfig()
+data = exp.synthetic_teacher(0, 6, config)
+jpu_config = JpuConfig(config.level_channels, width=8)
+for n, dtype in ((6, np.float64), (3, np.float32)):
+    params = JpuParams.from_convs(
+        ConvWeights(Tensor(w.weight.data.astype(dtype)), w.bias.astype(dtype))
+        for _, w in jpu_init(jpu_config, Rng(1)).convs()
+    )
+    pyramid = (Tensor(t.data[:n].astype(dtype)) for t in (data.c3, data.c4, data.c5))
+    out, cache = jpu_forward(*pyramid, params, jpu_config)
+    grads, input_grads = jpu_backward(cache, random_uniform(out.shape, Rng(2), -1.0, 1.0, dtype=dtype))
+    label = f"n{n} {np.dtype(dtype).name}"
+    print(label, "output", sha(out.data))
+    for name, arr in grads.named_tensors():
+        print(label, name, sha(arr))
+    for level, g in zip(("c3", "c4", "c5"), input_grads):
+        print(label, level, sha(g.data))
 EOF

@@ -150,7 +150,10 @@ def cmd_train_demo(args) -> int:
     for seed in (args.seed, args.seed + 1000 + args.seeds - 1):  # the lowest and highest seeds used below
         Rng(seed)  # rejects one out of range before any teacher is built
     config = exp.MiniBackboneConfig()
-    JpuConfig(config.level_channels, width=args.width)  # rejects a bad --width before any teacher is built
+    # the library's own checks of --width, --image, --samples, --steps and --lr, before any teacher is built
+    JpuConfig(config.level_channels, width=args.width)
+    costmod._check_input_hw((args.image, args.image))
+    exp._check_training(args.n_samples, args.steps, args.lr, None)
     runs = {"bilinear": [], "jpu": []}
     for s in range(args.seeds):
         dataset = exp.synthetic_teacher(args.seed + s, args.n_samples, config, image_hw=(args.image, args.image))

@@ -2,19 +2,25 @@
 
 Forward and backward share one tap walk ("shift-GEMM", no full column matrix). The
 zero-padded input is written once into a buffer of its stride phases, each
-flattened to rows of one common width, and the output is computed on a "wide"
-grid of that width. Each kernel tap then reads one contiguous slice of one
-phase and is one BLAS `matmul`, accumulated in a fixed tap order; the wide
-grid's extra columns are dropped. Padding is always zero padding, and every
-conv adds a per-channel bias (a BatchNorm folded in for inference is one).
+flattened to rows of one common pitch, and the output is computed on a "wide"
+grid of that pitch. Neighbouring rows share one zero band: the zeros after
+one row's input are the padding before the next row's, so a row is only as
+wide as its input plus the wider of its two paddings (or the output, if that
+is wider). Each kernel tap then reads one contiguous slice of one phase and
+is one BLAS `matmul`, accumulated in a fixed tap order; the wide grid's extra
+columns are dropped. Padding is always zero padding, and every conv adds a
+per-channel bias (a BatchNorm folded in for inference is one).
 
-The backward writes the phases with the samples side by side in each
-channel's row and puts grad_out on the same stacked wide grid, zero in the
+The backward writes the phases with the samples one after another in each
+channel's line, where the zero rows below one sample are the padding above
+the next, and puts grad_out on the same stacked wide grid, zero in the
 columns and rows the forward drops. A tap's weight gradient is then one GEMM,
-`grad @ sliceᵀ` over the whole batch at once, and each phase of the input
-gradient is the sum of its taps' `Wᵀ @ grad`, every tap reading the grid
-shifted back by its offset into one contiguous product: the adjoint of the
-forward's slices, with no scatter.
+`slice @ grad` over the whole batch at once, and each phase of the input
+gradient is the sum of its taps' `grad @ W`, every tap reading the grid
+shifted back by its offset: the adjoint of the forward's slices, with no
+scatter. The grid keeps the output channels innermost, so each sample's
+part of that product is a GEMM of the same shape and strides whatever the
+batch, and runs as one.
 
 Only the taps that read input at some output position run. A tap whose every
 read lands in the padding contributes exact zeros, so it is skipped, its
@@ -43,10 +49,13 @@ workspace, so the Tensors they become can still be shared across threads.
 `relu=True` applies the ReLU in place on the forward's output.
 
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
-a fixed BLAS thread count and agree to rounding elsewhere. Every sample of a
-batch goes through GEMMs of the same sizes, so its output does not depend on
-the rest of the batch; nor does its input gradient, which only widens the
-GEMMs that sum over the output channels. The weight gradient sums the batch
+a fixed BLAS thread count and agree to rounding elsewhere. How OpenBLAS rounds
+a column can also depend on the GEMM's width, so a new row pitch can move
+outputs by rounding even where K stays the same. Every sample of a
+batch goes through GEMMs of the same sizes and strides, so neither its output
+nor its input gradient depends on the rest of the batch (a GEMM over the
+whole batch would round the columns at its end differently, and a 1-pixel
+map's as a dot product of other strides). The weight gradient sums the batch
 inside one GEMM per tap, so it matches the sum of per-sample weight gradients
 to rounding, not bit for bit. `count_macs=True` runs a plain loop nest instead
 and also returns the number of weight multiplies it performed.
@@ -149,12 +158,19 @@ class _TapWalk:
     in the phase), in the order the forward accumulates them. `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
     into its sh x sw stride phases, into a buffer of shape
-    (sh, sw, n, groups, cg_in, slot): each phase is hq rows of wq columns plus
-    one zero slack row (slot = (hq + 1) * wq), so every tap can read whole
-    rows of the wide output grid. With stacked=True the samples sit side by
-    side in each channel's row instead, (sh, sw, groups, cg_in, n * slot), and
-    a tap at offset off reads every sample at once in one slice of length
-    (n - 1) * slot + oh * wq; each sample's part stays inside its own slot.
+    (sh, sw, n, groups, cg_in, line). Each phase is one flat line: a leading
+    zero band of `base` cells, then a slot of `slot_rows` rows of `pitch`
+    cells, then a zero tail for the last tap's over-read. A row holds its
+    input at the front and zeros behind it, and those zeros are also the
+    leading padding of the next row; the rows below the input in the slot
+    are the bottom padding. So every tap reads whole rows of the wide output
+    grid (pitch columns, at least the output's width) at one offset from the
+    line's start. With stacked=True the samples sit in one line per channel,
+    slot after slot, (sh, sw, groups, cg_in, line): the zero rows at the end
+    of one sample's slot are also the top padding of the next, and a tap at
+    offset off reads every sample at once in one slice of length
+    (n - 1) * slot + oh * pitch. Per axis, the pitch and the slot's rows are
+    `_axis_layout`'s; a read never reaches another row's or sample's input.
     """
 
     def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int]):
@@ -164,33 +180,38 @@ class _TapWalk:
         axes = zip((h, w), spec.kernel, spec.stride, spec.dilation, spec.padding, (self.oh, self.ow), strict=True)
         (row_taps, (lo_h, hi_h)), (col_taps, (lo_w, hi_w)) = (_axis_taps(*axis) for axis in axes)
         sh, sw = spec.stride
-        hq, self.wq = -(-(h + lo_h + hi_h) // sh), -(-(w + lo_w + hi_w) // sw)
-        self.shape = (sh, sw, n, spec.groups, c // spec.groups, hq + 1, self.wq)
-        self.stacked_shape = (sh, sw, spec.groups, c // spec.groups, n, hq + 1, self.wq)
-        self.slot = (hq + 1) * self.wq
-        self.taps = tuple((u, v, a, b, r * self.wq + q) for u, a, r in row_taps for v, b, q in col_taps)
+        (self.slot_rows, lead_h, row_phases), (self.pitch, lead_w, col_phases) = (
+            _axis_layout(*axis) for axis in ((h, sh, lo_h, hi_h, self.oh), (w, sw, lo_w, hi_w, self.ow))
+        )
+        self.slot = self.slot_rows * self.pitch
+        self.base = lead_h * self.pitch + lead_w  # the leading zero band; tap offsets count from the line's start
+        self.taps = tuple((u, v, a, b, r * self.pitch + q) for u, a, r in row_taps for v, b, q in col_taps)
+        self.tail = max(0, max(off for *_, off in self.taps) + self.oh * self.pitch - self.base - self.slot)
+        g, cg = spec.groups, c // spec.groups
+        self.shape = (sh, sw, n, g, cg, self.base + self.slot + self.tail)
+        self.stacked_shape = (sh, sw, g, cg, self.base + n * self.slot + self.tail)
         # per stride phase, (u, v, offset) of the taps that read it, in tap order
         self.phase_taps = tuple(
             ((a, b), tuple((u, v, off) for u, v, ta, tb, off in self.taps if (ta, tb) == (a, b)))
             for a in range(sh)
             for b in range(sw)
         )
-        # per phase: (where it holds input, the grouped-input view of what it holds)
+        # per phase: (where its slots hold input, the grouped-input view of what they hold)
         self.views = tuple(
             ((a, b, ..., rows, cols), (..., in_rows, in_cols))
-            for a, rows, in_rows in _phase_ranges(h, sh, lo_h)
-            for b, cols, in_cols in _phase_ranges(w, sw, lo_w)
+            for a, rows, in_rows in row_phases
+            for b, cols, in_cols in col_phases
         )
-        # the rest of each phase, its zero padding: the bands above and below
-        # the input rows, then left and right of the input within them
+        # the rest of each phase's slots, zero: the rows above and below its
+        # input, then the cells left and right of it in the input rows
         self.pads = tuple(
             (a, b, ..., *band)
             for (a, b, _, rows, cols), _ in self.views
             for band, size in (
                 ((slice(0, rows.start), slice(None)), rows.start),
-                ((slice(rows.stop, None), slice(None)), hq + 1 - rows.stop),
+                ((slice(rows.stop, None), slice(None)), self.slot_rows - rows.stop),
                 ((rows, slice(0, cols.start)), (rows.stop - rows.start) * cols.start),
-                ((rows, slice(cols.stop, None)), (rows.stop - rows.start) * (self.wq - cols.stop)),
+                ((rows, slice(cols.stop, None)), (rows.stop - rows.start) * (self.pitch - cols.stop)),
             )
             if size > 0
         )
@@ -199,26 +220,32 @@ class _TapWalk:
         """The phase buffer of x, written into buf (of `shape`, or of
         `stacked_shape` with stacked=True; any contents)."""
         xg = x.reshape(self.shape[2:5] + x.shape[2:])
-        if stacked:
-            xg, buf = xg.transpose(1, 2, 0, 3, 4), buf.reshape(self.stacked_shape)
+        xg, count = (xg.transpose(1, 2, 0, 3, 4), self.n) if stacked else (xg[:, :, :, None], 1)
+        slots = buf[..., self.base : self.base + count * self.slot]
+        slots = slots.reshape(*buf.shape[:-1], count, self.slot_rows, self.pitch)
         for at, src in self.views:
-            buf[at] = xg[src]
+            slots[at] = xg[src]
         for at in self.pads:
-            buf[at] = 0
-        return buf.reshape(*buf.shape[: 4 if stacked else 5], -1)
+            slots[at] = 0
+        if self.base:
+            buf[..., : self.base] = 0
+        if self.tail:
+            buf[..., -self.tail :] = 0
+        return buf
 
-    def unphase(self, buf: np.ndarray) -> np.ndarray:
-        """Inverse of phases(stacked=True): a new (n, c, h, w) array read out of a stacked phase buffer."""
+    def unphase(self, slots: np.ndarray) -> np.ndarray:
+        """A new (n, c, h, w) array read out of each sample's slots, (sh, sw, n, groups, slot, cg_in)."""
         n, g, cg = self.shape[2:5]
-        x = np.empty((n, g * cg, self.h, self.w), dtype=buf.dtype)
-        xg, buf = x.reshape(n, g, cg, self.h, self.w).transpose(1, 2, 0, 3, 4), buf.reshape(self.stacked_shape)
+        x = np.empty((n, g * cg, self.h, self.w), dtype=slots.dtype)
+        xg = x.reshape(n, g, cg, self.h, self.w)
+        slots = np.moveaxis(slots.reshape(*self.shape[:4], self.slot_rows, self.pitch, cg), -1, 4)
         for at, src in self.views:
-            xg[src] = buf[at]
+            xg[src] = slots[at]
         return x
 
     def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
         """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
-        return buf[a, b, ..., off + r0 * self.wq : off + r1 * self.wq]
+        return buf[a, b, ..., off + r0 * self.pitch : off + r1 * self.pitch]
 
 
 @lru_cache(maxsize=1024)  # a walk is 8-12 us of Python; a handful of geometries recur, forward and backward
@@ -246,12 +273,28 @@ def _axis_taps(size: int, k: int, s: int, d: int, p: int, o: int):
     return tuple((u, (u * d - p + lo) % s, (u * d - p + lo) // s) for u in live), (lo, hi)
 
 
-def _phase_ranges(size: int, stride: int, pad: int):
-    """Per stride phase a of one padded axis: (a, its indices that hold input, the input indices they hold)."""
+def _axis_layout(size: int, stride: int, lo: int, hi: int, o: int):
+    """One axis of the shared zero bands: (pitch, lead, phases).
+
+    The axis padded by (lo, hi) splits into stride phases of `span` cells,
+    phase a holding its t input cells behind t0 zeros. Laid out at a pitch
+    of at least t + max(t0, span - t0 - t) per phase, a phase's zeros on
+    either side of its input are the other side's zeros of its neighbour, so
+    reads from t0 before its input to span - t0 after stay clear of any other
+    input; the pitch is also at least the output size o. All phases sit
+    `lead` (their fewest leading zeros) cells behind one shared band, so a tap
+    offset is the same in every phase. `phases` lists per phase a: (a, its
+    cells that hold input, the input indices they hold).
+    """
+    span = -(-(lo + size + hi) // stride)
+    held = []
     for a in range(stride):
-        t0 = max(0, -(-(pad - a) // stride))  # first index of phase a inside the unpadded input
-        start = a + t0 * stride - pad
-        yield a, slice(t0, t0 + len(range(start, size, stride))), slice(start, size, stride)
+        t0 = max(0, -(-(lo - a) // stride))  # first cell of phase a inside the unpadded input
+        start = a + t0 * stride - lo
+        held.append((a, t0, len(range(start, size, stride)), slice(start, size, stride)))
+    lead = min(t0 for _, t0, t, _ in held if t)
+    pitch = max(o, *(t + max(t0, span - t0 - t) for _, t0, t, _ in held if t))
+    return pitch, lead, tuple((a, slice(t0 - lead, t0 - lead + t), src) for a, t0, t, src in held)
 
 
 # Cap on one sample's row-block accumulator. It sets the GEMM sizes, so a new
@@ -307,14 +350,14 @@ def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, 
 def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     """The tap walk over row blocks of the wide output grid, in this thread's workspace."""
     walk = _tap_walk(spec, x.shape)
-    n, g, o, wq, taps = walk.n, spec.groups, spec.out_channels, walk.wq, walk.taps
+    n, g, o, pitch, taps = walk.n, spec.groups, spec.out_channels, walk.pitch, walk.taps
     cg = spec.in_channels // g
     thin = cg <= _THIN_CHANNELS and len(taps) > 1
     # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
-    rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * wq * x.dtype.itemsize)))
-    acc_shape = (n, g, o // g, rows * wq)
+    rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * pitch * x.dtype.itemsize)))
+    acc_shape = (n, g, o // g, rows * pitch)
     # tmp: in the thin path the column block, each tap's cg rows in tap order
-    tmp_shape = (n, g, len(taps) * cg, rows * wq) if thin else acc_shape
+    tmp_shape = (n, g, len(taps) * cg, rows * pitch) if thin else acc_shape
     buf, acc, tmp = _workspace(x.dtype, walk.shape, acc_shape, tmp_shape)
     buf = walk.phases(x, buf)
     if thin:  # (groups, cg_out, taps x cg_in), in the column block's order
@@ -325,7 +368,7 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
     for r0 in range(0, walk.oh, rows):
         r1 = min(walk.oh, r0 + rows)
-        acc_r, tmp_r = acc[..., : (r1 - r0) * wq], tmp[..., : (r1 - r0) * wq]
+        acc_r, tmp_r = acc[..., : (r1 - r0) * pitch], tmp[..., : (r1 - r0) * pitch]
         if thin:
             for i, (_, _, a, b, off) in enumerate(taps):
                 tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(buf, a, b, off, r0, r1)
@@ -335,7 +378,7 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
                 prod = np.matmul(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
                 if i:
                     acc_r += prod
-        out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, wq)[..., : walk.ow]
+        out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
     out += w.bias.astype(x.dtype, copy=False)[:, None, None]
     return out
 
@@ -369,39 +412,46 @@ def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
 def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
     """Gradients of sum(grad_out * conv2d(x, w, spec)) w.r.t. x, weight, bias.
 
-    grad_out sits on the stacked wide grid behind a zero margin of the largest
-    tap offset; a tap's read shifted back by its offset reaches no other
-    sample than the zero tail of the previous slot, so the sums are exact."""
+    grad_out sits on the stacked wide grid behind a zero margin, zero in the
+    columns and rows past the output; a tap's read shifted back by its offset
+    meets grad_out only at the outputs that read that input cell, so the
+    sums are exact."""
     _check_input(x, w, spec)
     walk = _tap_walk(spec, x.shape)
-    n, g, o, oh, ow, wq = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.wq
+    n, g, o, oh, ow, pitch = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.pitch
     if grad_out.shape != (n, o, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
     og, cg = o // g, spec.in_channels // g
-    size = n * walk.slot
-    k = size - walk.slot + oh * wq  # what one tap reads of the stacked row
-    m = max(off for *_, off in walk.taps)
-    buf, grad_buf, grid, tmp, grad_w = _workspace(
-        x.dtype, walk.stacked_shape, walk.stacked_shape, (g, og, m + size), (g, cg, size), (*spec.kernel, g, og, cg)
+    size = n * walk.slot  # the stacked slots, which hold every input cell
+    k = size - walk.slot + oh * pitch  # what one tap reads of the stacked line
+    m = max(0, max(off for *_, off in walk.taps) - walk.base)
+    buf, grad_slots, grid, tmp, grad_w = _workspace(
+        x.dtype,
+        walk.stacked_shape,
+        (*spec.stride, n, g, walk.slot, cg),
+        (g, m + walk.base + size, og),
+        (n, g, walk.slot, cg),
+        (*spec.kernel, g, cg, og),
     )
     buf = walk.phases(x.data, buf, stacked=True)
-    grad_buf = grad_buf.reshape(buf.shape)
     grid[...] = 0
-    stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 2, 0, 3, 4)
-    grid[..., m:].reshape(g, og, n, -1, wq)[..., :oh, :ow] = stacked_out
-    wt_t = _tap_weights(w, spec, x.dtype).swapaxes(-1, -2)
+    stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
+    grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out
+    wt = _tap_weights(w, spec, x.dtype)
     grad_w[...] = 0  # 0 at taps that do not run
     for (a, b), taps in walk.phase_taps:
         if not taps:
-            grad_buf[a, b] = 0
+            grad_slots[a, b] = 0
         for i, (u, v, off) in enumerate(taps):
-            np.matmul(grid[..., m : m + k], buf[a, b, ..., off : off + k].swapaxes(-1, -2), out=grad_w[u, v])
-            prod = np.matmul(wt_t[u, v], grid[..., m - off : m - off + size], out=tmp if i else grad_buf[a, b])
+            np.matmul(buf[a, b, ..., off : off + k], grid[:, m : m + k], out=grad_w[u, v])
+            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
+            shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
+            prod = np.matmul(shifted, wt[u, v], out=tmp if i else grad_slots[a, b])
             if i:
-                grad_buf[a, b] += prod
+                grad_slots[a, b] += prod
     gw = np.empty(spec.weight_shape, dtype=x.dtype)
-    gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 3, 4, 0, 1)
-    return Tensor(walk.unphase(grad_buf)), Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
+    gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 4, 3, 0, 1)
+    return Tensor(walk.unphase(grad_slots)), Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 
 
 def relu(x: Tensor) -> Tensor:

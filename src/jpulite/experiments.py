@@ -164,6 +164,20 @@ def _sample_mses(diff: np.ndarray) -> list[float]:
     return [float(np.mean(d**2)) for d in diff]
 
 
+def _check_training(n: int, steps: int, lr: float, holdout: int | None) -> int:
+    """The trainer's rules for its settings on n samples; returns the number
+    held out (by default a quarter, at least 1)."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if holdout is None:
+        holdout = max(1, n // 4)
+    if not 1 <= holdout <= n - 1:
+        raise ValueError(f"holdout {holdout} of {n} samples leaves a training or held-out set empty")
+    return holdout
+
+
 def train_approximator(
     method: str,
     dataset: TeacherDataset,
@@ -178,17 +192,9 @@ def train_approximator(
     upsampling module in front of a shared 3x3 head."""
     if method not in ("bilinear", "jpu"):
         raise KeyError(f"unknown method {method!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if not 0 <= lr < math.inf:
-        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     data = (dataset.c3, dataset.c4, dataset.c5, dataset.target)
     n = dataset.target.shape[0]
-    if holdout is None:
-        holdout = max(1, n // 4)
-    if not 1 <= holdout <= n - 1:
-        raise ValueError(f"holdout {holdout} of {n} samples leaves a training or held-out set empty")
-    n_train = n - holdout
+    n_train = n - _check_training(n, steps, lr, holdout)
     target_ch, out_h, out_w = dataset.target.shape[1:]
     rng = Rng(seed)
 

@@ -111,6 +111,7 @@ def jpu_init(config: JpuConfig, rng: Rng) -> JpuParams:
 @dataclass(eq=False)
 class JpuCache:
     layers: dict[str, tuple[ConvSpec, ConvWeights]]  # the layer table with this pass's weights
+    executed: dict[str, tuple[ConvSpec, ConvWeights, str]]  # what `_executed` gave each conv that ran, by layer name
     inputs: dict[str, Tensor]  # each conv's input, by layer name (a branch's under its depthwise name)
     acts: dict[str, Tensor]  # ReLU output of each level, branch (under its pointwise name) and the fusion
 
@@ -164,10 +165,10 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
     _check_pyramid(c3, c4, c5, config)
     h, w = c3.shape[2], c3.shape[3]
     layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
-    inputs, acts = {}, {}
+    executed, inputs, acts = {}, {}, {}
 
     def conv(name: str, x: Tensor) -> Tensor:
-        spec, cw, act = _executed(layers, name)
+        spec, cw, act = executed[name] = _executed(layers, name)  # a branch is folded once, here
         inputs[name] = x
         y = acts[act] = conv2d(x, cw, spec, relu=True)
         return y
@@ -176,7 +177,7 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
     y_c = concat_channels([a3, bilinear_resize(a4, h, w), bilinear_resize(a5, h, w)])
     fused_in = concat_channels([conv(f"branch{i}.depthwise", y_c) for i in range(len(DILATION_RATES))])
     out = conv("fusion", fused_in)
-    return out, JpuCache(layers, inputs, acts)
+    return out, JpuCache(layers, executed, inputs, acts)
 
 
 def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tensor, Tensor, Tensor]]:
@@ -193,7 +194,7 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     def back(name: str, g: Tensor) -> Tensor:
         """Mirror of the forward conv: takes the gradient of its ReLU output and
         returns that of its input."""
-        spec, cw, act = _executed(layers, name)
+        spec, cw, act = cache.executed[name]
         g = relu_backward(acts[act], g)  # relu(z) > 0 exactly where z > 0
         g_x, g_w, g_b = conv2d_backward(inputs[name], cw, spec, g)
         if act == name:

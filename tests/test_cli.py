@@ -262,6 +262,26 @@ def test_train_demo_bad_width_exits_2_before_any_teacher(capsys, monkeypatch):
     assert captured.err.splitlines() == ["error: width must be a positive int, got 0"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--samples", "1"], "holdout 1 of 1 samples leaves a training or held-out set empty"),
+        (["--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--lr", "nan"], "lr must be finite and >= 0, got nan"),
+        (["--image", "48"], "input dims must be positive multiples of 32, got (48, 48)"),
+    ],
+)
+def test_train_demo_usage_error_exits_2_before_any_teacher(capsys, monkeypatch, argv, error):
+    def no_teacher(*args, **kwargs):
+        raise AssertionError("a teacher was built before the usage error was reported")
+
+    monkeypatch.setattr(cli.exp, "synthetic_teacher", no_teacher)
+    code = main(["train-demo", *_SMALL_RUNS["train-demo"], *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {error}"]
+
+
 def test_degenerate_problem_exits_1(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateProblemError("singular normal equations")

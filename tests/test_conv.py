@@ -190,6 +190,27 @@ def oracle_case(spec, hw, n, dtype, seed):
     return x, w, spec, grad_out
 
 
+LAYOUT_EDGES = (
+    # stride 2 leaves less padding below the map than above it (lo != hi)
+    oracle_case(ConvSpec(3, 2, stride=(2, 2), padding=(1, 1)), (8, 6), 3, np.float64, 8),
+    # an output wider than its input (ow = w + 2), so the row pitch is the output's width
+    oracle_case(ConvSpec(2, 3, (1, 1), padding=(1, 1)), (3, 4), 3, np.float64, 9),
+    # 1-pixel maps
+    oracle_case(ConvSpec(3, 2, padding=(1, 1)), (1, 1), 3, np.float64, 10),
+    # stride 3 on 8x7: phases of unequal length, one with a zero cell before its input
+    oracle_case(ConvSpec(2, 2, stride=(3, 3), padding=(1, 1)), (8, 7), 2, np.float64, 11),
+    # N 6 at rate 4 on 8x8, the JPU's widest training slots
+    oracle_case(ConvSpec(6, 2, dilation=(4, 4), padding=(4, 4)), (8, 8), 6, np.float64, 12),
+)
+
+
+def layout_edges(test):
+    """The geometries at the edges of the tap walk's layout, as examples of a `case` test."""
+    for case in LAYOUT_EDGES:
+        test = example(case=case)(test)
+    return test
+
+
 @st.composite
 def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
     """(x, weights, spec, grad_out): dense and grouped convs (cg_in up to
@@ -226,6 +247,7 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
 @example(case=oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3))
 # taps dead in the row axis only
 @example(case=oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4))
+@layout_edges
 def test_conv_and_backward_match_scalar_oracles(case):
     x, w, spec, grad_out = case
     tol = ORACLE_TOL[x.dtype]
@@ -307,11 +329,12 @@ def test_back_to_back_convs_match_scalar_oracle(cases):
 @example(case=oracle_case(ConvSpec(32, 32, padding=(1, 1)), (8, 8), 6, np.float64, 5))
 # stride 3, grouped, thin
 @example(case=oracle_case(ConvSpec(6, 4, stride=(3, 3), padding=(1, 2), groups=2), (7, 8), 5, np.float64, 6))
+@layout_edges
 def test_backward_batch_is_the_per_sample_backwards(case):
-    """The backward runs the whole batch in one GEMM per tap, yet each
-    sample's input gradient is byte-identical to a backward of that sample
-    alone, and the weight and bias gradients are the sums of the per-sample
-    ones to rounding."""
+    """The backward sums the batch's weight gradient in one GEMM per tap, yet
+    each sample's input gradient is byte-identical to a backward of that
+    sample alone, and the weight and bias gradients are the sums of the
+    per-sample ones to rounding."""
     x, w, spec, grad_out = case
     gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
     singles = [
@@ -322,6 +345,21 @@ def test_backward_batch_is_the_per_sample_backwards(case):
     tol = ORACLE_TOL[x.dtype]
     assert close(gw.data, sum(gw_k.data for _, gw_k, _ in singles), tol)
     assert close(gb, sum(gb_k for *_, gb_k in singles), tol)
+
+
+@pytest.mark.parametrize(
+    "rate, hw, slot, k",
+    [(1, (8, 8), 81, 477), (2, (8, 8), 100, 580), (4, (8, 8), 144, 816), (8, (8, 8), 64, 384),
+     (1, (4, 4), 25, 145), (1, (2, 2), 9, 51)],
+)
+def test_slots_share_their_zero_bands(rate, hw, slot, k):
+    """At the JPU's training shapes (N 6; 8x8, 4x4 and 2x2 maps), a sample's
+    slot is its map plus one band of `rate` zeros per axis, shared with the next
+    row and sample, so a tap's GEMM sums over k = 5 slots plus one output grid
+    of the row pitch. At rate 8 only the centre tap runs and no band is left."""
+    walk = conv._tap_walk(ConvSpec(8, 8, dilation=(rate, rate), padding=(rate, rate)), (6, 8, *hw))
+    assert walk.slot == slot
+    assert (walk.n - 1) * walk.slot + walk.oh * walk.pitch == k
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpulite import jpu
 from jpulite.conv import ConvWeights, conv2d
 from jpulite.jpu import (
     DILATION_RATES,
@@ -190,6 +191,26 @@ def test_backward_zero_grad():
         assert not np.asarray(arr).any()
     for g in in_grads:
         assert not g.data.any()
+
+
+def test_step_folds_each_branch_once(monkeypatch):
+    """The forward folds each branch's weights once and the backward reads
+    them from the cache; its gradients are byte-identical to those of a
+    backward that folds every branch afresh."""
+    folds = []
+    fold = jpu._fold_branch
+    monkeypatch.setattr(jpu, "_fold_branch", lambda *a: folds.append(a) or fold(*a))
+    p = jpu_init(TINY, Rng(19))
+    y, cache = jpu_forward(*pyramid(TINY, 20, n=3), p, TINY)
+    go = random_uniform(y.shape, Rng(21), -1, 1)
+    grads, in_grads = jpu_backward(cache, go)
+    assert len(folds) == len(DILATION_RATES)
+
+    refolded = dataclasses.replace(cache, executed={name: jpu._executed(cache.layers, name) for name in cache.executed})
+    want_grads, want_in = jpu_backward(refolded, go)
+    got = [np.asarray(a).tobytes() for _, a in grads.named_tensors()] + [g.data.tobytes() for g in in_grads]
+    want = [np.asarray(a).tobytes() for _, a in want_grads.named_tensors()] + [g.data.tobytes() for g in want_in]
+    assert got == want
 
 
 def test_backward_finite_differences():
