@@ -41,10 +41,13 @@ DEFAULT_TOL = {"f32": 1e-5, "f64": 1e-12}
 def _emit(doc: dict, args) -> None:
     doc = {"schema": 1, **doc}
     text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True)
+    if args.output:  # first, so a path that cannot be written leaves stdout empty
+        try:
+            with _open_new(args.output, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:  # a usage error (exit 2), not a numerical one
+            raise ValueError(f"cannot write --output: {e}") from e
     print(text)
-    if args.output:
-        with _open_new(args.output, "w") as f:
-            f.write(text + "\n")
 
 
 def _random_stage(rng: Rng, dtype) -> tuple[Tensor, StageWeights]:
@@ -101,7 +104,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    spec = costmod.resnet_preset(args.backbone)
+    spec = costmod.BackboneSpec(args.backbone)
     input_hw = tuple(args.input)
     dilated = costmod.backbone_cost(spec, costmod.DILATED_MODE, input_hw)
     jpu = costmod.backbone_cost(spec, costmod.STRIDE_JPU_MODE, input_hw, jpu_width=args.jpu_width)

@@ -2,23 +2,24 @@
 
 Forward and backward share one tap walk ("shift-GEMM", no full column matrix). The
 zero-padded input is written once into a buffer of its stride phases, each
-flattened to rows of one common pitch, and the output is computed on a "wide"
-grid of that pitch. Neighbouring rows share one zero band: the zeros after
-one row's input are the padding before the next row's, so a row is only as
-wide as its input plus the wider of its two paddings (or the output, if that
-is wider). Each kernel tap then reads one contiguous slice of one phase and
-is one BLAS `matmul`, accumulated in a fixed tap order; the wide grid's extra
-columns are dropped. Padding is always zero padding, and every conv adds a
-per-channel bias (a BatchNorm folded in for inference is one).
+flattened to rows of one common pitch, with the samples one after another in
+each channel's line, and the output is computed on a "wide" grid of that
+pitch. Neighbouring rows and samples share one zero band: the zeros after one
+row's input are the padding before the next row's, and the zero rows below
+one sample are the padding above the next, so a row is only as wide as its
+input plus the wider of its two paddings (or the output, if that is wider).
+Each kernel tap then reads one contiguous slice of one phase per sample,
+`slot` cells apart from sample to sample, and is one BLAS `matmul` per
+sample, accumulated in a fixed tap order; the wide grid's extra columns are
+dropped. Padding is always zero padding, and every conv adds a per-channel
+bias (a BatchNorm folded in for inference is one).
 
-The backward writes the phases with the samples one after another in each
-channel's line, where the zero rows below one sample are the padding above
-the next, and puts grad_out on the same stacked wide grid, zero in the
-columns and rows the forward drops. A tap's weight gradient is then one GEMM,
-`slice @ grad` over the whole batch at once, and each phase of the input
-gradient is the sum of its taps' `grad @ W`, every tap reading the grid
-shifted back by its offset: the adjoint of the forward's slices, with no
-scatter. The grid keeps the output channels innermost, so each sample's
+The backward puts grad_out on the wide grid of the whole stacked line, zero
+in the columns and rows the forward drops. A tap's weight gradient is then
+one GEMM, `slice @ grad` over the whole batch at once, and each phase of the
+input gradient is the sum of its taps' `grad @ W`, every tap reading the
+grid shifted back by its offset: the adjoint of the forward's slices, with
+no scatter. The grid keeps the output channels innermost, so each sample's
 part of that product is a GEMM of the same shape and strides whatever the
 batch, and runs as one.
 
@@ -52,13 +53,16 @@ Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. How OpenBLAS rounds
 a column can also depend on the GEMM's width, so a new row pitch can move
 outputs by rounding even where K stays the same. Every sample of a
-batch goes through GEMMs of the same sizes and strides, so neither its output
-nor its input gradient depends on the rest of the batch (a GEMM over the
-whole batch would round the columns at its end differently, and a 1-pixel
-map's as a dot product of other strides). The weight gradient sums the batch
-inside one GEMM per tap, so it matches the sum of per-sample weight gradients
-to rounding, not bit for bit. `count_macs=True` runs a plain loop nest instead
-and also returns the number of weight multiplies it performed.
+batch goes through GEMMs of the same sizes, so neither its output nor its
+input gradient depends on the rest of the batch (a GEMM over the whole batch
+would round the columns at its end differently, and a 1-pixel map's as a dot
+product of other strides). Only the row stride of a forward GEMM's input,
+one phase line, grows with the batch; the tests that compare each sample of
+a batch with a conv of that sample alone, byte for byte, back this. The
+weight gradient sums the batch inside one GEMM per tap, so it matches the
+sum of per-sample weight gradients to rounding, not bit for bit.
+`count_macs=True` runs a plain loop nest instead and also returns the number
+of weight multiplies it performed.
 """
 
 from __future__ import annotations
@@ -157,20 +161,19 @@ class _TapWalk:
     `_axis_taps` keeps, as (row, column, phase row, phase column, flat offset
     in the phase), in the order the forward accumulates them. `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
-    into its sh x sw stride phases, into a buffer of shape
-    (sh, sw, n, groups, cg_in, line). Each phase is one flat line: a leading
-    zero band of `base` cells, then a slot of `slot_rows` rows of `pitch`
-    cells, then a zero tail for the last tap's over-read. A row holds its
-    input at the front and zeros behind it, and those zeros are also the
-    leading padding of the next row; the rows below the input in the slot
-    are the bottom padding. So every tap reads whole rows of the wide output
-    grid (pitch columns, at least the output's width) at one offset from the
-    line's start. With stacked=True the samples sit in one line per channel,
-    slot after slot, (sh, sw, groups, cg_in, line): the zero rows at the end
-    of one sample's slot are also the top padding of the next, and a tap at
-    offset off reads every sample at once in one slice of length
-    (n - 1) * slot + oh * pitch. Per axis, the pitch and the slot's rows are
-    `_axis_layout`'s; a read never reaches another row's or sample's input.
+    into its sh x sw stride phases, into a buffer of `shape`,
+    (sh, sw, groups, cg_in, line). Each phase is one flat line per channel: a
+    leading zero band of `base` cells, then one slot per sample of `slot_rows`
+    rows of `pitch` cells, then a zero tail for the last tap's over-read. A
+    row holds its input at the front and zeros behind it, and those zeros are
+    also the leading padding of the next row; the rows below the input in a
+    slot are the bottom padding, and also the top padding of the next
+    sample's slot. So every tap reads whole rows of the wide output grid
+    (pitch columns, at least the output's width) at one offset from the
+    start of a sample's slot minus `base`: a tap at offset off reads every
+    sample at once in one slice of length (n - 1) * slot + oh * pitch. Per
+    axis, the pitch and the slot's rows are `_axis_layout`'s; a read never
+    reaches another row's or sample's input.
     """
 
     def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int]):
@@ -188,8 +191,7 @@ class _TapWalk:
         self.taps = tuple((u, v, a, b, r * self.pitch + q) for u, a, r in row_taps for v, b, q in col_taps)
         self.tail = max(0, max(off for *_, off in self.taps) + self.oh * self.pitch - self.base - self.slot)
         g, cg = spec.groups, c // spec.groups
-        self.shape = (sh, sw, n, g, cg, self.base + self.slot + self.tail)
-        self.stacked_shape = (sh, sw, g, cg, self.base + n * self.slot + self.tail)
+        self.shape = (sh, sw, g, cg, self.base + n * self.slot + self.tail)
         # per stride phase, (u, v, offset) of the taps that read it, in tap order
         self.phase_taps = tuple(
             ((a, b), tuple((u, v, off) for u, v, ta, tb, off in self.taps if (ta, tb) == (a, b)))
@@ -216,13 +218,11 @@ class _TapWalk:
             if size > 0
         )
 
-    def phases(self, x: np.ndarray, buf: np.ndarray, stacked: bool = False) -> np.ndarray:
-        """The phase buffer of x, written into buf (of `shape`, or of
-        `stacked_shape` with stacked=True; any contents)."""
-        xg = x.reshape(self.shape[2:5] + x.shape[2:])
-        xg, count = (xg.transpose(1, 2, 0, 3, 4), self.n) if stacked else (xg[:, :, :, None], 1)
-        slots = buf[..., self.base : self.base + count * self.slot]
-        slots = slots.reshape(*buf.shape[:-1], count, self.slot_rows, self.pitch)
+    def phases(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The phase buffer of x, written into buf (of `shape`; any contents)."""
+        xg = x.reshape(self.n, *self.shape[2:4], *x.shape[2:]).transpose(1, 2, 0, 3, 4)
+        slots = buf[..., self.base : self.base + self.n * self.slot]
+        slots = slots.reshape(*buf.shape[:-1], self.n, self.slot_rows, self.pitch)
         for at, src in self.views:
             slots[at] = xg[src]
         for at in self.pads:
@@ -235,17 +235,26 @@ class _TapWalk:
 
     def unphase(self, slots: np.ndarray) -> np.ndarray:
         """A new (n, c, h, w) array read out of each sample's slots, (sh, sw, n, groups, slot, cg_in)."""
-        n, g, cg = self.shape[2:5]
-        x = np.empty((n, g * cg, self.h, self.w), dtype=slots.dtype)
-        xg = x.reshape(n, g, cg, self.h, self.w)
-        slots = np.moveaxis(slots.reshape(*self.shape[:4], self.slot_rows, self.pitch, cg), -1, 4)
+        sh, sw, g, cg = self.shape[:4]
+        x = np.empty((self.n, g * cg, self.h, self.w), dtype=slots.dtype)
+        xg = x.reshape(self.n, g, cg, self.h, self.w)
+        slots = np.moveaxis(slots.reshape(sh, sw, self.n, g, self.slot_rows, self.pitch, cg), -1, 4)
         for at, src in self.views:
             xg[src] = slots[at]
         return x
 
-    def tap(self, buf: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
-        """What a tap reads for wide output rows r0 to r1: one contiguous slice of phase (a, b)."""
-        return buf[a, b, ..., off + r0 * self.pitch : off + r1 * self.pitch]
+    def samples(self, buf: np.ndarray) -> np.ndarray:
+        """A phase buffer seen as (sh, sw, n, groups, cg_in, base + slot + tail):
+        each sample's line starts `slot` cells after the previous sample's, so
+        neighbouring lines overlap. Only read it."""
+        s_a, s_b, s_g, s_c, cell = buf.strides
+        shape = (*self.shape[:2], self.n, *self.shape[2:4], self.base + self.slot + self.tail)
+        return np.ndarray(shape, buf.dtype, buf, 0, (s_a, s_b, self.slot * cell, s_g, s_c, cell))
+
+    def tap(self, lines: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
+        """What a tap reads for wide output rows r0 to r1 of every sample, from
+        `samples(buf)`: per sample one contiguous slice of phase (a, b)."""
+        return lines[a, b, ..., off + r0 * self.pitch : off + r1 * self.pitch]
 
 
 @lru_cache(maxsize=1024)  # a walk is 8-12 us of Python; a handful of geometries recur, forward and backward
@@ -359,7 +368,7 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     # tmp: in the thin path the column block, each tap's cg rows in tap order
     tmp_shape = (n, g, len(taps) * cg, rows * pitch) if thin else acc_shape
     buf, acc, tmp = _workspace(x.dtype, walk.shape, acc_shape, tmp_shape)
-    buf = walk.phases(x, buf)
+    lines = walk.samples(walk.phases(x, buf))
     if thin:  # (groups, cg_out, taps x cg_in), in the column block's order
         us, vs = zip(*((u, v) for u, v, *_ in taps))
         wt = w.weight.data[:, :, us, vs].astype(x.dtype, copy=False).transpose(0, 2, 1).reshape(g, o // g, -1)
@@ -371,11 +380,11 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
         acc_r, tmp_r = acc[..., : (r1 - r0) * pitch], tmp[..., : (r1 - r0) * pitch]
         if thin:
             for i, (_, _, a, b, off) in enumerate(taps):
-                tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(buf, a, b, off, r0, r1)
+                tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(lines, a, b, off, r0, r1)
             np.matmul(wt, tmp_r, out=acc_r)
         else:
             for i, (u, v, a, b, off) in enumerate(taps):
-                prod = np.matmul(wt[u, v], walk.tap(buf, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+                prod = np.matmul(wt[u, v], walk.tap(lines, a, b, off, r0, r1), out=tmp_r if i else acc_r)
                 if i:
                     acc_r += prod
         out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
@@ -427,13 +436,13 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
     m = max(0, max(off for *_, off in walk.taps) - walk.base)
     buf, grad_slots, grid, tmp, grad_w = _workspace(
         x.dtype,
-        walk.stacked_shape,
+        walk.shape,
         (*spec.stride, n, g, walk.slot, cg),
         (g, m + walk.base + size, og),
         (n, g, walk.slot, cg),
         (*spec.kernel, g, cg, og),
     )
-    buf = walk.phases(x.data, buf, stacked=True)
+    buf = walk.phases(x.data, buf)
     grid[...] = 0
     stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
     grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out

@@ -96,10 +96,6 @@ class BackboneSpec:
         return table
 
 
-def resnet_preset(name: str) -> BackboneSpec:
-    return BackboneSpec(name)
-
-
 @dataclass(frozen=True)
 class CostEntry:
     name: str

@@ -6,7 +6,8 @@ concatenation, four parallel separable convolutions (+ ReLU) at the dilation
 rates `DILATION_RATES`, concatenation of the branch outputs to 4C channels, and
 a final 3x3 4C -> 4C fusion conv + ReLU. The parameters and the cost model keep
 each branch as its depthwise and pointwise layers; the forward runs it as one
-dense dilated conv of the folded weights.
+dense dilated conv of the folded weights. The forward records each conv it
+ran once, with its input and output, and the backward reads that record.
 """
 
 from __future__ import annotations
@@ -111,42 +112,33 @@ def jpu_init(config: JpuConfig, rng: Rng) -> JpuParams:
 @dataclass(eq=False)
 class JpuCache:
     layers: dict[str, tuple[ConvSpec, ConvWeights]]  # the layer table with this pass's weights
-    executed: dict[str, tuple[ConvSpec, ConvWeights, str]]  # what `_executed` gave each conv that ran, by layer name
-    inputs: dict[str, Tensor]  # each conv's input, by layer name (a branch's under its depthwise name)
-    acts: dict[str, Tensor]  # ReLU output of each level, branch (under its pointwise name) and the fusion
+    # (spec, weights, input, ReLU output) of each conv that ran, in order: the
+    # levels, each branch as one conv of its folded weights ("branch{i}"), the fusion
+    convs: dict[str, tuple[ConvSpec, ConvWeights, Tensor, Tensor]]
 
 
-def _fold_branch(depthwise, pointwise) -> tuple[ConvSpec, ConvWeights]:
-    """A depthwise conv then a 1x1 pointwise conv, as one dense conv with the
-    depthwise geometry: W[o, c, u, v] = P[o, c]·D[c, u, v] and b = P·b_d + b_p.
+def _fold_branch(layers, i: int) -> tuple[ConvSpec, ConvWeights]:
+    """Branch i's depthwise conv then its 1x1 pointwise conv, as one dense conv
+    with the depthwise geometry: W[o, c, u, v] = P[o, c]·D[c, u, v] and b = P·b_d + b_p.
 
     At width w the branch does 9w/(w + 9) times the multiplies of the pair
     (4.24x at width 8; the cost model still counts the pair), but as one GEMM
     per tap it runs faster than two convs at the widths the runtime uses.
     """
-    (dspec, dw), (pspec, pw) = depthwise, pointwise
+    (dspec, dw), (pspec, pw) = layers[f"branch{i}.depthwise"], layers[f"branch{i}.pointwise"]
     p = pw.weight.data[:, :, 0, 0]
     spec = ConvSpec(dspec.in_channels, pspec.out_channels, dspec.kernel, dspec.stride, dspec.dilation, dspec.padding)
     return spec, ConvWeights(Tensor(p[:, :, None, None] * dw.weight.data[:, 0]), p @ dw.bias + pw.bias)
 
 
-def _unfold_grads(depthwise, pointwise, g_w: np.ndarray, g_b: np.ndarray) -> tuple[ConvWeights, ConvWeights]:
-    """The chain rule back through _fold_branch: the depthwise and pointwise
-    gradients from those of the folded weight and bias."""
-    (_, dw), (_, pw) = depthwise, pointwise
+def _unfold_grads(layers, i: int, g_w: np.ndarray, g_b: np.ndarray) -> tuple[ConvWeights, ConvWeights]:
+    """The chain rule back through _fold_branch: branch i's depthwise and
+    pointwise gradients from those of the folded weight and bias."""
+    (_, dw), (_, pw) = layers[f"branch{i}.depthwise"], layers[f"branch{i}.pointwise"]
     p, d = pw.weight.data[:, :, 0, 0], dw.weight.data[:, 0]
     g_d = (g_w * p[:, :, None, None]).sum(axis=0)
     g_p = (g_w * d).sum(axis=(2, 3)) + np.outer(g_b, dw.bias)
     return ConvWeights(Tensor(g_d[:, None]), g_b @ p), ConvWeights(Tensor(g_p[:, :, None, None]), g_b)
-
-
-def _executed(layers, name: str):
-    """(spec, weights, name of its cached ReLU output) of the conv that runs for
-    a table layer; a branch's depthwise layer runs the whole branch, folded."""
-    if name.endswith(".depthwise"):
-        pointwise = name.removesuffix("depthwise") + "pointwise"
-        return *_fold_branch(layers[name], layers[pointwise]), pointwise
-    return *layers[name], name
 
 
 def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> None:
@@ -165,19 +157,18 @@ def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: J
     _check_pyramid(c3, c4, c5, config)
     h, w = c3.shape[2], c3.shape[3]
     layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
-    executed, inputs, acts = {}, {}, {}
+    convs = {}
 
-    def conv(name: str, x: Tensor) -> Tensor:
-        spec, cw, act = executed[name] = _executed(layers, name)  # a branch is folded once, here
-        inputs[name] = x
-        y = acts[act] = conv2d(x, cw, spec, relu=True)
+    def conv(name: str, spec: ConvSpec, cw: ConvWeights, x: Tensor) -> Tensor:
+        y = conv2d(x, cw, spec, relu=True)
+        convs[name] = (spec, cw, x, y)
         return y
 
-    a3, a4, a5 = (conv(f"level{i}", x) for i, x in enumerate((c3, c4, c5)))
+    a3, a4, a5 = (conv(f"level{i}", *layers[f"level{i}"], x) for i, x in enumerate((c3, c4, c5)))
     y_c = concat_channels([a3, bilinear_resize(a4, h, w), bilinear_resize(a5, h, w)])
-    fused_in = concat_channels([conv(f"branch{i}.depthwise", y_c) for i in range(len(DILATION_RATES))])
-    out = conv("fusion", fused_in)
-    return out, JpuCache(layers, executed, inputs, acts)
+    fused_in = concat_channels([conv(f"branch{i}", *_fold_branch(layers, i), y_c) for i in range(len(DILATION_RATES))])
+    out = conv("fusion", *layers["fusion"], fused_in)
+    return out, JpuCache(layers, convs)
 
 
 def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tensor, Tensor, Tensor]]:
@@ -186,34 +177,30 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     Parameter gradients come back in a JpuParams with the same structure as
     the parameters themselves.
     """
-    layers, inputs, acts = cache.layers, cache.inputs, cache.acts
-    if grad_y.shape != acts["fusion"].shape:
-        raise ShapeError(f"grad shape {grad_y.shape} vs output {acts['fusion'].shape}")
-    grads = {}
+    layers, convs = cache.layers, cache.convs
+    if grad_y.shape != convs["fusion"][3].shape:
+        raise ShapeError(f"grad shape {grad_y.shape} vs output {convs['fusion'][3].shape}")
 
-    def back(name: str, g: Tensor) -> Tensor:
-        """Mirror of the forward conv: takes the gradient of its ReLU output and
-        returns that of its input."""
-        spec, cw, act = cache.executed[name]
-        g = relu_backward(acts[act], g)  # relu(z) > 0 exactly where z > 0
-        g_x, g_w, g_b = conv2d_backward(inputs[name], cw, spec, g)
-        if act == name:
-            grads[name] = ConvWeights(g_w, g_b)
-        else:
-            grads[name], grads[act] = _unfold_grads(layers[name], layers[act], g_w.data, g_b)
-        return g_x
+    def back(name: str, g: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Mirror of a forward conv: from the gradient of its ReLU output,
+        those of its input, weight and bias."""
+        spec, cw, x, y = convs[name]
+        return conv2d_backward(x, cw, spec, relu_backward(y, g))  # relu(z) > 0 exactly where z > 0
 
     width = layers["level0"][0].out_channels  # every level and branch emits `width` channels
-    g_fused = back("fusion", grad_y).data
-    g_yc = np.zeros_like(inputs["branch0.depthwise"].data)
+    g_fused, *fusion = back("fusion", grad_y)
+    g_yc, branches = np.zeros_like(convs["branch0"][2].data), []
     for i in range(len(DILATION_RATES)):
-        g_yc += back(f"branch{i}.depthwise", Tensor(g_fused[:, i * width : (i + 1) * width])).data
+        g_x, g_w, g_b = back(f"branch{i}", Tensor(g_fused.data[:, i * width : (i + 1) * width]))
+        g_yc += g_x.data
+        branches.append(_unfold_grads(layers, i, g_w.data, g_b))
 
     g_levels = [g_yc[:, :width]] + [
-        bilinear_resize_backward(g_yc[:, i * width : (i + 1) * width], *acts[f"level{i}"].shape[2:]) for i in (1, 2)
+        bilinear_resize_backward(g_yc[:, i * width : (i + 1) * width], *convs[f"level{i}"][3].shape[2:]) for i in (1, 2)
     ]
-    input_grads = tuple(back(f"level{i}", Tensor(g)) for i, g in enumerate(g_levels))
-    return JpuParams.from_convs(grads[name] for name in layers), input_grads
+    levels = [back(f"level{i}", Tensor(g)) for i, g in enumerate(g_levels)]
+    grads = JpuParams([ConvWeights(g_w, g_b) for _, g_w, g_b in levels], branches, ConvWeights(*fusion))
+    return grads, tuple(g_x for g_x, _, _ in levels)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,16 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["missing_dir", "directory"])
+def test_unwritable_output_exits_2_and_prints_nothing(tmp_path, capsys, where):
+    code = main(["cost", "--backbone", "resnet50", "--output", str(tmp_path / where)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 # sha256 of the `cost` stdout of each preset, input size and report
 COST_DIGESTS = {
     ("resnet50", "512", "512", "--compare"): "6ce1eb7ce364abb1758e35abe5d013f83f061c0e3e2ee40edfe9d8c45e49bf3b",

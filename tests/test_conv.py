@@ -352,14 +352,23 @@ def test_backward_batch_is_the_per_sample_backwards(case):
     [(1, (8, 8), 81, 477), (2, (8, 8), 100, 580), (4, (8, 8), 144, 816), (8, (8, 8), 64, 384),
      (1, (4, 4), 25, 145), (1, (2, 2), 9, 51)],
 )
-def test_slots_share_their_zero_bands(rate, hw, slot, k):
+def test_slots_share_their_zero_bands(rate, hw, slot, k, monkeypatch):
     """At the JPU's training shapes (N 6; 8x8, 4x4 and 2x2 maps), a sample's
     slot is its map plus one band of `rate` zeros per axis, shared with the next
     row and sample, so a tap's GEMM sums over k = 5 slots plus one output grid
-    of the row pitch. At rate 8 only the centre tap runs and no band is left."""
-    walk = conv._tap_walk(ConvSpec(8, 8, dilation=(rate, rate), padding=(rate, rate)), (6, 8, *hw))
+    of the row pitch. At rate 8 only the centre tap runs and no band is left.
+    The forward and the backward lay the phases out alike: both ask the
+    workspace for a phase buffer of the walk's one shape."""
+    spec = ConvSpec(8, 8, dilation=(rate, rate), padding=(rate, rate))
+    walk = conv._tap_walk(spec, (6, 8, *hw))
     assert walk.slot == slot
     assert (walk.n - 1) * walk.slot + walk.oh * walk.pitch == k
+    requested, workspace = [], conv._workspace
+    monkeypatch.setattr(conv, "_workspace", lambda dtype, *shapes: requested.append(shapes[0]) or workspace(dtype, *shapes))
+    x, w, spec, grad_out = oracle_case(spec, hw, 6, np.float64, rate)
+    conv2d(x, w, spec)
+    conv2d_backward(x, w, spec, grad_out)
+    assert requested == [walk.shape, walk.shape]
 
 
 @pytest.mark.parametrize(

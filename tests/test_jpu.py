@@ -114,8 +114,10 @@ def test_forward_shapes():
     c4 = random_uniform((1, 16, 8, 8), rng, -1, 1)
     c5 = random_uniform((1, 32, 4, 4), rng, -1, 1)
     y, cache = jpu_forward(c3, c4, c5, p, cfg)
-    assert cache.inputs["branch0.depthwise"].shape == (1, 24, 16, 16)  # the concatenated pyramid
+    assert list(cache.convs) == ["level0", "level1", "level2", "branch0", "branch1", "branch2", "branch3", "fusion"]
+    assert cache.convs["branch0"][2].shape == (1, 24, 16, 16)  # the concatenated pyramid
     assert y.shape == (1, 32, 16, 16)
+    assert cache.convs["fusion"][3] is y
 
 
 def test_forward_rejects_bad_pyramid():
@@ -149,12 +151,12 @@ def test_input_doubling_scales_concat_stage():
     _, cache2 = jpu_forward(*double, p, TINY)
 
     def level_pre(cache):  # the level convs' pre-activations, recomputed from their cached inputs
-        return [conv2d(cache.inputs[name], w, spec) for name, (spec, w) in cache.layers.items() if name.startswith("level")]
+        return [conv2d(x, w, spec) for name, (spec, w, x, _) in cache.convs.items() if name.startswith("level")]
 
     # pre-activation level outputs double exactly (biases are zero at init)
     for z1, z2 in zip(level_pre(cache1), level_pre(cache2), strict=True):
         assert max_abs_diff(Tensor(2 * z1.data), z2) <= 1e-12
-    y_c1, y_c2 = cache1.inputs["branch0.depthwise"], cache2.inputs["branch0.depthwise"]
+    y_c1, y_c2 = cache1.convs["branch0"][2], cache2.convs["branch0"][2]
     assert max_abs_diff(Tensor(2 * y_c1.data), y_c2) <= 1e-12
 
 
@@ -206,7 +208,10 @@ def test_step_folds_each_branch_once(monkeypatch):
     grads, in_grads = jpu_backward(cache, go)
     assert len(folds) == len(DILATION_RATES)
 
-    refolded = dataclasses.replace(cache, executed={name: jpu._executed(cache.layers, name) for name in cache.executed})
+    convs = dict(cache.convs)
+    for i in range(len(DILATION_RATES)):  # each branch folded afresh; its input and output kept
+        convs[f"branch{i}"] = (*fold(cache.layers, i), *convs[f"branch{i}"][2:])
+    refolded = dataclasses.replace(cache, convs=convs)
     want_grads, want_in = jpu_backward(refolded, go)
     got = [np.asarray(a).tobytes() for _, a in grads.named_tensors()] + [g.data.tobytes() for g in in_grads]
     want = [np.asarray(a).tobytes() for _, a in want_grads.named_tensors()] + [g.data.tobytes() for g in want_in]
