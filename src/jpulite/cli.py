@@ -47,7 +47,10 @@ def _emit(doc: dict, args) -> None:
                 f.write(text + "\n")
         except OSError as e:  # a usage error (exit 2), not a numerical one
             raise ValueError(f"cannot write --output: {e}") from e
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as e:  # also a usage error; the failed flush drops the buffer, so the exit flush is silent
+        raise ValueError(f"cannot write stdout: {e}") from e
 
 
 def _random_stage(rng: Rng, dtype) -> tuple[Tensor, StageWeights]:

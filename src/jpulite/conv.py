@@ -16,12 +16,13 @@ bias (a BatchNorm folded in for inference is one).
 
 The backward puts grad_out on the wide grid of the whole stacked line, zero
 in the columns and rows the forward drops. A tap's weight gradient is then
-one GEMM, `slice @ grad` over the whole batch at once, and each phase of the
-input gradient is the sum of its taps' `grad @ W`, every tap reading the
-grid shifted back by its offset: the adjoint of the forward's slices, with
-no scatter. The grid keeps the output channels innermost, so each sample's
-part of that product is a GEMM of the same shape and strides whatever the
-batch, and runs as one.
+one GEMM, `slice @ grad` over the whole batch at once. The input gradient
+starts at zero, and each tap, in the forward's order, adds its `grad @ W`
+into its phase, reading the grid shifted back by its offset: the adjoint of
+the forward's slices, with no scatter. A phase no tap reads stays zero. The
+grid keeps the output channels innermost, so each sample's part of that
+product is a GEMM of the same shape and strides whatever the batch, and runs
+as one.
 
 Only the taps that read input at some output position run. A tap whose every
 read lands in the padding contributes exact zeros, so it is skipped, its
@@ -159,7 +160,7 @@ class _TapWalk:
 
     `taps` lists each tap that runs, the product of the kernel rows and columns
     `_axis_taps` keeps, as (row, column, phase row, phase column, flat offset
-    in the phase), in the order the forward accumulates them. `phases(x, buf)`
+    in the phase), in the order both passes accumulate them. `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
     into its sh x sw stride phases, into a buffer of `shape`,
     (sh, sw, groups, cg_in, line). Each phase is one flat line per channel: a
@@ -192,12 +193,6 @@ class _TapWalk:
         self.tail = max(0, max(off for *_, off in self.taps) + self.oh * self.pitch - self.base - self.slot)
         g, cg = spec.groups, c // spec.groups
         self.shape = (sh, sw, g, cg, self.base + n * self.slot + self.tail)
-        # per stride phase, (u, v, offset) of the taps that read it, in tap order
-        self.phase_taps = tuple(
-            ((a, b), tuple((u, v, off) for u, v, ta, tb, off in self.taps if (ta, tb) == (a, b)))
-            for a in range(sh)
-            for b in range(sw)
-        )
         # per phase: (where its slots hold input, the grouped-input view of what they hold)
         self.views = tuple(
             ((a, b, ..., rows, cols), (..., in_rows, in_cols))
@@ -448,16 +443,12 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
     grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out
     wt = _tap_weights(w, spec, x.dtype)
     grad_w[...] = 0  # 0 at taps that do not run
-    for (a, b), taps in walk.phase_taps:
-        if not taps:
-            grad_slots[a, b] = 0
-        for i, (u, v, off) in enumerate(taps):
-            np.matmul(buf[a, b, ..., off : off + k], grid[:, m : m + k], out=grad_w[u, v])
-            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
-            shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
-            prod = np.matmul(shifted, wt[u, v], out=tmp if i else grad_slots[a, b])
-            if i:
-                grad_slots[a, b] += prod
+    grad_slots[...] = 0  # 0 in phases that no tap reads
+    for u, v, a, b, off in walk.taps:
+        np.matmul(buf[a, b, ..., off : off + k], grid[:, m : m + k], out=grad_w[u, v])
+        at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
+        shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
+        grad_slots[a, b] += np.matmul(shifted, wt[u, v], out=tmp)
     gw = np.empty(spec.weight_shape, dtype=x.dtype)
     gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 4, 3, 0, 1)
     return Tensor(walk.unphase(grad_slots)), Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))

@@ -87,7 +87,6 @@ def stage_specs(in_channels: int, channels: int, depth: int, stride: int, head_d
     return head, (body,) * depth
 
 
-@lru_cache(maxsize=64)  # the forward asks on every call
 def stage_routes(entry_strides: tuple[int, ...], dilated: bool, output_stride: int):
     """(stride, head dilation, body dilation) of each stage, the first entered at
     `output_stride`. The dilated wiring enters at stride 1 any stage that would

@@ -143,14 +143,10 @@ def _unfold_grads(layers, i: int, g_w: np.ndarray, g_b: np.ndarray) -> tuple[Con
 
 def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> None:
     n, _, h, w = c3.shape
-    expect = [
-        (config.in_channels[0], h, w),
-        (config.in_channels[1], h // 2, w // 2),
-        (config.in_channels[2], h // 4, w // 4),
-    ]
-    for name, t, (c, eh, ew) in zip(("fine", "mid", "coarse"), (c3, c4, c5), expect):
-        if t.shape != (n, c, eh, ew):
-            raise ShapeError(f"{name} level shape {t.shape}, expected {(n, c, eh, ew)}")
+    for (name, spec, level), t in zip(config.layers()[:3], (c3, c4, c5), strict=True):
+        expect = (n, spec.in_channels, h >> level, w >> level)  # c3's grid halved once per level
+        if t.shape != expect:
+            raise ShapeError(f"{name} input shape {t.shape}, expected {expect}")
 
 
 def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: JpuConfig) -> tuple[Tensor, JpuCache]:

@@ -87,7 +87,7 @@ class Rng:
     counter: int = field(default=0, init=False)
 
     def __post_init__(self):  # the seed feeds a uint64 on the first draw
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
     def next_u64(self, count: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +342,17 @@ def test_unwritable_output_exits_2_and_prints_nothing(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_2_with_one_error_line():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "jpulite.cli", "jointup-demo"], stdout=full, stderr=subprocess.PIPE,
+                             env=env, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: cannot write stdout: ") and run.stderr.count("\n") == 1
 
 
 # sha256 of the `cost` stdout of each preset, input size and report

@@ -519,6 +519,17 @@ def test_backward_identity_passthrough():
     assert np.array_equal(gx.data, np.ones((1, 1, 3, 3)))
 
 
+def test_backward_phases_no_tap_reads_are_exact_zeros():
+    """A stride-2 1x1 conv reads only the even rows and columns; the input
+    gradient of every other cell is exactly 0, even after a larger backward
+    has left nonzero values in the thread's workspace."""
+    conv2d_backward(*oracle_case(ConvSpec(8, 8), (32, 32), 2, np.float64, 0))
+    x, w, spec, grad_out = oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2)), (7, 6), 2, np.float64, 1)
+    gx = conv2d_backward(x, w, spec, grad_out)[0].data
+    assert gx[..., ::2, ::2].all()
+    assert not gx[..., 1::2, :].any() and not gx[..., :, 1::2].any()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_backward_matches_finite_differences(seed):
     x, w, spec = random_case(seed + 100, max_dim=5)

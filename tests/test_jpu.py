@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -120,12 +121,17 @@ def test_forward_shapes():
     assert cache.convs["fusion"][3] is y
 
 
-def test_forward_rejects_bad_pyramid():
+@pytest.mark.parametrize(
+    "level, bad, expect",
+    [(0, (1, 4, 8, 8), (1, 3, 8, 8)), (1, (1, 4, 3, 3), (1, 4, 4, 4)), (2, (1, 5, 3, 3), (1, 5, 2, 2))],
+    ids=["level0", "level1", "level2"],
+)
+def test_forward_rejects_bad_pyramid(level, bad, expect):
     p = jpu_init(TINY, Rng(0))
-    c3, c4, c5 = pyramid(TINY, 0)
-    bad_c4 = random_uniform((1, TINY.in_channels[1], 3, 3), Rng(1))
-    with pytest.raises(ShapeError):
-        jpu_forward(c3, bad_c4, c5, p, TINY)
+    levels = list(pyramid(TINY, 0))
+    levels[level] = random_uniform(bad, Rng(1))
+    with pytest.raises(ShapeError, match=re.escape(f"level{level} input shape {bad}, expected {expect}")):
+        jpu_forward(*levels, p, TINY)
 
 
 def test_zero_weights_zero_output():

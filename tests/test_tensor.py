@@ -39,7 +39,7 @@ def test_rng_range_and_mean():
 
 def test_rng_takes_only_uint64_seeds():
     assert Rng(2**64 - 1).next_u64(1).dtype == np.uint64
-    for seed in (-1, 2**64, 1.0, "1", None):
+    for seed in (-1, 2**64, 1.0, "1", None, True):
         with pytest.raises(ValueError, match="seed"):
             Rng(seed)
 
