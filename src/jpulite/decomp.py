@@ -6,7 +6,10 @@ stage; run with a stride-2 head and a regular body it is the stride form. Both
 factor through the same intermediate feature, which is what the checkers here
 verify numerically:
 
-  * the dilated body equals split -> regular body per phase -> merge,
+  * the dilated body equals split -> regular body per phase -> merge; the
+    composer runs the four phases as one batch of 4n samples, with the bytes
+    of running each alone, since a conv's GEMMs are per sample and of sizes
+    the batch does not change,
   * a stride-2 conv equals the full conv followed by even-index subsampling,
   * the stride stage output is exactly the even-even phase of the dilated one.
 
@@ -121,10 +124,14 @@ def dilated_stage(x: Tensor, sw: StageWeights, head_dilation: int = 1, body_dila
 
 
 def dilated_stage_decomposed(x: Tensor, sw: StageWeights) -> StageOutput:
-    """Same result as dilated_stage (body dilation 2) via split -> regular body -> merge."""
+    """Same result as dilated_stage (body dilation 2) via split -> regular body
+    -> merge, the four phases running through the body as one batch, phase
+    after phase."""
     head, body = stage_specs(sw.in_channels, sw.channels, len(sw.body), 1, 1, 1)
     phases = split_parity(conv2d(x, sw.head, head))
-    return StageOutput(merge_parity([_run_body(p, sw, body) for p in phases]))
+    y = _run_body(Tensor(np.concatenate([p.data for p in phases])), sw, body).data
+    n = x.shape[0]
+    return StageOutput(merge_parity([Tensor(y[k * n : (k + 1) * n]) for k in range(4)]))
 
 
 def stride_stage(x: Tensor, sw: StageWeights) -> StageOutput:

@@ -127,8 +127,13 @@ def _fold_branch(layers, i: int) -> tuple[ConvSpec, ConvWeights]:
     """
     (dspec, dw), (pspec, pw) = layers[f"branch{i}.depthwise"], layers[f"branch{i}.pointwise"]
     p = pw.weight.data[:, :, 0, 0]
-    spec = ConvSpec(dspec.in_channels, pspec.out_channels, dspec.kernel, dspec.stride, dspec.dilation, dspec.padding)
-    return spec, ConvWeights(Tensor(p[:, :, None, None] * dw.weight.data[:, 0]), p @ dw.bias + pw.bias)
+    folded = ConvWeights(Tensor(p[:, :, None, None] * dw.weight.data[:, 0]), p @ dw.bias + pw.bias)
+    return _folded_spec(dspec, pspec), folded
+
+
+@lru_cache(maxsize=64)  # every forward folds each branch; building a ConvSpec is ~11 us
+def _folded_spec(dspec: ConvSpec, pspec: ConvSpec) -> ConvSpec:
+    return ConvSpec(dspec.in_channels, pspec.out_channels, dspec.kernel, dspec.stride, dspec.dilation, dspec.padding)
 
 
 def _unfold_grads(layers, i: int, g_w: np.ndarray, g_b: np.ndarray) -> tuple[ConvWeights, ConvWeights]:

@@ -48,9 +48,9 @@ class Tensor:
         arr = np.ascontiguousarray(self.data)
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be rank 4, got shape {arr.shape}")
-        if any(d < 1 for d in arr.shape):
+        if 0 in arr.shape:
             raise ShapeError(f"all dims must be >= 1, got {arr.shape}")
-        if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        if arr.dtype not in _JT_DTYPE_CODES:
             raise ShapeError(f"unsupported dtype {arr.dtype}")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -412,6 +413,32 @@ def test_output_never_shares_the_workspace():
     assert [y.tobytes() for y in outputs] == kept
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_workspace_views_are_contiguous_aligned_and_disjoint(dtype):
+    """On a fresh thread, and again once the workspace has grown, each view is
+    C-contiguous, starts on a 64-byte boundary and overlaps no other, also
+    for shapes whose byte size is not a multiple of 64."""
+    batches = [[(3,), (5, 7), (1, 1, 1), (16,), (2, 3, 5)], [(3, 1), (100, 9), (7,), (2, 2, 2, 2)]]
+    seen, errors = [], []
+
+    def work():
+        try:
+            for shapes in batches:
+                views = conv._workspace(np.dtype(dtype), *shapes)
+                seen.append((
+                    [(v.shape, v.dtype, v.flags.c_contiguous, v.ctypes.data % 64) for v in views],
+                    any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1 :]),
+                ))
+        except Exception as e:  # reported by the assertion below
+            errors.append(repr(e))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join()
+    assert errors == []
+    assert seen == [([(shape, np.dtype(dtype), True, 0) for shape in shapes], False) for shapes in batches]
+
+
 def test_concurrent_threads_give_serial_bytes():
     """Four threads (more than this suite assumes cores) run different convs,
     thin and wide, forward and backward, at once; each output is
@@ -559,6 +586,17 @@ def test_relu_and_backward():
     assert g.data.ravel().tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
     neg = Tensor(-np.ones((1, 1, 2, 2)))
     assert not relu(neg).data.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_is_where_bit_for_bit(dtype):
+    """The gradient where x > 0, +0.0 elsewhere, with every sign, NaN and
+    infinity of both arguments, exactly as np.where(x > 0, grad, 0)."""
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-30]
+    xv, gv = (np.array(v, dtype=dtype).reshape(1, 1, 8, 8) for v in zip(*itertools.product(specials, repeat=2)))
+    got = relu_backward(Tensor(xv), Tensor(gv)).data
+    want = np.where(xv > 0, gv, 0)
+    assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_relu_finite_difference_away_from_zero():

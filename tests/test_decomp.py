@@ -15,6 +15,7 @@ from jpulite.decomp import (
     reduce_even,
     split_parity,
     stage_routes,
+    stage_specs,
     stride_stage,
 )
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
@@ -117,6 +118,28 @@ def test_dilated_equals_decomposed(seed):
     a = dilated_stage(x, sw)
     b = dilated_stage_decomposed(x, sw)
     assert max_abs_diff(a.y, b.y) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)], ids=["f64", "f32"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_decomposed_batch_is_each_phase_alone(n, depth, dtype, tol):
+    """The composer runs the four phases through the body as one batch of 4n
+    samples. Its bytes are those of each phase run alone, so with n > 1 a
+    sample or a phase read from the wrong place in that batch shows."""
+    sw = make_stage(10 * n + depth, cin=3, ch=4, depth=depth, dtype=dtype)
+    x = random_uniform((n, 3, 8, 6), Rng(n + depth), -1, 1, dtype=dtype)
+    head, body = stage_specs(3, 4, depth, 1, 1, 1)
+
+    def alone(y):
+        for bw, spec in zip(sw.body, body, strict=True):
+            y = conv2d(y, bw, spec)
+        return y
+
+    want = merge_parity([alone(p) for p in split_parity(conv2d(x, sw.head, head))])
+    got = dilated_stage_decomposed(x, sw).y
+    assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+    assert max_abs_diff(got, dilated_stage(x, sw).y) <= tol
 
 
 def test_parity_separation():
