@@ -22,7 +22,9 @@ into its phase, reading the grid shifted back by its offset: the adjoint of
 the forward's slices, with no scatter. A phase no tap reads stays zero. The
 grid keeps the output channels innermost, so each sample's part of that
 product is a GEMM of the same shape and strides whatever the batch, and runs
-as one.
+as one. `conv2d_weight_grads` runs only the weight-gradient GEMMs, for a conv
+whose input needs no gradient; its weight and bias gradients are
+`conv2d_backward`'s, byte for byte.
 
 Only the taps that read input at some output position run. A tap whose every
 read lands in the padding contributes exact zeros, so it is skipped, its
@@ -46,7 +48,7 @@ All scratch of both directions (phase buffers, accumulators, column block,
 the stacked gradient grid) lives in one workspace per thread
 (`threading.local`) that grows to the largest size the thread has needed and
 is kept, so a forward allocates nothing but its output and a backward nothing
-but its three gradients. Those are always new arrays, never views of the
+but its gradients. Those are always new arrays, never views of the
 workspace, so the Tensors they become can still be shared across threads.
 `relu=True` applies the ReLU in place on the forward's output.
 
@@ -75,11 +77,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Rng, ShapeError, Tensor, _is_count
+from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int
 
 
 def _is_pair(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and all(isinstance(e, int) and not isinstance(e, bool) for e in v)
+    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
 
 
 @dataclass(frozen=True)
@@ -215,20 +217,25 @@ class _TapWalk:
             )
             if size > 0
         )
+        # else `phases` zeroes only the bands around the input; with no bands the copy writes every cell
+        self.zero_whole = w <= _ZERO_WHOLE_WIDTH and bool(self.pads or self.base or self.tail)
 
     def phases(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """The phase buffer of x, written into buf (of `shape`; any contents)."""
         xg = x.reshape(self.n, *self.shape[2:4], *x.shape[2:]).transpose(1, 2, 0, 3, 4)
         slots = buf[..., self.base : self.base + self.n * self.slot]
         slots = slots.reshape(*buf.shape[:-1], self.n, self.slot_rows, self.pitch)
+        if self.zero_whole:
+            buf[...] = 0
+        else:
+            for at in self.pads:
+                slots[at] = 0
+            if self.base:
+                buf[..., : self.base] = 0
+            if self.tail:
+                buf[..., -self.tail :] = 0
         for at, src in self.views:
             slots[at] = xg[src]
-        for at in self.pads:
-            slots[at] = 0
-        if self.base:
-            buf[..., : self.base] = 0
-        if self.tail:
-            buf[..., -self.tail :] = 0
         return buf
 
     def unphase(self, slots: np.ndarray) -> np.ndarray:
@@ -312,6 +319,11 @@ _BLOCK_BYTES = 1 << 18
 # column block and run one GEMM with K = taps x channels: per-tap GEMMs that
 # thin run far below BLAS speed.
 _THIN_CHANNELS = 8
+
+# Inputs at most this wide zero their whole phase buffer before the copy, if
+# it has any padding: one fill beats a short strided band per row there, and
+# not on wider maps.
+_ZERO_WHOLE_WIDTH = 16
 
 _scratch = threading.local()  # `mem`, `start`: this thread's scratch memory and its first 64-byte boundary
 
@@ -424,6 +436,20 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
     columns and rows past the output; a tap's read shifted back by its offset
     meets grad_out only at the outputs that read that input cell, so the
     sums are exact."""
+    return _backward(x, w, spec, grad_out, True)
+
+
+def conv2d_weight_grads(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor):
+    """conv2d_backward's weight and bias gradients, byte for byte, without
+    its input gradient: for a conv whose input needs none (a fixed input),
+    this skips about half of the backward's work."""
+    return _backward(x, w, spec, grad_out, False)[1:]
+
+
+def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input_grad: bool):
+    """(gx, gw, gb) of both backward entry points; gx is None unless input_grad.
+    Every tap runs its weight-gradient GEMM; with input_grad it also adds its
+    input-gradient product into its phase."""
     _check_input(x, w, spec)
     walk = _tap_walk(spec, x.shape)
     n, g, o, oh, ow, pitch = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.pitch
@@ -445,19 +471,22 @@ def conv2d_backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor)
     grid[...] = 0
     stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
     grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out
-    wt = _tap_weights(w, spec, x.dtype)
     if len(walk.taps) < math.prod(spec.kernel):
         grad_w[...] = 0  # 0 at taps that do not run
-    grad_slots[...] = 0  # 0 in phases that no tap reads
     grads = grid[:, m : m + k]
+    if input_grad:
+        grad_slots[...] = 0  # 0 in phases that no tap reads
+        wt = _tap_weights(w, spec, x.dtype)
     for u, v, a, b, off in walk.taps:
         np.matmul(buf[a, b, ..., off : off + k], grads, out=grad_w[u, v])
-        at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
-        shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
-        grad_slots[a, b] += np.matmul(shifted, wt[u, v], out=tmp)
+        if input_grad:
+            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
+            shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
+            grad_slots[a, b] += np.matmul(shifted, wt[u, v], out=tmp)
     gw = np.empty(spec.weight_shape, dtype=x.dtype)
     gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 4, 3, 0, 1)
-    return Tensor(walk.unphase(grad_slots)), Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
+    gx = Tensor(walk.unphase(grad_slots)) if input_grad else None
+    return gx, Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 
 
 def relu(x: Tensor) -> Tensor:

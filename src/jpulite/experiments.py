@@ -22,11 +22,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights, relu
+from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, conv2d_weight_grads, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
 from .decomp import StageWeights, dilated_stage, stage_routes, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
-from .tensor import Rng, ShapeError, Tensor, _is_count, bilinear_resize, random_uniform
+from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int, bilinear_resize, random_uniform
 
 DILATED = DILATED_MODE
 STRIDE = "stride_os32"
@@ -56,7 +56,7 @@ class MiniBackboneConfig:
         if not (isinstance(s, tuple) and len(s) == 4 and all(isinstance(p, tuple) and len(p) == 2 for p in s)):
             raise ShapeError(f"need exactly four (depth, channels) tuples after the stem, got {s!r}")
         widths = (self.stem_channels, *(ch for _, ch in s))
-        depths_ok = all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d, _ in s)
+        depths_ok = all(_is_int(d) and d >= 0 for d, _ in s)
         if not (depths_ok and all(map(_is_count, widths))):
             raise ShapeError(f"need positive int channel counts and non-negative int depths, got {self!r}")
         if max(widths) > 64:
@@ -135,8 +135,8 @@ class TeacherDataset:  # every sample stacked along N
 
 def synthetic_teacher(seed: int, n_samples: int, config: MiniBackboneConfig, image_hw=(64, 64)) -> TeacherDataset:
     """The wirings agree through level 3, so the dilated stages 4-5 continue from the stride pass's c3."""
-    if n_samples < 1:
-        raise ValueError(f"need at least one teacher sample, got {n_samples}")
+    if not _is_count(n_samples):
+        raise ValueError(f"need a positive int number of teacher samples, got {n_samples!r}")
     rng = Rng(seed)
     params = init_mini_backbone(config, rng)
     samples = []
@@ -167,12 +167,16 @@ def _sample_mses(diff: np.ndarray) -> list[float]:
 def _check_training(n: int, steps: int, lr: float, holdout: int | None) -> int:
     """The trainer's rules for its settings on n samples; returns the number
     held out (by default a quarter, at least 1)."""
+    if not _is_int(steps):
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not 0 <= lr < math.inf:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if holdout is None:
         holdout = max(1, n // 4)
+    if not _is_int(holdout):
+        raise ValueError(f"holdout must be an int, got {holdout!r}")
     if not 1 <= holdout <= n - 1:
         raise ValueError(f"holdout {holdout} of {n} samples leaves a training or held-out set empty")
     return holdout
@@ -209,39 +213,45 @@ def train_approximator(
     head_spec = ConvSpec(head_in, target_ch, kernel=(3, 3), padding=(1, 1))
     head = init_weights(head_spec, rng)
 
-    def forward(c3, c4, c5):
+    def features(c3, c4, c5):
+        """The head's input, and the JPU's cache for its backward."""
         if method == "bilinear":
-            feat = bilinear_resize(c5, out_h, out_w)
-            cache = None
-        else:
-            feat, cache = jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
-        return conv2d(feat, head, head_spec), feat, cache
+            return bilinear_resize(c5, out_h, out_w), None
+        return jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
 
     # One batched forward and backward per step. The loss is the mean of the
     # per-sample MSEs, so each sample's error is scaled by its own size and the
-    # batch gradient is the sum of the per-sample gradients.
+    # batch gradient is the sum of the per-sample gradients. The bilinear
+    # student's head reads a fixed resize of the data: it is resized once, and
+    # its backward computes no input gradient.
     *pyramid, target = (Tensor(t.data[:n_train]) for t in data)  # views, not copies
+    if method == "bilinear":
+        feat = features(*pyramid)[0]
     sample_size = target.data[0].size
     scale = lr / n_train
     loss_curve: list[float] = []
     for step in range(steps):
-        pred, feat, cache = forward(*pyramid)
-        diff = pred.data - target.data
+        if method == "jpu":
+            feat, cache = features(*pyramid)
+        diff = conv2d(feat, head, head_spec).data - target.data
         with np.errstate(over="ignore"):  # an overflow is reported as TrainingDiverged below
             loss = sum(_sample_mses(diff)) / n_train
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         loss_curve.append(loss)
-        g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, Tensor(2.0 * diff / sample_size))
-        head = _sgd(head, g_w.data, g_b, scale)
-        if method == "jpu":
+        grad_out = Tensor(2.0 * diff / sample_size)
+        if method == "bilinear":
+            g_w, g_b = conv2d_weight_grads(feat, head, head_spec, grad_out)
+        else:
+            g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, grad_out)
             grads = jpu_backward(cache, g_feat)[0]
             jpu_params = JpuParams.from_convs(
                 _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
             )
+        head = _sgd(head, g_w.data, g_b, scale)
 
     *pyramid, target = (Tensor(t.data[n_train:]) for t in data)
-    final = float(np.mean(_sample_mses(forward(*pyramid)[0].data - target.data)))
+    final = float(np.mean(_sample_mses(conv2d(features(*pyramid)[0], head, head_spec).data - target.data)))
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":
         n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())

@@ -33,9 +33,14 @@ class ShapeError(ValueError):
     """Raised when tensor shapes or dtypes are incompatible with an operation."""
 
 
+def _is_int(v) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_count(v) -> bool:
     """True for a positive int (bool excluded): a channel count, width, group count or rate."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    return _is_int(v) and v >= 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +92,7 @@ class Rng:
     counter: int = field(default=0, init=False)
 
     def __post_init__(self):  # the seed feeds a uint64 on the first draw
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
     def next_u64(self, count: int) -> np.ndarray:

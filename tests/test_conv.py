@@ -14,6 +14,7 @@ from jpulite.conv import (
     ConvWeights,
     conv2d,
     conv2d_backward,
+    conv2d_weight_grads,
     init_weights,
     relu,
     relu_backward,
@@ -555,6 +556,81 @@ def test_backward_phases_no_tap_reads_are_exact_zeros():
     gx = conv2d_backward(x, w, spec, grad_out)[0].data
     assert gx[..., ::2, ::2].all()
     assert not gx[..., 1::2, :].any() and not gx[..., :, 1::2].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=oracle_cases(max_cg_in=10))
+# stride 2, N 3
+@example(case=oracle_case(ConvSpec(6, 4, stride=(2, 2), padding=(1, 1)), (8, 7), 3, np.float64, 20))
+# rate 8 on an 8x8 map: only the centre tap runs, the dead taps' weight gradients are 0
+@example(case=oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 21))
+# depthwise at rate 4, N 1, f32
+@example(case=oracle_case(ConvSpec(6, 6, dilation=(4, 4), padding=(4, 4), groups=6), (8, 8), 1, np.float32, 22))
+# the bilinear student's head at training shapes
+@example(case=oracle_case(ConvSpec(16, 16, padding=(1, 1)), (8, 8), 6, np.float64, 23))
+@layout_edges
+def test_weight_grads_are_the_backwards_byte_for_byte(case):
+    """conv2d_weight_grads leaves out the input gradient and nothing else: its
+    weight and bias gradients are conv2d_backward's, byte for byte, whether it
+    runs before or after a backward in the thread's workspace."""
+    first = conv2d_weight_grads(*case)
+    _, gw, gb = conv2d_backward(*case)
+    after = conv2d_weight_grads(*case)
+    want = (gw.data.dtype, gw.shape, gw.data.tobytes(), gb.dtype, gb.shape, gb.tobytes())
+    for got_w, got_b in (first, after):
+        assert (got_w.data.dtype, got_w.shape, got_w.data.tobytes(), got_b.dtype, got_b.shape, got_b.tobytes()) == want
+
+
+def _bad_backward_args():
+    """(x, w, spec, grad_out) with one shape wrong, for a 3->2 3x3 conv on 5x5, N 2."""
+    x, w, spec, grad_out = oracle_case(ConvSpec(3, 2, padding=(1, 1)), (5, 5), 2, np.float64, 0)
+    other = init_weights(ConvSpec(3, 4, padding=(1, 1)), Rng(1))
+    return {
+        "input channels": (random_uniform((2, 4, 5, 5), Rng(2)), w, spec, grad_out),
+        "weight shape": (x, other, spec, grad_out),
+        "grad grid": (x, w, spec, Tensor(grad_out.data[:, :, :4])),
+        "grad batch": (x, w, spec, Tensor(grad_out.data[:1])),
+    }
+
+
+@pytest.mark.parametrize("bad", list(_bad_backward_args()))
+def test_weight_grads_reject_what_the_backward_rejects(bad):
+    args = _bad_backward_args()[bad]
+    with pytest.raises(ShapeError) as full:
+        conv2d_backward(*args)
+    with pytest.raises(ShapeError) as weights_only:
+        conv2d_weight_grads(*args)
+    assert str(weights_only.value) == str(full.value)
+
+
+@pytest.mark.parametrize("width", [conv._ZERO_WHOLE_WIDTH, conv._ZERO_WHOLE_WIDTH + 1])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConvSpec(4, 4, stride=(2, 2), padding=(1, 1)),
+        ConvSpec(4, 4, dilation=(2, 2), padding=(2, 2)),
+        ConvSpec(4, 4, groups=4, dilation=(4, 4), padding=(4, 4)),
+        ConvSpec(4, 4, (1, 1), stride=(2, 2)),
+        ConvSpec(4, 4, (1, 1)),
+    ],
+    ids=["stride2", "rate2", "depthwise_rate4", "1x1_stride2", "1x1_no_padding"],
+)
+def test_phase_buffer_zeroed_whole_or_by_bands_is_the_same(spec, width, monkeypatch):
+    """Inputs at most _ZERO_WHOLE_WIDTH wide zero the whole phase buffer
+    before the copy, unless the input fills it; wider ones zero only the bands
+    around the input. Written into a buffer full of NaN, both ways give the
+    bytes of the bands alone, and no NaN is left."""
+    x = random_uniform((3, 4, 7, width), Rng(width), -1.0, 1.0)
+    walk = conv._TapWalk(spec, x.shape)
+    has_bands = bool(walk.pads or walk.base or walk.tail)
+    assert has_bands == (spec.padding != (0, 0) or spec.stride != (1, 1))
+    assert walk.zero_whole == (width <= conv._ZERO_WHOLE_WIDTH and has_bands)
+    monkeypatch.setattr(conv, "_ZERO_WHOLE_WIDTH", 0)
+    bands = conv._TapWalk(spec, x.shape)
+    assert not bands.zero_whole
+    got, want = (w.phases(x.data, np.full(w.shape, np.nan)) for w in (walk, bands))
+    assert not np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from jpulite import experiments
+from jpulite.conv import ConvSpec
 from jpulite.decomp import reduce_even
+from jpulite.jpu import JpuConfig
 from jpulite.experiments import (
     BENCH_CONFIG,
     DILATED,
@@ -190,6 +193,12 @@ def test_teacher_rejects_an_empty_dataset(n_samples):
         synthetic_teacher(0, n_samples, CFG)
 
 
+@pytest.mark.parametrize("n_samples", [2.0, True])
+def test_teacher_rejects_a_non_int_sample_count(n_samples):
+    with pytest.raises(ValueError, match=f"got {n_samples!r}"):
+        synthetic_teacher(0, n_samples, CFG)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     return synthetic_teacher(11, 4, CFG, image_hw=(32, 32))
@@ -257,6 +266,32 @@ def test_train_rejects_single_sample_with_default_holdout():
 def test_train_rejects_negative_steps(small_dataset):
     with pytest.raises(ValueError, match="steps"):
         train_approximator("jpu", small_dataset, steps=-2, lr=0.1, seed=0)
+
+
+@pytest.mark.parametrize("setting, value", [("steps", True), ("steps", 2.5), ("holdout", True), ("holdout", 1.0)])
+def test_train_rejects_a_non_int_step_or_holdout_count(small_dataset, setting, value):
+    settings = {"steps": 1, "holdout": None, setting: value}
+    with pytest.raises(ValueError, match=f"{setting} must be an int"):
+        train_approximator("jpu", small_dataset, lr=0.1, seed=0, **settings)
+
+
+@pytest.mark.parametrize("method, per_step", [("bilinear", 0), ("jpu", 1)])
+def test_only_the_jpu_heads_backward_computes_an_input_gradient(small_dataset, method, per_step, monkeypatch):
+    """The bilinear student's head reads a fixed resize of the data, so its
+    step runs only conv2d_weight_grads; the JPU student's step runs
+    conv2d_backward once, for its head (the JPU's own convs run theirs inside
+    jpu_backward)."""
+    calls, original = [], experiments.conv2d_backward
+
+    def spy(x, w, spec, grad_out):
+        calls.append(spec)
+        return original(x, w, spec, grad_out)
+
+    monkeypatch.setattr(experiments, "conv2d_backward", spy)
+    train_approximator(method, small_dataset, steps=3, lr=0.1, seed=0)
+    head_in = JpuConfig(tuple(t.shape[1] for t in (small_dataset.c3, small_dataset.c4, small_dataset.c5)), width=8).out_channels
+    head_spec = ConvSpec(head_in, small_dataset.target.shape[1], padding=(1, 1))
+    assert calls == [head_spec] * (3 * per_step)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -5.0, -1e-300])
