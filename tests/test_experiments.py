@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from jpulite import experiments
 from jpulite.conv import ConvSpec
 from jpulite.decomp import reduce_even
-from jpulite.jpu import JpuConfig
 from jpulite.experiments import (
     BENCH_CONFIG,
     DILATED,
@@ -23,6 +22,7 @@ from jpulite.experiments import (
     synthetic_teacher,
     train_approximator,
 )
+from jpulite.jpu import JpuConfig
 from jpulite.tensor import Rng, ShapeError, max_abs_diff, random_uniform
 
 from reference import per_sample_train_approximator
@@ -289,8 +289,9 @@ def test_only_the_jpu_heads_backward_computes_an_input_gradient(small_dataset, m
 
     monkeypatch.setattr(experiments, "conv2d_backward", spy)
     train_approximator(method, small_dataset, steps=3, lr=0.1, seed=0)
-    head_in = JpuConfig(tuple(t.shape[1] for t in (small_dataset.c3, small_dataset.c4, small_dataset.c5)), width=8).out_channels
-    head_spec = ConvSpec(head_in, small_dataset.target.shape[1], padding=(1, 1))
+    ds = small_dataset
+    head_in = JpuConfig((ds.c3.shape[1], ds.c4.shape[1], ds.c5.shape[1]), width=8).out_channels
+    head_spec = ConvSpec(head_in, ds.target.shape[1], padding=(1, 1))
     assert calls == [head_spec] * (3 * per_step)
 
 
