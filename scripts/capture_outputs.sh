@@ -13,7 +13,8 @@
 # `jpu_forward` and `jpu_backward` at training shapes (the default config's
 # 64x64 teacher pyramid, N 6 in f64, then N 3 in f32).
 #
-# Run it in two checkouts and compare; an empty diff is the check:
+# scripts/diff_outputs.sh [REV] runs it on a `git archive` copy of REV and on
+# this checkout and diffs the two; an empty diff is the check. By hand:
 #   scripts/capture_outputs.sh /tmp/before   # in the parent checkout
 #   scripts/capture_outputs.sh /tmp/after    # in the change
 #   diff -r /tmp/before /tmp/after

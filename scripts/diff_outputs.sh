@@ -1,0 +1,30 @@
+#!/usr/bin/env sh
+# Compare this checkout's outputs with those of a commit: an empty diff is the
+# check a refactor that must not change any output passes.
+#
+#   scripts/diff_outputs.sh [REV]   # REV defaults to HEAD
+#
+# Extracts REV with `git archive` into a temporary directory, runs this
+# checkout's scripts/capture_outputs.sh on both trees (working-tree changes
+# included on this side), prints `diff -r` of the two captures, removes the
+# temporary directory and exits with diff's status: 0 identical, 1 outputs
+# differ, 2 trouble.
+set -u
+if [ $# -gt 1 ]; then
+    echo "usage: $0 [REV]" >&2
+    exit 2
+fi
+rev=${1:-HEAD}
+cd "$(dirname "$0")/.." || exit 2
+if ! git rev-parse -q --verify "$rev^{commit}" >/dev/null; then
+    echo "error: $rev names no commit" >&2
+    exit 2
+fi
+tmp=$(mktemp -d) || exit 2
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 2' HUP INT TERM
+mkdir "$tmp/tree" && git archive "$rev" | tar -x -C "$tmp/tree" || exit 2
+cp scripts/capture_outputs.sh "$tmp/tree/scripts/capture_outputs.sh" || exit 2
+"$tmp/tree/scripts/capture_outputs.sh" "$tmp/base" || exit 2
+scripts/capture_outputs.sh "$tmp/work" || exit 2
+diff -r "$tmp/base" "$tmp/work"

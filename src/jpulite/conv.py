@@ -34,15 +34,17 @@ alone, the 1x1 degeneracy DeepLabv3 notes. Against running every tap, only
 the sign of an exact zero can change and, where the buffer gets narrower, how
 BLAS rounds GEMMs of the new width. A non-finite weight on a skipped tap no
 longer turns the output into NaN. `count_macs=True` and the cost model still
-count every tap.
+count every tap. The weights are held per running tap only: each pass
+gathers them once, as (groups, cg_out, taps, cg_in) in tap order, and the
+backward scatters their gradients once into a zeroed kernel.
 
 Inputs with at most 8 channels per group (a stem on RGB, depthwise convs) are
 too thin for one GEMM per tap: the forward copies each row block's live taps
-into a column block (unrolled convolution, Chellapilla et al. 2006, one row
-block at a time) and sums all taps in one GEMM with K = taps x channels, the
-split Anderson et al. 2017 measure between thin and wide inputs. Their outputs
-match the per-tap sum to rounding, not bit for bit; wider convs, and the
-backward, run one GEMM per tap.
+into a column block (unrolled convolution, Chellapilla et al. 2006) and sums
+all taps in one GEMM against the gathered weights read as one (cg_out, taps x
+cg_in) matrix, the split Anderson et al. 2017 measure between thin and wide
+inputs. Their outputs match the per-tap sum to rounding, not bit for bit;
+wider convs, and the backward, run one GEMM per tap.
 
 All scratch of both directions (phase buffers, accumulators, column block,
 the stacked gradient grid) lives in one workspace per thread
@@ -161,8 +163,9 @@ class _TapWalk:
     `_tap_walk` builds each one once.
 
     `taps` lists each tap that runs, the product of the kernel rows and columns
-    `_axis_taps` keeps, as (row, column, phase row, phase column, flat offset
-    in the phase), in the order both passes accumulate them. `phases(x, buf)`
+    `_axis_taps` keeps, as (phase row, phase column, flat offset in the
+    phase), in the order both passes accumulate them; tap i's weights are
+    those of kernel cell `kernel_taps[i]` (row * kw + column). `phases(x, buf)`
     writes the input, zero-padded only as far as those taps reach and split
     into its sh x sw stride phases, into a buffer of `shape`,
     (sh, sw, groups, cg_in, line). Each phase is one flat line per channel: a
@@ -191,8 +194,8 @@ class _TapWalk:
         )
         self.slot = self.slot_rows * self.pitch
         self.base = lead_h * self.pitch + lead_w  # the leading zero band; tap offsets count from the line's start
-        self.taps = tuple((u, v, a, b, r * self.pitch + q) for u, a, r in row_taps for v, b, q in col_taps)
-        self.kernel_taps = np.array([u * spec.kernel[1] + v for u, v, *_ in self.taps])  # flat (u, v) of each tap
+        self.taps = tuple((a, b, r * self.pitch + q) for _, a, r in row_taps for _, b, q in col_taps)
+        self.kernel_taps = np.array([u * spec.kernel[1] + v for u, *_ in row_taps for v, *_ in col_taps])
         reach = max(off for *_, off in self.taps) - self.base  # the furthest a tap reads past a slot's start
         self.tail = max(0, reach + self.oh * self.pitch - self.slot)
         self.margin = max(0, reach)  # the backward's zeros before its gradient grid
@@ -347,11 +350,11 @@ def _workspace(dtype, *shapes) -> list[np.ndarray]:
     return views
 
 
-def _tap_weights(w: ConvWeights, spec: ConvSpec, dtype) -> np.ndarray:
-    """Weights as (kh, kw, groups, cg_out, cg_in): one matrix per tap and group."""
-    o, cg, kh, kw = spec.weight_shape
-    wt = w.weight.data.astype(dtype, copy=False).reshape(spec.groups, o // spec.groups, cg, kh, kw)
-    return np.ascontiguousarray(wt.transpose(3, 4, 0, 1, 2))
+def _tap_weights(w: ConvWeights, spec: ConvSpec, walk: _TapWalk, dtype) -> np.ndarray:
+    """The running taps' weights, in tap order, as a new (groups, cg_out, taps, cg_in) array."""
+    o, cg = spec.weight_shape[:2]
+    wt = w.weight.data.astype(dtype, copy=False).reshape(spec.groups, o // spec.groups, cg, -1)
+    return wt.transpose(0, 1, 3, 2).take(walk.kernel_taps, axis=2)
 
 
 def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, relu: bool = False):
@@ -379,22 +382,18 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     tmp_shape = (n, g, len(taps) * cg, rows * pitch) if thin else acc_shape
     buf, acc, tmp = _workspace(x.dtype, walk.shape, acc_shape, tmp_shape)
     lines = walk.samples(walk.phases(x, buf))
-    if thin:  # (groups, cg_out, taps x cg_in), in the column block's order
-        wt = w.weight.data.astype(x.dtype, copy=False).reshape(o, cg, -1).take(walk.kernel_taps, axis=2)
-        wt = wt.transpose(0, 2, 1).reshape(g, o // g, -1)
-    else:
-        wt = _tap_weights(w, spec, x.dtype)
+    wt = _tap_weights(w, spec, walk, x.dtype)
     out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
     for r0 in range(0, walk.oh, rows):
         r1 = min(walk.oh, r0 + rows)
         acc_r, tmp_r = acc[..., : (r1 - r0) * pitch], tmp[..., : (r1 - r0) * pitch]
-        if thin:
-            for i, (_, _, a, b, off) in enumerate(taps):
+        if thin:  # the weights as (groups, cg_out, taps x cg_in), in the column block's order
+            for i, (a, b, off) in enumerate(taps):
                 tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(lines, a, b, off, r0, r1)
-            np.matmul(wt, tmp_r, out=acc_r)
+            np.matmul(wt.reshape(g, o // g, -1), tmp_r, out=acc_r)
         else:
-            for i, (u, v, a, b, off) in enumerate(taps):
-                prod = np.matmul(wt[u, v], walk.tap(lines, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+            for i, (a, b, off) in enumerate(taps):
+                prod = np.matmul(wt[:, :, i], walk.tap(lines, a, b, off, r0, r1), out=tmp_r if i else acc_r)
                 if i:
                     acc_r += prod
         out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
@@ -465,26 +464,24 @@ def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input
         (*spec.stride, n, g, walk.slot, cg),
         (g, m + walk.base + size, og),
         (n, g, walk.slot, cg),
-        (*spec.kernel, g, cg, og),
+        (len(walk.taps), g, cg, og),
     )
     buf = walk.phases(x.data, buf)
     grid[...] = 0
     stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
     grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out
-    if len(walk.taps) < math.prod(spec.kernel):
-        grad_w[...] = 0  # 0 at taps that do not run
     grads = grid[:, m : m + k]
     if input_grad:
         grad_slots[...] = 0  # 0 in phases that no tap reads
-        wt = _tap_weights(w, spec, x.dtype)
-    for u, v, a, b, off in walk.taps:
-        np.matmul(buf[a, b, ..., off : off + k], grads, out=grad_w[u, v])
+        wt = _tap_weights(w, spec, walk, x.dtype)
+    for i, (a, b, off) in enumerate(walk.taps):
+        np.matmul(buf[a, b, ..., off : off + k], grads, out=grad_w[i])
         if input_grad:
             at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
             shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
-            grad_slots[a, b] += np.matmul(shifted, wt[u, v], out=tmp)
-    gw = np.empty(spec.weight_shape, dtype=x.dtype)
-    gw.reshape(g, og, cg, *spec.kernel)[...] = grad_w.transpose(2, 4, 3, 0, 1)
+            grad_slots[a, b] += np.matmul(shifted, wt[:, :, i], out=tmp)
+    gw = np.zeros(spec.weight_shape, dtype=x.dtype)  # 0 at the kernel cells of taps that do not run
+    gw.reshape(g, og, cg, -1)[..., walk.kernel_taps] = grad_w.transpose(1, 3, 2, 0)
     gx = Tensor(walk.unphase(grad_slots)) if input_grad else None
     return gx, Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 

@@ -40,8 +40,8 @@ def _routes(mode: str) -> tuple[tuple[int, int, int], ...]:
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at step {step}")
+    def __init__(self, step: int, loss: float, what: str = "loss"):
+        super().__init__(f"non-finite {what} {loss} at step {step}")
 
 
 @dataclass(frozen=True)
@@ -230,28 +230,31 @@ def train_approximator(
     sample_size = target.data[0].size
     scale = lr / n_train
     loss_curve: list[float] = []
-    for step in range(steps):
-        if method == "jpu":
-            feat, cache = features(*pyramid)
-        diff = conv2d(feat, head, head_spec).data - target.data
-        with np.errstate(over="ignore"):  # an overflow is reported as TrainingDiverged below
+    # an overflow, or a NaN made from one, is reported as TrainingDiverged, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if method == "jpu":
+                feat, cache = features(*pyramid)
+            diff = conv2d(feat, head, head_spec).data - target.data
             loss = sum(_sample_mses(diff)) / n_train
-        if not np.isfinite(loss):
-            raise TrainingDiverged(step, loss)
-        loss_curve.append(loss)
-        grad_out = Tensor(2.0 * diff / sample_size)
-        if method == "bilinear":
-            g_w, g_b = conv2d_weight_grads(feat, head, head_spec, grad_out)
-        else:
-            g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, grad_out)
-            grads = jpu_backward(cache, g_feat)[0]
-            jpu_params = JpuParams.from_convs(
-                _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
-            )
-        head = _sgd(head, g_w.data, g_b, scale)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(step, loss)
+            loss_curve.append(loss)
+            grad_out = Tensor(2.0 * diff / sample_size)
+            if method == "bilinear":
+                g_w, g_b = conv2d_weight_grads(feat, head, head_spec, grad_out)
+            else:
+                g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, grad_out)
+                grads = jpu_backward(cache, g_feat)[0]
+                jpu_params = JpuParams.from_convs(
+                    _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
+                )
+            head = _sgd(head, g_w.data, g_b, scale)
 
-    *pyramid, target = (Tensor(t.data[n_train:]) for t in data)
-    final = float(np.mean(_sample_mses(conv2d(features(*pyramid)[0], head, head_spec).data - target.data)))
+        *pyramid, target = (Tensor(t.data[n_train:]) for t in data)
+        final = float(np.mean(_sample_mses(conv2d(features(*pyramid)[0], head, head_spec).data - target.data)))
+    if not np.isfinite(final):  # the last step's update can diverge with every training loss finite
+        raise TrainingDiverged(steps, final, "held-out loss")
     n_params = head.weight.data.size + head.bias.size
     if method == "jpu":
         n_params += sum(np.asarray(a).size for _, a in jpu_params.named_tensors())

@@ -154,10 +154,20 @@ def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> Non
             raise ShapeError(f"{name} input shape {t.shape}, expected {expect}")
 
 
+def _layer_weights(params: JpuParams, config: JpuConfig) -> dict[str, tuple[ConvSpec, ConvWeights]]:
+    """Each layer's (spec, weights) by name; a ShapeError (a ValueError) names the first
+    layer whose weight shape, which fixes its bias's, is not the one `config` gives it."""
+    layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
+    for name, (spec, cw) in layers.items():
+        if cw.weight.shape != spec.weight_shape:
+            raise ShapeError(f"{name} holds a {cw.weight.shape} weight, the config needs {spec.weight_shape}")
+    return layers
+
+
 def jpu_forward(c3: Tensor, c4: Tensor, c5: Tensor, params: JpuParams, config: JpuConfig) -> tuple[Tensor, JpuCache]:
     _check_pyramid(c3, c4, c5, config)
     h, w = c3.shape[2], c3.shape[3]
-    layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
+    layers = _layer_weights(params, config)
     convs = {}
 
     def conv(name: str, spec: ConvSpec, cw: ConvWeights, x: Tensor) -> Tensor:
@@ -227,11 +237,9 @@ def _manifest(config: JpuConfig) -> dict:
 
 
 def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
-    """Checks each layer's weight shape, which fixes its bias's, against `config`
-    before writing any file (ValueError), so a checkpoint that saves also loads."""
-    for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True):
-        if cw.weight.shape != spec.weight_shape:
-            raise ValueError(f"{name} holds a {cw.weight.shape} weight, the config needs {spec.weight_shape}")
+    """Checks each layer's weight shape against `config` before writing any
+    file (ValueError), so a checkpoint that saves also loads."""
+    _layer_weights(params, config)
     os.makedirs(dirpath, exist_ok=True)
     for name, arr in params.named_tensors():
         t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)

@@ -223,6 +223,19 @@ def test_train_divergence_exits_1(capsys):
     assert captured.err.splitlines() == ["error: non-finite loss inf at step 23"]
 
 
+@pytest.mark.parametrize(
+    "steps, error",
+    # at 6 steps only the last update diverges: every training loss is finite, the held-out one is not
+    [("30", "non-finite loss nan at step 6"), ("6", "non-finite held-out loss nan at step 6")],
+)
+def test_diverging_train_demo_prints_only_its_error_line(steps, error):
+    argv = ("--seeds", "1", "--samples", "4", "--image", "32", "--lr", "1e3", "--steps", steps)
+    run = run_cli_process("train-demo", *argv, capture_output=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [f"error: {error}"]
+
+
 _SMALL_RUNS = {
     "equiv": ["--cases", "1"],
     "jointup-demo": [],
@@ -344,13 +357,18 @@ def test_unwritable_output_exits_2_and_prints_nothing(tmp_path, capsys, where):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_exits_2_with_one_error_line():
+def run_cli_process(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m jpulite.cli ARGV` in a new process, so that what reaches
+    stderr outside `print` (numpy warnings, tracebacks) is seen too."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "jpulite.cli", *argv], env=env, text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_2_with_one_error_line():
     with open("/dev/full", "w") as full:
-        run = subprocess.run([sys.executable, "-m", "jpulite.cli", "jointup-demo"], stdout=full, stderr=subprocess.PIPE,
-                             env=env, text=True)
+        run = run_cli_process("jointup-demo", stdout=full, stderr=subprocess.PIPE)
     assert run.returncode == 2
     assert run.stderr.startswith("error: cannot write stdout: ") and run.stderr.count("\n") == 1
 

@@ -373,28 +373,33 @@ def test_slots_share_their_zero_bands(rate, hw, slot, k, monkeypatch):
     assert requested == [walk.shape, walk.shape]
 
 
+_WARM_SPECS = {
+    "stride1": ConvSpec(8, 8, padding=(1, 1)),
+    "stride2": ConvSpec(8, 8, stride=(2, 2), padding=(1, 1)),
+    "depthwise": ConvSpec(8, 8, padding=(1, 1), groups=8),
+    "centre_tap": ConvSpec(8, 8, dilation=(32, 32), padding=(32, 32)),  # past the 32x32 map: one tap runs
+}
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        ConvSpec(8, 8, padding=(1, 1)),
-        ConvSpec(8, 8, stride=(2, 2), padding=(1, 1)),
-        ConvSpec(8, 8, padding=(1, 1), groups=8),
-    ],
-    ids=["stride1", "stride2", "depthwise"],
+    "spec, backward",
+    [pytest.param(spec, conv2d_backward, id=name) for name, spec in _WARM_SPECS.items()]
+    + [pytest.param(spec, conv2d_weight_grads, id=f"{name}-weight_grads") for name, spec in _WARM_SPECS.items()],
 )
-def test_warm_backward_allocates_only_its_outputs(spec):
+def test_warm_backward_allocates_only_its_outputs(spec, backward):
     """Once the thread's workspace has grown, a backward's scratch (phase
-    buffers, padded gradient grid, tap products) comes from it: what it
-    allocates beyond gx, gw and gb stays far below the size of its input."""
+    buffers, padded gradient grid, tap products, the running taps' weight
+    gradients) comes from it: what it allocates beyond its outputs, gx (if
+    it computes one), gw and gb, stays far below the size of its input."""
     x, w, spec, grad_out = oracle_case(spec, (32, 32), 6, np.float64, 7)
-    conv2d_backward(x, w, spec, grad_out)
+    backward(x, w, spec, grad_out)
     tracemalloc.start()
     try:
-        gx, gw, gb = conv2d_backward(x, w, spec, grad_out)
+        grads = backward(x, w, spec, grad_out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - (gx.data.nbytes + gw.data.nbytes + gb.nbytes) < x.data.nbytes / 4
+    assert peak - sum(getattr(g, "data", g).nbytes for g in grads) < x.data.nbytes / 4  # Tensors, then the bias ndarray
 
 
 def test_output_never_shares_the_workspace():

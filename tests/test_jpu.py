@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpulite import jpu
+from jpulite import experiments, jpu
 from jpulite.conv import ConvWeights, conv2d
+from jpulite.experiments import TeacherDataset, train_approximator
 from jpulite.jpu import (
     DILATION_RATES,
     JpuConfig,
@@ -132,6 +133,42 @@ def test_forward_rejects_bad_pyramid(level, bad, expect):
     levels[level] = random_uniform(bad, Rng(1))
     with pytest.raises(ShapeError, match=re.escape(f"level{level} input shape {bad}, expected {expect}")):
         jpu_forward(*levels, p, TINY)
+
+
+# One weight of another shape per layer kind of TINY (width 2, so each branch reads
+# 3w = 6 channels). Folding would read the depthwise and pointwise ones only in part
+# (the first input slice, the [0, 0] tap), so only the check can reject them.
+_BAD_WEIGHTS = {
+    "level1": (2, 5, 3, 3),
+    "branch2.depthwise": (6, 2, 3, 3),
+    "branch0.pointwise": (2, 6, 3, 3),
+    "fusion": (8, 8, 1, 1),
+}
+
+
+def _with_weight(params, name, shape):
+    """params with layer `name`'s weight swapped for a random one of `shape`."""
+    convs = dict(params.convs())
+    convs[name] = ConvWeights(random_uniform(shape, Rng(3)), np.zeros(shape[0]))
+    return JpuParams.from_convs(convs.values())
+
+
+@pytest.mark.parametrize("name, shape", list(_BAD_WEIGHTS.items()), ids=list(_BAD_WEIGHTS))
+def test_a_weight_of_another_shape_fails_naming_its_layer(name, shape, tmp_path, monkeypatch):
+    """jpu_forward, and through it train_approximator, reject it with
+    save_jpu_params's message before any conv runs."""
+    need = {n: spec.weight_shape for n, spec, _ in TINY.layers()}[name]
+    msg = "^" + re.escape(f"{name} holds a {shape} weight, the config needs {need}") + "$"
+    params = _with_weight(jpu_init(TINY, Rng(0)), name, shape)
+    with pytest.raises(ShapeError, match=msg):
+        jpu_forward(*pyramid(TINY, 0), params, TINY)
+    with pytest.raises(ShapeError, match=msg):
+        save_jpu_params(tmp_path, params, TINY)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(experiments, "jpu_init", lambda cfg, rng: _with_weight(jpu_init(cfg, rng), name, shape))
+    data = TeacherDataset(*pyramid(TINY, 1, n=4), random_uniform((4, 5, 8, 8), Rng(2)))
+    with pytest.raises(ShapeError, match=msg):
+        train_approximator("jpu", data, 1, 0.1, 0, TINY.width)
 
 
 def test_zero_weights_zero_output():
