@@ -32,7 +32,7 @@ from .decomp import (
 )
 from .jointup import DegenerateProblemError, LinearMap, solve_joint_upsample
 from .jpu import JpuConfig
-from .tensor import Rng, Tensor, _open_new, max_abs_diff, random_uniform
+from .tensor import Rng, Tensor, _write_new, max_abs_diff, random_uniform
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 DEFAULT_TOL = {"f32": 1e-5, "f64": 1e-12}
@@ -43,8 +43,7 @@ def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True)
     if args.output:  # first, so a path that cannot be written leaves stdout empty
         try:
-            with _open_new(args.output, "w") as f:
-                f.write(text + "\n")
+            _write_new(args.output, (text + "\n").encode())
         except OSError as e:  # a usage error (exit 2), not a numerical one
             raise ValueError(f"cannot write --output: {e}") from e
     try:

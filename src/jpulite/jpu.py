@@ -32,7 +32,8 @@ from .tensor import (
     ShapeError,
     Tensor,
     _is_count,
-    _open_new,
+    _read_all,
+    _write_new,
     bilinear_resize,
     bilinear_resize_backward,
     concat_channels,
@@ -155,9 +156,15 @@ def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> Non
 
 
 def _layer_weights(params: JpuParams, config: JpuConfig) -> dict[str, tuple[ConvSpec, ConvWeights]]:
-    """Each layer's (spec, weights) by name; a ShapeError (a ValueError) names the first
-    layer whose weight shape, which fixes its bias's, is not the one `config` gives it."""
-    layers = {name: (spec, cw) for (name, spec, _), (_, cw) in zip(config.layers(), params.convs(), strict=True)}
+    """Each layer's (spec, weights) by name; a ShapeError (a ValueError) names the first layer the params lack
+    or hold beyond `config`'s, else the first whose weight shape, which fixes its bias's, differs from its spec's."""
+    convs = dict(params.convs())
+    for name, _, _ in config.layers():
+        if name not in convs:
+            raise ShapeError(f"the params hold no {name} layer, which the config needs")
+    layers = {name: (spec, convs[name]) for name, spec, _ in config.layers()}
+    if len(convs) != len(layers):
+        raise ShapeError(f"the params hold a {next(n for n in convs if n not in layers)} layer, which the config lacks")
     for name, (spec, cw) in layers.items():
         if cw.weight.shape != spec.weight_shape:
             raise ShapeError(f"{name} holds a {cw.weight.shape} weight, the config needs {spec.weight_shape}")
@@ -218,13 +225,10 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
 # parameter serialization: directory of .jt files plus a JSON manifest
 
 
-def _bias_to_tensor(b: np.ndarray) -> Tensor:
-    return Tensor(b.reshape(1, b.size, 1, 1))
-
-
-def _manifest(config: JpuConfig) -> dict:
-    """The manifest save_jpu_params writes for a config: load_jpu_params accepts exactly this."""
-    return {
+@lru_cache(maxsize=64)  # every save writes it and every load compares against it; callers only read it
+def _manifest(config: JpuConfig) -> tuple[dict, bytes]:
+    """The manifest save_jpu_params writes for a config, and its file's bytes: load_jpu_params accepts exactly this."""
+    manifest = {
         "schema": 1,
         "config": {
             "in_channels": list(config.in_channels),
@@ -234,22 +238,23 @@ def _manifest(config: JpuConfig) -> dict:
         },
         "tensors": [f"{name}.{part}" for name, _, _ in config.layers() for part in ("weight", "bias")],
     }
+    return manifest, json.dumps(manifest, indent=2, sort_keys=True).encode()
 
 
 def save_jpu_params(dirpath, params: JpuParams, config: JpuConfig) -> None:
     """Checks each layer's weight shape against `config` before writing any
     file (ValueError), so a checkpoint that saves also loads."""
-    _layer_weights(params, config)
+    layers = _layer_weights(params, config)
     os.makedirs(dirpath, exist_ok=True)
-    for name, arr in params.named_tensors():
-        t = _bias_to_tensor(np.asarray(arr)) if arr.ndim == 1 else Tensor(arr)
-        save_jt(os.path.join(dirpath, name + ".jt"), t)
-    with _open_new(os.path.join(dirpath, "manifest.json"), "w") as f:
-        json.dump(_manifest(config), f, indent=2, sort_keys=True)
+    prefix = os.path.join(dirpath, "")
+    for name, (_, cw) in layers.items():
+        save_jt(f"{prefix}{name}.weight.jt", cw.weight)
+        save_jt(f"{prefix}{name}.bias.jt", Tensor(cw.bias.reshape(1, -1, 1, 1)))
+    _write_new(prefix + "manifest.json", _manifest(config)[1])
 
 
-def _load_shaped(dirpath, name: str, shape) -> Tensor:
-    t = load_jt(os.path.join(dirpath, name + ".jt"))
+def _load_shaped(prefix: str, name: str, shape) -> Tensor:
+    t = load_jt(f"{prefix}{name}.jt")
     if t.shape != shape:
         raise ValueError(f"{name}.jt holds a {t.shape} tensor, the manifest config needs {shape}")
     return t
@@ -260,7 +265,7 @@ def _manifest_config(manifest) -> JpuConfig:
     if not (isinstance(c, dict) and isinstance(c.get("in_channels"), list)):
         raise ValueError(f"malformed checkpoint manifest config {c!r}")
     config = JpuConfig(tuple(c["in_channels"]), c.get("width"))  # any other rates or output width fail the comparison
-    if type(manifest.get("schema")) is not int or manifest != _manifest(config):
+    if type(manifest.get("schema")) is not int or manifest != _manifest(config)[0]:
         raise ValueError(f"checkpoint manifest is not a schema-1 manifest of {config}")
     return config
 
@@ -268,12 +273,12 @@ def _manifest_config(manifest) -> JpuConfig:
 def load_jpu_params(dirpath) -> tuple[JpuParams, JpuConfig]:
     """Read a checkpoint written by save_jpu_params; raises ValueError for a
     malformed manifest and when a tensor's shape disagrees with its config."""
-    with open(os.path.join(dirpath, "manifest.json")) as f:
-        config = _manifest_config(json.load(f))
+    prefix = os.path.join(dirpath, "")
+    config = _manifest_config(json.loads(_read_all(prefix + "manifest.json").decode()))
     params = JpuParams.from_convs(
         ConvWeights(
-            _load_shaped(dirpath, f"{name}.weight", spec.weight_shape),
-            _load_shaped(dirpath, f"{name}.bias", (1, spec.out_channels, 1, 1)).data.reshape(-1).copy(),
+            _load_shaped(prefix, f"{name}.weight", spec.weight_shape),
+            _load_shaped(prefix, f"{name}.bias", (1, spec.out_channels, 1, 1)).data.reshape(-1),
         )
         for name, spec, _ in config.layers()
     )

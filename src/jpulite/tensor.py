@@ -16,7 +16,6 @@ linear interpolation between the two neighbors per axis.
 from __future__ import annotations
 
 import os
-import stat
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -178,48 +177,56 @@ def max_abs_diff(a: Tensor, b: Tensor) -> float:
 # then raw row-major little-endian data.
 
 
-def _open_new(path, mode: str = "wb"):
-    """Open path for writing as a new file. A regular file already at path, or
-    a symlink leading to one, is unlinked first (the link, not its target)
-    instead of truncated: on ext4 with the default auto_da_alloc, closing a
-    truncated and rewritten file starts its writeback, several times the cost
-    of writing a new one. A crash still leaves a short or missing file. A path
-    that is or leads to anything else, such as /dev/null or a pipe, is opened
-    in place."""
+def _write_new(path, data: bytes) -> None:
+    """Write data to path as a new file, with os.write until every byte is written. A
+    regular file at path, or a symlink to one, is unlinked first (the link, not its target),
+    not truncated: closing a truncated, rewritten file starts ext4's writeback (auto_da_alloc),
+    several times a new file's cost. A crash leaves a short or missing file. Anything else,
+    such as /dev/null or a pipe, is written in place."""
+    if os.path.isfile(path):
+        os.unlink(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        if stat.S_ISREG(os.stat(path).st_mode):
-            os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return open(path, mode)
+        done = os.write(fd, data)
+        while done < len(data):  # a short write, as to a pipe or after a signal
+            done += os.write(fd, memoryview(data)[done:])
+    finally:
+        os.close(fd)
+
+
+def _read_all(path) -> bytes:
+    """Every byte of the file at path: os.read until it returns nothing."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    except OSError as e:  # os.read's error, such as a directory's EISDIR, names no file
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        os.close(fd)
 
 
 def save_jt(path, x: Tensor) -> None:
-    with _open_new(path) as f:
-        f.write(struct.pack(_JT_HEADER, _JT_MAGIC, _JT_DTYPE_CODES[x.dtype], *x.shape))
-        f.write(x.data.astype(x.dtype.newbyteorder("<"), copy=False).tobytes())
+    header = struct.pack(_JT_HEADER, _JT_MAGIC, _JT_DTYPE_CODES[x.dtype], *x.shape)
+    _write_new(path, header + x.data.astype(x.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def load_jt(path) -> Tensor:
-    """Read a file written by save_jt; raises ValueError for any file that is
-    not exactly one well-formed tensor (bad magic, short header, unknown dtype
-    code, zero dims, or a payload of the wrong size)."""
+    """Read a file written by save_jt into aligned memory of its own; raises ValueError
+    for any file that is not exactly one well-formed tensor (bad magic, short header,
+    unknown dtype code, zero dims, or a payload of the wrong size)."""
     header_size = struct.calcsize(_JT_HEADER)
-    with open(path, "rb") as f:
-        header = f.read(header_size)
-        payload = f.read()
-    if header[:4] != _JT_MAGIC:
-        raise ValueError(f"bad magic {header[:4]!r} in {path}")
-    if len(header) < header_size:
-        raise ValueError(f"truncated header in {path}: {len(header)} of {header_size} bytes")
-    _, code, n, c, h, w = struct.unpack(_JT_HEADER, header)
+    data = _read_all(path)
+    if data[:4] != _JT_MAGIC:
+        raise ValueError(f"bad magic {data[:4]!r} in {path}")
+    if len(data) < header_size:
+        raise ValueError(f"truncated header in {path}: {len(data)} of {header_size} bytes")
+    _, code, n, c, h, w = struct.unpack_from(_JT_HEADER, data)
     dtype = _JT_DTYPE_FROM_CODE.get(code)
     if dtype is None:
         raise ValueError(f"unknown dtype code {code} in {path}")
-    expected = n * c * h * w * dtype.itemsize
-    if len(payload) != expected:
+    expected, found = n * c * h * w * dtype.itemsize, len(data) - header_size
+    if found != expected:
         raise ValueError(
-            f"size mismatch in {path}: a {(n, c, h, w)} {dtype} tensor needs {expected} bytes, found {len(payload)}"
+            f"size mismatch in {path}: a {(n, c, h, w)} {dtype} tensor needs {expected} bytes, found {found}"
         )
-    data = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
-    return Tensor(data.astype(dtype).reshape(n, c, h, w))
+    return Tensor(np.frombuffer(data, dtype.newbyteorder("<"), offset=header_size).astype(dtype).reshape(n, c, h, w))

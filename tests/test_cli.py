@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import stat
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from jpulite import cli
 from jpulite.cli import main
 from jpulite.jointup import DegenerateProblemError
 from jpulite.tensor import Rng, Tensor
+
+from test_tensor import short_io
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +358,26 @@ def test_unwritable_output_exits_2_and_prints_nothing(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_output_file_survives_short_writes(tmp_path, capsys):
+    whole, cut = tmp_path / "whole.json", tmp_path / "cut.json"
+    assert run_cli(capsys, "cost", "--backbone", "resnet50", "--output", str(whole))[0] == 0
+    with short_io():
+        code, out = run_cli(capsys, "cost", "--backbone", "resnet50", "--output", str(cut))
+    assert code == 0
+    assert cut.read_bytes() == whole.read_bytes() == out.encode()
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+                    reason="needs the /dev/full device")
+def test_output_to_a_full_device_exits_2_and_prints_nothing(capsys):
+    code = main(["cost", "--backbone", "resnet50", "--output", "/dev/full"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)  # written in place, never unlinked
 
 
 def run_cli_process(*argv, **kwargs) -> subprocess.CompletedProcess:

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -24,6 +26,7 @@ from jpulite.jpu import (
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform, save_jt
 
 from reference import central_difference
+from test_tensor import short_io
 
 TINY = JpuConfig((3, 4, 5), width=2)
 
@@ -153,22 +156,43 @@ def _with_weight(params, name, shape):
     return JpuParams.from_convs(convs.values())
 
 
-@pytest.mark.parametrize("name, shape", list(_BAD_WEIGHTS.items()), ids=list(_BAD_WEIGHTS))
-def test_a_weight_of_another_shape_fails_naming_its_layer(name, shape, tmp_path, monkeypatch):
-    """jpu_forward, and through it train_approximator, reject it with
-    save_jpu_params's message before any conv runs."""
-    need = {n: spec.weight_shape for n, spec, _ in TINY.layers()}[name]
-    msg = "^" + re.escape(f"{name} holds a {shape} weight, the config needs {need}") + "$"
-    params = _with_weight(jpu_init(TINY, Rng(0)), name, shape)
+def _assert_rejected_everywhere(edit, msg, tmp_path, monkeypatch):
+    """jpu_forward, save_jpu_params (before writing any file) and, through
+    jpu_forward, train_approximator reject `edit` of TINY's params with `msg`."""
+    msg = "^" + re.escape(msg) + "$"
+    params = edit(jpu_init(TINY, Rng(0)))
     with pytest.raises(ShapeError, match=msg):
         jpu_forward(*pyramid(TINY, 0), params, TINY)
     with pytest.raises(ShapeError, match=msg):
         save_jpu_params(tmp_path, params, TINY)
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(experiments, "jpu_init", lambda cfg, rng: _with_weight(jpu_init(cfg, rng), name, shape))
+    monkeypatch.setattr(experiments, "jpu_init", lambda cfg, rng: edit(jpu_init(cfg, rng)))
     data = TeacherDataset(*pyramid(TINY, 1, n=4), random_uniform((4, 5, 8, 8), Rng(2)))
     with pytest.raises(ShapeError, match=msg):
         train_approximator("jpu", data, 1, 0.1, 0, TINY.width)
+
+
+@pytest.mark.parametrize("name, shape", list(_BAD_WEIGHTS.items()), ids=list(_BAD_WEIGHTS))
+def test_a_weight_of_another_shape_fails_naming_its_layer(name, shape, tmp_path, monkeypatch):
+    """Every entry point rejects it with save_jpu_params's message, before any conv runs."""
+    need = {n: spec.weight_shape for n, spec, _ in TINY.layers()}[name]
+    msg = f"{name} holds a {shape} weight, the config needs {need}"
+    _assert_rejected_everywhere(lambda p: _with_weight(p, name, shape), msg, tmp_path, monkeypatch)
+
+
+_BAD_LAYERS = {
+    "missing_branch": (lambda p: JpuParams(p.levels, p.branches[:3], p.fusion),
+                       "the params hold no branch3.depthwise layer, which the config needs"),
+    "extra_branch": (lambda p: JpuParams(p.levels, p.branches + p.branches[:1], p.fusion),
+                     "the params hold a branch4.depthwise layer, which the config lacks"),
+    "missing_level": (lambda p: JpuParams(p.levels[:2], p.branches, p.fusion),
+                      "the params hold no level2 layer, which the config needs"),
+}
+
+
+@pytest.mark.parametrize("edit, msg", list(_BAD_LAYERS.values()), ids=list(_BAD_LAYERS))
+def test_a_missing_or_extra_layer_fails_naming_it(edit, msg, tmp_path, monkeypatch):
+    _assert_rejected_everywhere(edit, msg, tmp_path, monkeypatch)
 
 
 def test_zero_weights_zero_output():
@@ -315,6 +339,32 @@ def test_serialization_round_trip(tmp_path):
     y1, _ = jpu_forward(*pyramid(cfg, 20), p, cfg)
     y2, _ = jpu_forward(*pyramid(cfg, 20), p2, cfg)
     assert y1.data.tobytes() == y2.data.tobytes()
+
+
+# sha256 over the name, size and bytes of every file save_jpu_params writes for
+# jpu_init(TINY, Rng(26)) cast to the dtype, in name order
+CHECKPOINT_DIGESTS = {
+    "float32": "45c646b3984746760c4acefdd5db948d4c927b261012145198b3fae9628b233a",
+    "float64": "0739e3d3e0066c49c28a5009fd5065459a59f4c3aa3bc8a41a058f70c0ac3831",
+}
+
+
+@pytest.mark.parametrize("io", [contextlib.nullcontext, short_io], ids=["whole_io", "short_io"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_bytes_golden(tmp_path, dtype, io):
+    convs = jpu_init(TINY, Rng(26)).convs()
+    p = JpuParams.from_convs(ConvWeights(Tensor(cw.weight.data.astype(dtype)), cw.bias.astype(dtype)) for _, cw in convs)
+    with io():
+        save_jpu_params(tmp_path, p, TINY)
+        p2, cfg2 = load_jpu_params(tmp_path)
+    h = hashlib.sha256()
+    for f in sorted(tmp_path.iterdir()):
+        data = f.read_bytes()
+        h.update(f"{f.name}\0{len(data)}\0".encode() + data)
+    assert h.hexdigest() == CHECKPOINT_DIGESTS[np.dtype(dtype).name]
+    assert cfg2 == TINY
+    for (na, a), (nb, b) in zip(p.named_tensors(), p2.named_tensors(), strict=True):
+        assert na == nb and a.dtype == b.dtype and np.array_equal(a, b), na
 
 
 def test_save_over_a_wider_checkpoint(tmp_path):

@@ -1,4 +1,7 @@
+import contextlib
+import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -140,13 +143,44 @@ def test_max_abs_diff():
         max_abs_diff(a, Tensor(np.zeros((1, 2, 3, 4))))
 
 
+@contextlib.contextmanager
+def short_io(write_max: int = 7, read_max: int = 5):
+    """os.write and os.read cut to at most write_max and read_max bytes a call,
+    as a pipe or a signal may cut them."""
+    write, read = os.write, os.read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "write", lambda fd, data: write(fd, memoryview(data)[:write_max]))
+        mp.setattr(os, "read", lambda fd, n: read(fd, min(n, read_max)))
+        yield
+
+
+# sha256 of the .jt file of random_uniform((2, 3, 4, 5), Rng(11), -2.0, 2.0, dtype)
+JT_DIGESTS = {
+    "float32": "e68b0804aabc196189f64d3768a0433c71be633b0c94c98f3c9d01ed04d57146",
+    "float64": "639b10ef5e8c5b4e69c78d0fad019e4d0b7c109dc9e8b82ba7e5d2963fdc4aee",
+}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_jt_round_trip(tmp_path, dtype):
     x = random_uniform((2, 3, 4, 5), Rng(11), -2.0, 2.0, dtype=dtype)
     path = tmp_path / "t.jt"
     path.write_bytes(b"\xff" * 4096)  # a longer file already there leaves none of its bytes
     save_jt(path, x)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == JT_DIGESTS[np.dtype(dtype).name]
     y = load_jt(path)
+    assert y.dtype == x.dtype
+    assert y.data.tobytes() == x.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_jt_survives_short_writes_and_reads(tmp_path, dtype):
+    x = random_uniform((2, 3, 4, 5), Rng(11), -2.0, 2.0, dtype=dtype)
+    path = tmp_path / "t.jt"
+    with short_io():
+        save_jt(path, x)
+        y = load_jt(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == JT_DIGESTS[np.dtype(dtype).name]
     assert y.dtype == x.dtype
     assert y.data.tobytes() == x.data.tobytes()
 
@@ -171,6 +205,11 @@ def test_jt_save_writes_through_link_to_device(tmp_path):
     assert link.is_symlink() and os.readlink(link) == os.devnull
 
 
+def test_jt_load_of_a_directory_names_it(tmp_path):
+    with pytest.raises(IsADirectoryError, match=re.escape(repr(str(tmp_path)))):
+        load_jt(tmp_path)
+
+
 def test_jt_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.jt"
     p.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -185,17 +224,18 @@ def test_jt_rejects_every_malformed_file(tmp_path_factory, shape, dtype):
     save_jt(d / "good.jt", random_uniform(shape, Rng(5), -1.0, 1.0, dtype=dtype))
     good = (d / "good.jt").read_bytes()
     bad = d / "bad.jt"
+
+    def rejects(data, msg):  # the same message whether the file arrives in one read or in many
+        bad.write_bytes(data)
+        for io in (contextlib.nullcontext, short_io):
+            with io(), pytest.raises(ValueError, match=msg):
+                load_jt(bad)
+
     for cut in range(len(good)):
-        bad.write_bytes(good[:cut])
-        with pytest.raises(ValueError):
-            load_jt(bad)
+        rejects(good[:cut], "bad magic" if cut < 4 else "truncated header" if cut < 21 else "size mismatch")
     for code in range(2, 256):
-        bad.write_bytes(good[:4] + bytes([code]) + good[5:])
-        with pytest.raises(ValueError, match=f"unknown dtype code {code}"):
-            load_jt(bad)
-    bad.write_bytes(good + b"\x00")
-    with pytest.raises(ValueError, match="size mismatch"):
-        load_jt(bad)
+        rejects(good[:4] + bytes([code]) + good[5:], f"unknown dtype code {code}")
+    rejects(good + b"\x00", "size mismatch")
 
 
 def test_tensor_immutable():
