@@ -11,7 +11,10 @@
 # files), with whether `load_jpu_params` reads back an equal config, and a
 # sha256 of the JPU output and of every parameter and input gradient of one
 # `jpu_forward` and `jpu_backward` at training shapes (the default config's
-# 64x64 teacher pyramid, N 6 in f64, then N 3 in f32).
+# 64x64 teacher pyramid, N 6 in f64, then N 3 in f32), and a sha256 of the
+# `conv2d` outputs of thin convs (at most 8 input channels per group: stride
+# 1 and 2, dilation 1-4, taps dead at rates past the map, the test suite's
+# layout edges, groups above 1; N 1-3, f32 and f64).
 #
 # scripts/diff_outputs.sh [REV] runs it on a `git archive` copy of REV and on
 # this checkout and diffs the two; an empty diff is the check. By hand:
@@ -139,4 +142,37 @@ for n, dtype in ((6, np.float64), (3, np.float32)):
         print(label, name, sha(arr))
     for level, g in zip(("c3", "c4", "c5"), input_grads):
         print(label, level, sha(g.data))
+EOF
+capture thin_forward python3 - <<'EOF'
+import hashlib
+import itertools
+
+import numpy as np
+
+from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights
+from jpulite.tensor import Rng, random_uniform
+
+cases = [  # (spec, input grid)
+    (ConvSpec(c, o, stride=(s, s), dilation=(d, d), padding=(d, d), groups=g), hw)
+    for s, d, (c, o, g), hw in itertools.product(
+        (1, 2), (1, 2, 3, 4), ((3, 8, 1), (8, 4, 2), (6, 6, 6)), ((3, 3), (3, 7), (7, 5), (8, 8))
+    )
+] + [
+    (ConvSpec(3, 2, stride=(2, 2), padding=(1, 1)), (8, 6)),
+    (ConvSpec(2, 3, (1, 1), padding=(1, 1)), (3, 4)),
+    (ConvSpec(3, 2, padding=(1, 1)), (1, 1)),
+    (ConvSpec(2, 2, stride=(3, 3), padding=(1, 1)), (8, 7)),
+    (ConvSpec(6, 2, dilation=(4, 4), padding=(4, 4)), (8, 8)),
+    (ConvSpec(2, 2, stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5)),
+    (ConvSpec(4, 4, (5, 3), dilation=(2, 3), padding=(3, 2)), (9, 10)),
+    (ConvSpec(3, 16, (7, 7), stride=(2, 2), padding=(3, 3)), (32, 32)),
+]
+for i, (spec, hw) in enumerate(cases):
+    h = hashlib.sha256()
+    for n, dtype in itertools.product((1, 2, 3), (np.float32, np.float64)):
+        rng = Rng(i)
+        x = random_uniform((n, spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
+        w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype))
+        h.update(conv2d(x, w, spec).data.tobytes())
+    print(spec, hw, h.hexdigest())
 EOF

@@ -43,8 +43,13 @@ too thin for one GEMM per tap: the forward copies each row block's live taps
 into a column block (unrolled convolution, Chellapilla et al. 2006) and sums
 all taps in one GEMM against the gathered weights read as one (cg_out, taps x
 cg_in) matrix, the split Anderson et al. 2017 measure between thin and wide
-inputs. Their outputs match the per-tap sum to rounding, not bit for bit;
-wider convs, and the backward, run one GEMM per tap.
+inputs. At stride 1 the live taps are one grid, dilation x pitch cells apart
+down and dilation across, so the block is filled by one copy from one strided
+view of the phase buffer, (sample, group, kernel row, kernel column,
+channel, cell); at larger strides, by one copy per tap. Their outputs match
+the per-tap sum to rounding, not bit for bit; wider convs, and the backward,
+run one GEMM per tap. A 1x1 output with one output channel per group also
+reads the column block, whatever its width (see below).
 
 All scratch of both directions (phase buffers, accumulators, column block,
 the stacked gradient grid) lives in one workspace per thread
@@ -62,12 +67,20 @@ batch goes through GEMMs of the same sizes, so neither its output nor its
 input gradient depends on the rest of the batch (a GEMM over the whole batch
 would round the columns at its end differently, and a 1-pixel map's as a dot
 product of other strides). Only the row stride of a forward GEMM's input,
-one phase line, grows with the batch; the tests that compare each sample of
-a batch with a conv of that sample alone, byte for byte, back this. The
-weight gradient sums the batch inside one GEMM per tap, so it matches the
-sum of per-sample weight gradients to rounding, not bit for bit.
-`count_macs=True` runs a plain loop nest instead and also returns the number
-of weight multiplies it performed.
+one phase line, grows with the batch. That stride picks the BLAS kernel of
+a dot product, the per-sample product of a 1x1 output with one output
+channel per group, so that product reads the column block, whose stride does
+not grow. The tests that compare each sample of a batch with a conv of that
+sample alone, byte for byte, back this. The weight gradient sums the batch
+inside one GEMM per tap, so it matches the sum of per-sample weight
+gradients to rounding, not bit for bit.
+
+`count_macs=True` runs apart from the tap walk: it unrolls every tap of the
+zero-padded input, dead ones included, into windows up to kh x kw times the
+padded input's size, runs one GEMM per group and returns the multiplies those
+GEMMs perform, read off their operand shapes. Its output agrees with the
+walk's to rounding. It is for tests and traced runs: the windows of the
+traced 256x256 forwards' convs are up to 7.1 MB (24 channels at 64x64).
 """
 
 from __future__ import annotations
@@ -196,6 +209,10 @@ class _TapWalk:
         self.base = lead_h * self.pitch + lead_w  # the leading zero band; tap offsets count from the line's start
         self.taps = tuple((a, b, r * self.pitch + q) for _, a, r in row_taps for _, b, q in col_taps)
         self.kernel_taps = np.array([u * spec.kernel[1] + v for u, *_ in row_taps for v, *_ in col_taps])
+        # at stride 1 the live taps are one grid of (rows, columns), dilation·pitch cells
+        # apart down and dilation across, that `block` reads as one view
+        self.grid = (len(row_taps), len(col_taps)) if spec.stride == (1, 1) else None
+        self.dilation = spec.dilation
         reach = max(off for *_, off in self.taps) - self.base  # the furthest a tap reads past a slot's start
         self.tail = max(0, reach + self.oh * self.pitch - self.slot)
         self.margin = max(0, reach)  # the backward's zeros before its gradient grid
@@ -263,6 +280,16 @@ class _TapWalk:
         """What a tap reads for wide output rows r0 to r1 of every sample, from
         `samples(buf)`: per sample one contiguous slice of phase (a, b)."""
         return lines[a, b, ..., off + r0 * self.pitch : off + r1 * self.pitch]
+
+    def block(self, buf: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Every tap's read for wide output rows r0 to r1 at once, from the phase
+        buffer of a stride-1 walk (one with a `grid`), as (n, groups, tap rows,
+        tap columns, cg_in, cells): the column block's order."""
+        s_g, s_c, cell = buf.strides[2:]
+        (dh, dw), pitch = self.dilation, self.pitch
+        shape = (self.n, self.shape[2], *self.grid, self.shape[3], (r1 - r0) * pitch)
+        strides = (self.slot * cell, s_g, dh * pitch * cell, dw * cell, s_c, cell)
+        return np.ndarray(shape, buf.dtype, buf, (self.taps[0][2] + r0 * pitch) * cell, strides)
 
 
 @lru_cache(maxsize=1024)  # a walk is 8-12 us of Python; a handful of geometries recur, forward and backward
@@ -360,8 +387,9 @@ def _tap_weights(w: ConvWeights, spec: ConvSpec, walk: _TapWalk, dtype) -> np.nd
 def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, relu: bool = False):
     """Convolution of an (n, c, h, w) input. With relu=True the ReLU is applied
     in place to the new output, byte-identical to relu(conv2d(...)). With
-    count_macs=True it runs the plain loop nest instead and also returns the
-    number of weight multiplies performed (for cost-model cross-checks)."""
+    count_macs=True it runs the unrolled convolution of `_counted_conv2d`
+    instead and also returns the number of weight multiplies performed (for
+    cost-model cross-checks)."""
     _check_input(x, w, spec)
     out, macs = _counted_conv2d(x, w, spec) if count_macs else (_forward(x.data, w, spec), None)
     if relu:
@@ -374,9 +402,12 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     walk = _tap_walk(spec, x.shape)
     n, g, o, pitch, taps = walk.n, spec.groups, spec.out_channels, walk.pitch, walk.taps
     cg = spec.in_channels // g
-    thin = cg <= _THIN_CHANNELS and len(taps) > 1
     # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
     rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * pitch * x.dtype.itemsize)))
+    # A one-cell product with one output channel per group is a dot product, and BLAS
+    # picks its kernel by the column's stride: one phase line, which grows with the
+    # batch. The column block's stride does not, so that product reads the block.
+    thin = (cg <= _THIN_CHANNELS and len(taps) > 1) or (o == g and rows * pitch == 1)
     acc_shape = (n, g, o // g, rows * pitch)
     # tmp: in the thin path the column block, each tap's cg rows in tap order
     tmp_shape = (n, g, len(taps) * cg, rows * pitch) if thin else acc_shape
@@ -388,8 +419,11 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
         r1 = min(walk.oh, r0 + rows)
         acc_r, tmp_r = acc[..., : (r1 - r0) * pitch], tmp[..., : (r1 - r0) * pitch]
         if thin:  # the weights as (groups, cg_out, taps x cg_in), in the column block's order
-            for i, (a, b, off) in enumerate(taps):
-                tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(lines, a, b, off, r0, r1)
+            if walk.grid:  # every tap in one copy
+                tmp.reshape(n, g, *walk.grid, cg, -1)[..., : (r1 - r0) * pitch] = walk.block(buf, r0, r1)
+            else:
+                for i, (a, b, off) in enumerate(taps):
+                    tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(lines, a, b, off, r0, r1)
             np.matmul(wt.reshape(g, o // g, -1), tmp_r, out=acc_r)
         else:
             for i, (a, b, off) in enumerate(taps):
@@ -402,28 +436,29 @@ def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
 
 
 def _counted_conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec):
-    """The reference loop nest (group, in-channel, kernel row, kernel column),
-    counting every weight multiply."""
+    """The unrolled convolution over every tap, dead ones included, counting
+    every weight multiply: the zero-padded input's windows, (n, groups,
+    cg_in·kh·kw, oh·ow), up to kh·kw times the padded input, times each group's
+    weights in one `matmul`; the count is the multiplies those GEMMs perform,
+    read off their operand shapes. It does not use the tap walk, so it counts
+    the taps the walk skips."""
     n, _, h, wd = x.shape
     oh, ow = spec.out_hw((h, wd))
     (kh, kw), (sh, sw), (dh, dw), (ph, pw) = spec.kernel, spec.stride, spec.dilation, spec.padding
-    xp = np.zeros((n, spec.in_channels, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
-    xp[:, :, ph : ph + h, pw : pw + wd] = x.data
-    wt = w.weight.data
-    cg_in = spec.in_channels // spec.groups
-    cg_out = spec.out_channels // spec.groups
-    y = np.zeros((n, spec.out_channels, oh, ow), dtype=x.dtype)
+    g, cg_in, cg_out = spec.groups, spec.in_channels // spec.groups, spec.out_channels // spec.groups
+    xp = np.zeros((n, g, cg_in, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
+    xp[..., ph : ph + h, pw : pw + wd] = x.data.reshape(n, g, cg_in, h, wd)
+    s_n, s_g, s_c, s_h, s_w = xp.strides
+    strides = (s_n, s_g, s_c, dh * s_h, dw * s_w, sh * s_h, sw * s_w)
+    windows = np.ndarray((n, g, cg_in, kh, kw, oh, ow), xp.dtype, xp, 0, strides)
+    cols = windows.reshape(n, g, cg_in * kh * kw, oh * ow)  # a copy
+    wt = w.weight.data.astype(x.dtype, copy=False).reshape(g, cg_out, cg_in * kh * kw)
+    y = np.empty((n, g, cg_out, oh * ow), dtype=x.dtype)
     macs = 0
-    for g in range(spec.groups):
-        osl = slice(g * cg_out, (g + 1) * cg_out)
-        for c in range(cg_in):
-            xc = xp[:, g * cg_in + c]
-            for u in range(kh):
-                rows = slice(u * dh, u * dh + (oh - 1) * sh + 1, sh)
-                for v in range(kw):
-                    cols = slice(v * dw, v * dw + (ow - 1) * sw + 1, sw)
-                    y[:, osl] += wt[osl, c, u, v][None, :, None, None] * xc[:, None, rows, cols]
-                    macs += n * cg_out * oh * ow
+    for i in range(g):
+        np.matmul(wt[i], cols[:, i], out=y[:, i])
+        macs += cols.shape[0] * math.prod(wt[i].shape) * cols.shape[-1]
+    y = y.reshape(n, spec.out_channels, oh, ow)
     y += w.bias[None, :, None, None].astype(x.dtype)
     return y, macs
 

@@ -206,11 +206,30 @@ LAYOUT_EDGES = (
 )
 
 
-def layout_edges(test):
-    """The geometries at the edges of the tap walk's layout, as examples of a `case` test."""
-    for case in LAYOUT_EDGES:
-        test = example(case=case)(test)
-    return test
+DEAD_TAPS = (
+    # JPU rate 8 on an 8x8 map: only the centre tap reads input
+    oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 1),
+    # rate 12 on a 4x4 map, depthwise, f32
+    oracle_case(ConvSpec(3, 3, dilation=(12, 12), padding=(12, 12), groups=3), (4, 4), 1, np.float32, 2),
+    # a 1x1 kernel with stride 2 and padding 1 on a 1x1 map: no tap reads input, the output is the bias
+    oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3),
+    # taps dead in the row axis only
+    oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4),
+)
+
+
+def examples(cases):
+    """A decorator adding each of `cases` as an example of a `case` test."""
+
+    def add(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return add
+
+
+layout_edges = examples(LAYOUT_EDGES)  # the geometries at the edges of the tap walk's layout
 
 
 @st.composite
@@ -241,14 +260,9 @@ def oracle_cases(draw, max_cg_in=3, max_extra=5, max_n=3):
 
 @settings(max_examples=200, deadline=None)
 @given(case=oracle_cases())
-# JPU rate 8 on an 8x8 map: only the centre tap reads input
-@example(case=oracle_case(ConvSpec(4, 3, dilation=(8, 8), padding=(8, 8)), (8, 8), 2, np.float64, 1))
-# rate 12 on a 4x4 map, depthwise, f32
-@example(case=oracle_case(ConvSpec(3, 3, dilation=(12, 12), padding=(12, 12), groups=3), (4, 4), 1, np.float32, 2))
-# a 1x1 kernel with stride 2 and padding 1 on a 1x1 map: no tap reads input, the output is the bias
-@example(case=oracle_case(ConvSpec(2, 3, (1, 1), stride=(2, 2), padding=(1, 1)), (1, 1), 2, np.float64, 3))
-# taps dead in the row axis only
-@example(case=oracle_case(ConvSpec(2, 2, (3, 3), stride=(2, 1), dilation=(5, 1), padding=(6, 1)), (2, 5), 1, np.float64, 4))
+# a 1x1 output with one output channel: each sample's product is a dot product
+@example(case=oracle_case(ConvSpec(2, 1, (3, 3), padding=(1, 1)), (1, 1), 2, np.float32, 1))
+@examples(DEAD_TAPS)
 @layout_edges
 def test_conv_and_backward_match_scalar_oracles(case):
     x, w, spec, grad_out = case
@@ -266,6 +280,53 @@ def test_conv_and_backward_match_scalar_oracles(case):
     want_gx, want_gw, want_gb = oracle_backward(x, w, spec, grad_out)
     assert close(gx.data, want_gx, tol) and close(gw.data, want_gw, tol)
     assert close(gb, want_gb, tol)
+
+
+@pytest.mark.parametrize("case", DEAD_TAPS + LAYOUT_EDGES)
+def test_counted_conv_is_the_oracle_and_the_cost_model(case):
+    """count_macs=True runs every tap, the dead ones too: it counts the cost
+    model's MACs times N, and its output, with or without the fused ReLU, is
+    the scalar oracle's."""
+    x, w, spec, _ = case
+    plain = oracle_forward(x, w, spec)
+    for fused, want in ((False, plain), (True, np.maximum(plain, 0))):
+        y, macs = conv2d(x, w, spec, count_macs=True, relu=fused)
+        assert macs == conv_cost_from_spec(spec, x.shape[2:]).macs * x.shape[0]
+        assert y.dtype == x.dtype and close(y.data, want, ORACLE_TOL[x.dtype])
+
+
+# (kernel, stride, dilation, padding, input grid) of convs with a 1x1 output
+ONE_CELL_OUTPUTS = (
+    ((3, 3), (1, 1), (1, 1), (1, 1), (1, 1)),  # the centre tap alone
+    ((1, 1), (1, 1), (1, 1), (0, 0), (1, 1)),
+    ((3, 3), (1, 1), (1, 1), (0, 0), (3, 3)),  # 9 taps
+    ((3, 3), (2, 2), (1, 1), (1, 1), (2, 2)),  # 4 taps at stride 2
+    ((3, 3), (1, 1), (4, 4), (4, 4), (1, 1)),
+    ((1, 1), (2, 2), (1, 1), (0, 0), (2, 2)),
+    ((3, 3), (1, 1), (2, 2), (2, 2), (1, 1)),
+    ((1, 3), (1, 1), (1, 1), (0, 1), (1, 1)),
+    ((2, 2), (1, 1), (1, 1), (0, 0), (2, 2)),
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_cell_outputs_do_not_depend_on_the_batch(dtype):
+    """At a 1x1 output with one output channel per group, a sample's product
+    is a dot product, whose BLAS kernel depends on its operands' strides; a
+    sample's output is still the bytes of a conv of that sample alone, for
+    groups 1-3, 1-8 input and 1-3 output channels per group and N 2, 3, 5."""
+    broken = []
+    for geometry, g, cg_in, cg_out, n in itertools.product(
+        ONE_CELL_OUTPUTS, range(1, 4), range(1, 9), range(1, 4), (2, 3, 5)
+    ):
+        *shape, hw = geometry
+        spec = ConvSpec(g * cg_in, g * cg_out, *shape, g)
+        x, w, _, _ = oracle_case(spec, hw, n, dtype, cg_in)
+        assert spec.out_hw(hw) == (1, 1)
+        y = conv2d(x, w, spec).data
+        if any(conv2d(Tensor(x.data[k : k + 1]), w, spec).data.tobytes() != y[k : k + 1].tobytes() for k in range(n)):
+            broken.append((spec, hw, n))
+    assert broken == []
 
 
 @settings(max_examples=60, deadline=None)
