@@ -5,7 +5,9 @@
 # `equiv --output` writes (OUTDIR/equiv_output.json), the key set of a timed
 # bench's environment, criterion 8's two MSEs, a sha256 of the
 # mini-backbone's weights, layer tables and outputs for the default config and
-# the bench config (perfbench's Forward256.config), and the name and sha256 of
+# the bench config (perfbench's Forward256.config), a sha256 of each ResNet
+# preset's layer table (`BackboneSpec(name).layers(mode, (512, 512))`, strides
+# and dilations included) in each cost mode, and the name and sha256 of
 # each file `save_jpu_params` writes for the bench config's width-8 JPU (saved
 # twice into one directory, so the second save writes over the first's
 # files), with whether `load_jpu_params` reads back an equal config, and a
@@ -92,6 +94,16 @@ for label, config in (("default", exp.MiniBackboneConfig()), ("bench", Forward25
     for mode in (exp.STRIDE, exp.DILATED):
         print(label, mode, "layers", sha([repr(config.layers(mode)).encode()]))
         print(label, mode, "outputs", sha(t.data.tobytes() for t in exp.mini_backbone_forward(img, params, config, mode)))
+EOF
+capture resnet_tables python3 - <<'EOF'
+import hashlib
+
+from jpulite.cost import MODES, RESNET_BLOCKS, BackboneSpec
+
+for name in RESNET_BLOCKS:
+    for mode in MODES:
+        table = BackboneSpec(name).layers(mode, (512, 512))
+        print(name, mode, hashlib.sha256(repr(table).encode()).hexdigest())
 EOF
 capture jpu_checkpoint python3 - <<'EOF'
 import hashlib

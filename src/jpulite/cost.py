@@ -7,9 +7,10 @@ Bilinear resizing is charged a documented flat 8 MACs per output element.
 
 The bottleneck block follows the original placement with the stride on the
 first 1x1 conv (and on the projection shortcut), so every conv of a block runs
-at the block's own grid. Freezing a downsampling step (`decomp.stage_routes`)
+at the block's own grid. Freezing a downsampling step (`decomp.frozen`)
 therefore multiplies every conv in the affected stages by exactly the area
-ratio: x4 for one frozen step, x16 for two; dilation changes no count.
+ratio: x4 for one frozen step, x16 for two; the dilation it moves to every
+later 3x3, the block's own conv2 first, changes no count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .conv import ConvSpec
-from .decomp import stage_routes
+from .decomp import frozen
 from .jpu import JpuConfig
 from .tensor import ShapeError
 
@@ -70,20 +71,21 @@ class BackboneSpec:
         """The convs in execution order, as (name, spec, input grid). A 64-channel
         7x7 stem reads RGB and a 3x3 stride-2 max pool (0 MACs) follows it; then
         stage i (0-based) has 64·2^i mid and 256·2^i out channels and enters at
-        stride 1, then 2. Strides and dilations follow `decomp.stage_routes`: a
-        stage's first 3x3 conv takes the head dilation, the others the body's."""
+        stride 1, then 2. In dilated mode each conv takes the stride and
+        dilation `decomp.frozen` gives it at its own input's output stride."""
         if mode not in MODES:
             raise KeyError(f"unknown mode {mode!r}")
+        route = frozen if mode == DILATED_MODE else lambda a, s: (s, 1)
         grid = _check_input_hw(input_hw)
         stem = ConvSpec(3, 64, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
         table = [("stem.conv", stem, grid)]
-        grid, ci = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid)), stem.out_channels
-        routes = stage_routes((1, 2, 2, 2), mode == DILATED_MODE, 4)
-        for i, (blocks, (s, d, body_d)) in enumerate(zip(RESNET_BLOCKS[self.name], routes)):
-            mid, out = 64 << i, 256 << i
+        grid, ci, a = tuple((g - 1) // 2 + 1 for g in stem.out_hw(grid)), stem.out_channels, 4
+        for i, blocks in enumerate(RESNET_BLOCKS[self.name]):
+            mid, out, s = 64 << i, 256 << i, 2 if i else 1
             for b in range(blocks):
                 prefix = f"stage{i + 1}.block{b:02d}"
-                conv1 = ConvSpec(ci, mid, kernel=(1, 1), stride=(s, s))
+                (t, _), (_, d) = route(a, s), route(a * s, 1)
+                conv1 = ConvSpec(ci, mid, kernel=(1, 1), stride=(t, t))
                 inner = conv1.out_hw(grid)
                 table += [
                     (f"{prefix}.conv1", conv1, grid),
@@ -91,8 +93,8 @@ class BackboneSpec:
                     (f"{prefix}.conv3", ConvSpec(mid, out, kernel=(1, 1)), inner),
                 ]
                 if b == 0:
-                    table.append((f"{prefix}.downsample", ConvSpec(ci, out, kernel=(1, 1), stride=(s, s)), grid))
-                grid, ci, s, d = inner, out, 1, body_d
+                    table.append((f"{prefix}.downsample", ConvSpec(ci, out, kernel=(1, 1), stride=(t, t)), grid))
+                grid, ci, a, s = inner, out, a * s, 1
         return table
 
 

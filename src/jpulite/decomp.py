@@ -90,17 +90,14 @@ def stage_specs(in_channels: int, channels: int, depth: int, stride: int, head_d
     return head, (body,) * depth
 
 
-def stage_routes(entry_strides: tuple[int, ...], dilated: bool, output_stride: int):
-    """(stride, head dilation, body dilation) of each stage, the first entered at
-    `output_stride`. The dilated wiring enters at stride 1 any stage that would
-    pass output stride 8, dilates its body by the dropped stride and keeps the
-    previous dilation in its head. The only place a stride becomes a dilation."""
-    routes, dilation = [], 1
-    for s in entry_strides:
-        dropped = s if dilated and output_stride * s > 8 else 1
-        routes.append((s // dropped, dilation, dilation * dropped))
-        dilation, output_stride = dilation * dropped, output_stride * s // dropped
-    return tuple(routes)
+def frozen(output_stride: int, stride: int) -> tuple[int, int]:
+    """(stride, dilation) in the dilated wiring of a conv that reads a map at
+    `output_stride` of the stride wiring with stride `stride`. The dilated
+    wiring stops at output stride 8, and every stride dropped before a conv
+    dilates that conv (DeepLab's atrous rule), so its output is the stride
+    output's phase. The only place a stride becomes a dilation."""
+    held = min(output_stride, 8)
+    return min(output_stride * stride, 8) // held, output_stride // held
 
 
 class StageOutput(NamedTuple):

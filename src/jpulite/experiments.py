@@ -3,7 +3,7 @@ comparison, and a forward-pass timing harness.
 
 The mini backbone mirrors a five-level feature hierarchy: a stride-2 stem plus
 four stride-2 stages, each run by a decomp stage composer along the route that
-`decomp.stage_routes` gives it. `MiniBackboneConfig.layers(mode)` lists the
+`decomp.frozen` gives its convs. `MiniBackboneConfig.layers(mode)` lists the
 convs of either wiring. One parameter set serves both; only the routing
 differs, which is what makes the teacher/student study and the end-to-end
 phase-consistency checks honest. The teacher continues the dilated stages 4-5
@@ -24,7 +24,7 @@ import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, conv2d_weight_grads, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
-from .decomp import StageWeights, dilated_stage, stage_routes, stage_specs, stride_stage
+from .decomp import StageWeights, dilated_stage, frozen, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
 from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int, bilinear_resize, random_uniform
 
@@ -33,10 +33,11 @@ STRIDE = "stride_os32"
 
 
 def _routes(mode: str) -> tuple[tuple[int, int, int], ...]:
-    """Each stage's (stride, head dilation, body dilation): four stride-2 stages after the stride-2 stem."""
+    """Each stage's (stride, head dilation, body dilation); the dilated wiring's from `decomp.frozen`."""
     if mode not in (STRIDE, DILATED):
         raise KeyError(f"unknown mode {mode!r}")
-    return stage_routes((2, 2, 2, 2), mode == DILATED, 2)
+    route = frozen if mode == DILATED else lambda a, s: (s, 1)
+    return tuple((*route(a, 2), route(2 * a, 1)[1]) for a in (2, 4, 8, 16))
 
 
 class TrainingDiverged(RuntimeError):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jpulite.conv import ConvSpec, ConvWeights, conv2d
+from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights, relu
 from jpulite.cost import (
     DILATED_MODE,
+    MODES,
     STRIDE_JPU_MODE,
     BackboneSpec,
     CostReport,
@@ -20,7 +21,7 @@ from jpulite.cost import (
     jpu_cost_entries,
 )
 from jpulite.jpu import JpuConfig
-from jpulite.tensor import ShapeError, Tensor
+from jpulite.tensor import Rng, ShapeError, Tensor, random_uniform
 
 from test_conv import FIELD_VALUES, PAIR_VALUES, is_count, is_pair, random_case
 
@@ -116,9 +117,9 @@ def test_preset_table_matches_loop_nest(mode):
         w = ConvWeights(Tensor(np.zeros(cs.weight_shape, np.float32)), np.zeros(cs.out_channels, np.float32))
         _, macs = conv2d(x, w, cs, count_macs=True)
         assert macs == entry.cost.macs, name
-    # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1; each one's first 3x3
-    # conv keeps the previous stage's dilation (1, then 2) and the others take 2 and 4
-    frozen = {"stage3": (1, 2), "stage4": (2, 4)} if mode == DILATED_MODE else {}
+    # dilated mode keeps output stride 8: stages 3 and 4 run at stride 1, and the stride each
+    # drops on its first 1x1 conv dilates every 3x3 after it, the first included (2, then 4)
+    frozen = {"stage3": (2, 2), "stage4": (4, 4)} if mode == DILATED_MODE else {}
     for name, cs, _ in table:
         stage = name.split(".")[0]
         head, body = frozen.get(stage, (1, 1))
@@ -140,6 +141,66 @@ def test_preset_shapes():
             assert len(stage) == 3 * n + 1, (name, i)
             assert {cs.out_channels for cs in stage} == {64 << i, 256 << i}
             assert {(cs.in_channels, cs.out_channels) for cs in stage if cs.kernel == (3, 3)} == {(64 << i, 64 << i)}
+
+
+def _bottleneck(x, block, table, weights):
+    """`block`'s conv1 -> conv2 -> conv3 with ReLUs between, plus its projection
+    shortcut (or the identity), then the ReLU of the sum."""
+    def conv(layer, a, **kwargs):
+        name = f"{block}.{layer}"
+        return conv2d(a, weights[name], table[name][0], **kwargs)
+
+    y = conv("conv3", conv("conv2", conv("conv1", x, relu=True), relu=True))
+    shortcut = conv("downsample", x) if f"{block}.downsample" in table else x
+    return relu(Tensor(y.data + shortcut.data))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("block", ["stage3.block00", "stage3.block01", "stage4.block00", "stage4.block01"])
+@pytest.mark.parametrize("name", ["resnet50", "resnet101"])
+def test_bottleneck_stride_output_is_dilated_phase(name, block, dtype, tol):
+    # one block of each wiring from the preset's own specs, channels shrunk 128x, weights shared:
+    # fed the dilated input's phase, the stride block gives the dilated output's phase, each
+    # phase step being the ratio of the two tables' grids at that map
+    tables = {
+        mode: {
+            layer: (dataclasses.replace(cs, in_channels=cs.in_channels // 128, out_channels=cs.out_channels // 128), grid)
+            for layer, cs, grid in BackboneSpec(name).layers(mode, (512, 512))
+            if layer.startswith(f"{block}.")
+        }
+        for mode in MODES
+    }
+    dilated, stride = tables[DILATED_MODE], tables[STRIDE_JPU_MODE]
+    assert dilated.keys() == stride.keys()
+    rng = Rng(3)
+    weights = {
+        layer: ConvWeights(init_weights(cs, rng, dtype).weight, rng.uniform(cs.out_channels, -0.5, 0.5).astype(dtype))
+        for layer, (cs, _) in stride.items()
+    }
+    p_in, p_out = (dilated[f"{block}.{c}"][1][0] // stride[f"{block}.{c}"][1][0] for c in ("conv1", "conv3"))
+    x = random_uniform((2, stride[f"{block}.conv1"][0].in_channels, 16, 16), Rng(4), -1.0, 1.0, dtype=dtype)
+    y_d = _bottleneck(x, block, dilated, weights).data
+    y_s = _bottleneck(Tensor(x.data[:, :, ::p_in, ::p_in]), block, stride, weights).data
+    assert y_s.dtype == dtype and y_s.shape[2:] == (16 // p_out, 16 // p_out)
+    assert np.max(np.abs(y_d[:, :, ::p_out, ::p_out] - y_s)) <= tol
+
+
+def _c5_receptive_field(table):
+    """c5's receptive field in pixels along the longest path: the stem, the 3x3
+    stride-2 max pool and every block's conv1-conv3, shortcuts left out, by the
+    closed form of Araujo et al. (Distill 2019): r += (k - 1)·d·j, then j *= s."""
+    pool = ("stem.pool", ConvSpec(1, 1, stride=(2, 2), padding=(1, 1)), None)
+    r, j = 1, 1
+    for layer, cs, _ in [table[0], pool, *table[1:]]:
+        if not layer.endswith(".downsample"):
+            r, j = r + (cs.kernel[0] - 1) * cs.dilation[0] * j, j * cs.stride[0]
+    return r
+
+
+@pytest.mark.parametrize("name, pixels", [("resnet50", 483), ("resnet101", 1027)])
+def test_c5_receptive_field_matches_between_wirings(name, pixels):
+    spec = BackboneSpec(name)
+    assert {mode: _c5_receptive_field(spec.layers(mode, (512, 512))) for mode in MODES} == dict.fromkeys(MODES, pixels)
 
 
 @pytest.mark.parametrize("name", ["vgg", "resnet18", "ResNet50", ""])

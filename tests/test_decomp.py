@@ -11,10 +11,10 @@ from jpulite.decomp import (
     check_phase_consistency,
     dilated_stage,
     dilated_stage_decomposed,
+    frozen,
     merge_parity,
     reduce_even,
     split_parity,
-    stage_routes,
     stage_specs,
     stride_stage,
 )
@@ -222,25 +222,26 @@ def test_float32_tolerance():
     assert rep.passed
 
 
-@pytest.mark.parametrize("strides, output_stride, dilated, routes", [
-    # the mini backbone: four stride-2 stages after a stride-2 stem
-    ((2, 2, 2, 2), 2, False, ((2, 1, 1),) * 4),
-    ((2, 2, 2, 2), 2, True, ((2, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))),
-    # a ResNet: stage 1 keeps the grid the stem and max pool leave at output stride 4
-    ((1, 2, 2, 2), 4, False, ((1, 1, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1))),
-    ((1, 2, 2, 2), 4, True, ((1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 4))),
+@pytest.mark.parametrize("output_stride, stride, routed", [
+    # stride-2 convs: the mini backbone's stage heads read output stride 2, 4, 8 and 16, and a
+    # ResNet's first 1x1 conv of stages 2-4 reads 4, 8 and 16; both wirings keep the first two
+    (2, 2, (2, 1)), (4, 2, (2, 1)), (8, 2, (1, 1)), (16, 2, (1, 2)), (32, 2, (1, 4)),
+    # stride-1 convs: the mini backbone's bodies and a ResNet's 3x3s of stages 1-4 read 4, 8, 16
+    # and 32; the dilated wiring reads each at 8 at most, dilated by the strides it dropped
+    (1, 1, (1, 1)), (4, 1, (1, 1)), (8, 1, (1, 1)), (16, 1, (1, 2)), (32, 1, (1, 4)), (64, 1, (1, 8)),
 ])
-def test_stage_routes_literal(strides, output_stride, dilated, routes):
-    assert stage_routes(strides, dilated, output_stride) == routes
+def test_frozen_literal(output_stride, stride, routed):
+    assert frozen(output_stride, stride) == routed
 
 
-@given(strides=st.lists(st.sampled_from([1, 2]), max_size=6).map(tuple), output_stride=st.sampled_from([1, 2, 4, 8]))
-def test_stage_routes_rule(strides, output_stride):
-    assert stage_routes(strides, False, output_stride) == tuple((s, 1, 1) for s in strides)
-    os, previous = output_stride, 1
-    for s, (stride, head, body) in zip(strides, stage_routes(strides, True, output_stride), strict=True):
-        assert head == previous  # the head keeps the previous stage's dilation
-        assert stride * body == s * head  # the body dilates by the stride the stage dropped
-        os, previous = os * stride, body
+@given(strides=st.lists(st.sampled_from([1, 2]), max_size=8).map(tuple), output_stride=st.sampled_from([1, 2, 4, 8, 16, 32]))
+def test_frozen_rule(strides, output_stride):
+    # a chain of convs entered at `output_stride` of the stride wiring, whose dilated twin enters at most at 8
+    a, os = output_stride, min(output_stride, 8)
+    for s in strides:
+        stride, dilation = frozen(a, s)
+        assert stride in (1, s)  # a conv keeps its stride or drops it whole
+        assert dilation == a // os  # the strides dropped before a conv dilate it, and its own does not
+        a, os = a * s, os * stride
         assert os <= 8
     assert os == min(8, output_stride * math.prod(strides))  # and no more stride is dropped than that takes
