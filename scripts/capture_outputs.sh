@@ -16,7 +16,12 @@
 # 64x64 teacher pyramid, N 6 in f64, then N 3 in f32), and a sha256 of the
 # `conv2d` outputs of thin convs (at most 8 input channels per group: stride
 # 1 and 2, dilation 1-4, taps dead at rates past the map, the test suite's
-# layout edges, groups above 1; N 1-3, f32 and f64).
+# layout edges, groups above 1; N 1-3, f32 and f64), (`wide_forward`) a
+# sha256 per conv geometry of a `forward_256` operation (both wirings of the
+# bench config at 256x256, the JPU's levels, folded branches and fusion) of
+# the `conv2d` output and the `conv2d_backward` gradients at N 1 in f32 and
+# f64, and (`train_64`) the loss curves and the repr of the held-out MSE of
+# `train_approximator` at `Train64`'s settings, both methods, two seeds.
 #
 # scripts/diff_outputs.sh [REV] runs it on a `git archive` copy of REV and on
 # this checkout and diffs the two; an empty diff is the check. By hand:
@@ -187,4 +192,52 @@ for i, (spec, hw) in enumerate(cases):
         w = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype))
         h.update(conv2d(x, w, spec).data.tobytes())
     print(spec, hw, h.hexdigest())
+EOF
+capture wide_forward python3 - <<'EOF'
+import hashlib
+
+import numpy as np
+
+from jpulite import experiments as exp
+from jpulite.conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights
+from jpulite.jpu import DILATION_RATES, JpuConfig
+from jpulite.tensor import Rng, random_uniform
+from workloads import Forward256
+
+config, hw0 = Forward256.config, Forward256.input_hw
+cases = {}  # (spec, input grid) of each conv one forward_256 operation runs, in order
+for mode in (exp.DILATED, exp.STRIDE):
+    hw = hw0
+    for _, spec in config.layers(mode):
+        cases.setdefault((spec, hw), None)
+        hw = spec.out_hw(hw)
+c3_hw = tuple(s // 8 for s in hw0)
+jpu_config = JpuConfig(config.level_channels, width=Forward256.jpu_width)
+for name, spec, level in jpu_config.layers():
+    if name.startswith("level") or name == "fusion":
+        cases.setdefault((spec, tuple(s >> level for s in c3_hw)), None)
+w = jpu_config.width
+for r in DILATION_RATES:  # each branch as the forward runs it, one dense conv of its folded weights
+    cases.setdefault((ConvSpec(3 * w, w, dilation=(r, r), padding=(r, r)), c3_hw), None)
+for i, (spec, hw) in enumerate(cases):
+    h = hashlib.sha256()
+    for dtype in (np.float32, np.float64):
+        rng = Rng(i)
+        x = random_uniform((1, spec.in_channels, *hw), rng, -1.0, 1.0, dtype=dtype)
+        wt = ConvWeights(init_weights(spec, rng, dtype=dtype).weight, rng.uniform(spec.out_channels, -0.5, 0.5).astype(dtype))
+        grad_out = random_uniform((1, spec.out_channels, *spec.out_hw(hw)), rng, -1.0, 1.0, dtype=dtype)
+        gx, gw, gb = conv2d_backward(x, wt, spec, grad_out)
+        for a in (conv2d(x, wt, spec).data, gx.data, gw.data, gb):
+            h.update(a.tobytes())
+    print(spec, hw, h.hexdigest())
+EOF
+capture train_64 python3 - <<'EOF'
+from jpulite import experiments as exp
+from workloads import Train64 as T
+
+for seed in (0, 1):
+    data = exp.synthetic_teacher(seed, T.samples, T.config, image_hw=T.image_hw)
+    for method in ("bilinear", "jpu"):
+        run = exp.train_approximator(method, data, T.STEPS, T.lr, seed + 1, T.jpu_width, T.holdout)
+        print(method, seed, run.loss_curve, repr(run.final_mse))
 EOF

@@ -59,6 +59,19 @@ but its gradients. Those are always new arrays, never views of the
 workspace, so the Tensors they become can still be shared across threads.
 `relu=True` applies the ReLU in place on the forward's output.
 
+Each thread also keeps one plan per (pass, spec, input shape, dtype), built
+on the first call, like an FFTW plan: every view of the workspace that pass
+reads or writes. For the forward, those are the phase buffer's zero bands
+and input slots, and per row block the accumulator and column-block slices,
+each tap's read (or the stride-1 block read) and the output columns kept.
+For the backward, they are the gradient grid and the part grad_out fills,
+and per tap its phase read, weight-gradient slot, shifted grid and input
+gradient phase. A later call builds no view of the workspace: it runs its
+copies and GEMMs, in the tap walk's order, through the plan's views. When
+the workspace grows, every plan is dropped, so none keeps old memory alive;
+past `_PLAN_LIMIT` plans the oldest is dropped. A plan is a few kB of numpy
+views, one per tap and row block.
+
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. How OpenBLAS rounds
 a column can also depend on the GEMM's width, so a new row pitch can move
@@ -240,32 +253,43 @@ class _TapWalk:
         # else `phases` zeroes only the bands around the input; with no bands the copy writes every cell
         self.zero_whole = w <= _ZERO_WHOLE_WIDTH and bool(self.pads or self.base or self.tail)
 
-    def phases(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """The phase buffer of x, written into buf (of `shape`; any contents)."""
-        xg = x.reshape(self.n, *self.shape[2:4], *x.shape[2:]).transpose(1, 2, 0, 3, 4)
+    def writes(self, buf: np.ndarray):
+        """What `phases` writes into buf (of `shape`): the views it zeroes
+        (the whole buffer, or the bands around the input), then per phase the
+        view of its slots that holds input and the grouped-input index it reads."""
         slots = buf[..., self.base : self.base + self.n * self.slot]
         slots = slots.reshape(*buf.shape[:-1], self.n, self.slot_rows, self.pitch)
         if self.zero_whole:
-            buf[...] = 0
+            zeros = (buf,)
         else:
-            for at in self.pads:
-                slots[at] = 0
-            if self.base:
-                buf[..., : self.base] = 0
-            if self.tail:
-                buf[..., -self.tail :] = 0
-        for at, src in self.views:
-            slots[at] = xg[src]
-        return buf
+            zeros = tuple(slots[at] for at in self.pads)
+            zeros += (buf[..., : self.base],) if self.base else ()
+            zeros += (buf[..., -self.tail :],) if self.tail else ()
+        return zeros, tuple((slots[at], src) for at, src in self.views)
 
-    def unphase(self, slots: np.ndarray) -> np.ndarray:
-        """A new (n, c, h, w) array read out of each sample's slots, (sh, sw, n, groups, slot, cg_in)."""
+    def phases(self, x: np.ndarray, writes) -> None:
+        """Write the phase buffer of x through `writes(buf)`; buf may hold anything before."""
+        zeros, copies = writes
+        xg = x.reshape(self.n, *self.shape[2:4], *x.shape[2:]).transpose(1, 2, 0, 3, 4)
+        for z in zeros:
+            z[...] = 0
+        for dst, src in copies:
+            dst[...] = xg[src]
+
+    def reads(self, slots: np.ndarray):
+        """What `unphase` reads of slots, (sh, sw, n, groups, slot, cg_in): per
+        phase the grouped-input index it fills and the view of its slots."""
         sh, sw, g, cg = self.shape[:4]
-        x = np.empty((self.n, g * cg, self.h, self.w), dtype=slots.dtype)
-        xg = x.reshape(self.n, g, cg, self.h, self.w)
         slots = slots.reshape(sh, sw, self.n, g, self.slot_rows, self.pitch, cg).transpose(0, 1, 2, 3, 6, 4, 5)
-        for at, src in self.views:
-            xg[src] = slots[at]
+        return tuple((src, slots[at]) for at, src in self.views)
+
+    def unphase(self, reads) -> np.ndarray:
+        """A new (n, c, h, w) array read out of each sample's slots through `reads(slots)`."""
+        g, cg = self.shape[2:4]
+        x = np.empty((self.n, g * cg, self.h, self.w), dtype=reads[0][1].dtype)
+        xg = x.reshape(self.n, g, cg, self.h, self.w)
+        for src, read in reads:
+            xg[src] = read
         return x
 
     def samples(self, buf: np.ndarray) -> np.ndarray:
@@ -355,19 +379,39 @@ _THIN_CHANNELS = 8
 # not on wider maps.
 _ZERO_WHOLE_WIDTH = 16
 
-_scratch = threading.local()  # `mem`, `start`: this thread's scratch memory and its first 64-byte boundary
+# Plans kept per thread; a new one past this many drops the oldest. A cycle
+# through more geometries than this builds a plan on every call. The
+# benchmark's `identity_checks` batch cycles through 230 (f64 and f32), a
+# `train_64` run through 42, a `forward_256` operation through 20. A plan
+# holds one numpy view per tap and row block, about 3 kB at 8x8 maps and 7 kB
+# on average at 256x256, so a full cache is about 1-2 MB.
+_PLAN_LIMIT = 256
+
+
+class _Scratch(threading.local):
+    """This thread's scratch memory (`mem`), its first 64-byte boundary
+    (`start`) and the plans whose views are in it, by (pass, spec, input
+    shape, dtype)."""
+
+    def __init__(self):
+        self.mem, self.start, self.plans = None, 0, {}
+
+
+_scratch = _Scratch()
 
 
 def _workspace(dtype, *shapes) -> list[np.ndarray]:
     """One C-contiguous view per shape, each 64-byte aligned, into this
     thread's scratch memory. The memory grows to the largest size the thread
     has asked for and is never given back, so a conv allocates nothing but
-    its results; the next call on the thread overwrites it, so nothing that
-    outlives a call may be a view of it."""
+    its results; the next call on the thread overwrites it, so no array a
+    conv returns may be a view of it. Growing it drops every plan, which
+    holds views of the old memory."""
     itemsize = np.dtype(dtype).itemsize
     slots = [-(-math.prod(shape) * itemsize // 64) * 64 for shape in shapes]
-    mem = getattr(_scratch, "mem", None)
+    mem = _scratch.mem
     if mem is None or mem.size - _scratch.start < sum(slots):
+        _scratch.plans.clear()
         mem = _scratch.mem = np.empty(sum(slots) + 63, dtype=np.uint8)
         _scratch.start = -mem.ctypes.data % 64
     views, at = [], _scratch.start
@@ -375,6 +419,20 @@ def _workspace(dtype, *shapes) -> list[np.ndarray]:
         views.append(np.ndarray(shape, dtype, mem, at))
         at += slot
     return views
+
+
+def _plan(build, spec: ConvSpec, x_shape: tuple[int, int, int, int], dtype):
+    """This thread's plan of one pass (`_ForwardPlan` or `_BackwardPlan`) for
+    (spec, input shape, dtype), built on first use."""
+    key = (build, spec, x_shape, dtype)
+    plan = _scratch.plans.get(key)
+    if plan is None:
+        plan = build(_tap_walk(spec, x_shape), spec, dtype)
+        plans = _scratch.plans  # after the build, which may have grown the workspace and dropped them all
+        if len(plans) >= _PLAN_LIMIT:
+            del plans[next(iter(plans))]
+        plans[key] = plan
+    return plan
 
 
 def _tap_weights(w: ConvWeights, spec: ConvSpec, walk: _TapWalk, dtype) -> np.ndarray:
@@ -397,40 +455,59 @@ def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, 
     return (Tensor(out), macs) if count_macs else Tensor(out)
 
 
+class _ForwardPlan:
+    """The workspace views of one forward geometry: the phase buffer `buf`
+    and its `writes`, and per row block of the wide output grid its output
+    rows, its accumulator and tmp slices, the column block's (target, read)
+    copies, each tap's read and the accumulator's columns kept in the output."""
+
+    def __init__(self, walk: _TapWalk, spec: ConvSpec, dtype):
+        n, g, o, pitch, taps = walk.n, spec.groups, spec.out_channels, walk.pitch, walk.taps
+        cg = spec.in_channels // g
+        # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
+        rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * pitch * dtype.itemsize)))
+        # A one-cell product with one output channel per group is a dot product, and BLAS
+        # picks its kernel by the column's stride: one phase line, which grows with the
+        # batch. The column block's stride does not, so that product reads the block.
+        self.thin = (cg <= _THIN_CHANNELS and len(taps) > 1) or (o == g and rows * pitch == 1)
+        acc_shape = (n, g, o // g, rows * pitch)
+        # tmp: in the thin path the column block, each tap's cg rows in tap order
+        tmp_shape = (n, g, len(taps) * cg, rows * pitch) if self.thin else acc_shape
+        buf, acc, tmp = _workspace(dtype, walk.shape, acc_shape, tmp_shape)
+        self.walk, self.buf, self.writes = walk, buf, walk.writes(buf)
+        lines = walk.samples(buf)
+        self.blocks = []
+        for r0 in range(0, walk.oh, rows):
+            r1 = min(walk.oh, r0 + rows)
+            cells = (r1 - r0) * pitch
+            acc_r, tmp_r = acc[..., :cells], tmp[..., :cells]
+            if self.thin and walk.grid:  # every tap in one copy
+                reads, copies = (), ((tmp.reshape(n, g, *walk.grid, cg, -1)[..., :cells], walk.block(buf, r0, r1)),)
+            else:
+                reads = tuple(walk.tap(lines, a, b, off, r0, r1) for a, b, off in taps)
+                copies = tuple((tmp_r[:, :, i * cg : (i + 1) * cg], read) for i, read in enumerate(reads) if self.thin)
+            kept = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
+            self.blocks.append((slice(r0, r1), acc_r, tmp_r, copies, reads, kept))
+
+
 def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     """The tap walk over row blocks of the wide output grid, in this thread's workspace."""
-    walk = _tap_walk(spec, x.shape)
-    n, g, o, pitch, taps = walk.n, spec.groups, spec.out_channels, walk.pitch, walk.taps
-    cg = spec.in_channels // g
-    # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
-    rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * pitch * x.dtype.itemsize)))
-    # A one-cell product with one output channel per group is a dot product, and BLAS
-    # picks its kernel by the column's stride: one phase line, which grows with the
-    # batch. The column block's stride does not, so that product reads the block.
-    thin = (cg <= _THIN_CHANNELS and len(taps) > 1) or (o == g and rows * pitch == 1)
-    acc_shape = (n, g, o // g, rows * pitch)
-    # tmp: in the thin path the column block, each tap's cg rows in tap order
-    tmp_shape = (n, g, len(taps) * cg, rows * pitch) if thin else acc_shape
-    buf, acc, tmp = _workspace(x.dtype, walk.shape, acc_shape, tmp_shape)
-    lines = walk.samples(walk.phases(x, buf))
+    plan = _plan(_ForwardPlan, spec, x.shape, x.dtype)
+    walk, g, o = plan.walk, spec.groups, spec.out_channels
+    walk.phases(x, plan.writes)
     wt = _tap_weights(w, spec, walk, x.dtype)
-    out = np.empty((n, o, walk.oh, walk.ow), dtype=x.dtype)
-    for r0 in range(0, walk.oh, rows):
-        r1 = min(walk.oh, r0 + rows)
-        acc_r, tmp_r = acc[..., : (r1 - r0) * pitch], tmp[..., : (r1 - r0) * pitch]
-        if thin:  # the weights as (groups, cg_out, taps x cg_in), in the column block's order
-            if walk.grid:  # every tap in one copy
-                tmp.reshape(n, g, *walk.grid, cg, -1)[..., : (r1 - r0) * pitch] = walk.block(buf, r0, r1)
-            else:
-                for i, (a, b, off) in enumerate(taps):
-                    tmp_r[:, :, i * cg : (i + 1) * cg] = walk.tap(lines, a, b, off, r0, r1)
-            np.matmul(wt.reshape(g, o // g, -1), tmp_r, out=acc_r)
+    out = np.empty((walk.n, o, walk.oh, walk.ow), dtype=x.dtype)
+    for rows, acc, tmp, copies, reads, kept in plan.blocks:
+        if plan.thin:  # the weights as (groups, cg_out, taps x cg_in), in the column block's order
+            for target, read in copies:
+                target[...] = read
+            np.matmul(wt.reshape(g, o // g, -1), tmp, out=acc)
         else:
-            for i, (a, b, off) in enumerate(taps):
-                prod = np.matmul(wt[:, :, i], walk.tap(lines, a, b, off, r0, r1), out=tmp_r if i else acc_r)
+            for i, read in enumerate(reads):
+                prod = np.matmul(wt[:, :, i], read, out=tmp if i else acc)
                 if i:
-                    acc_r += prod
-        out[:, :, r0:r1] = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
+                    acc += prod
+        out[:, :, rows] = kept
     out += w.bias.astype(x.dtype, copy=False)[:, None, None]
     return out
 
@@ -480,44 +557,63 @@ def conv2d_weight_grads(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Ten
     return _backward(x, w, spec, grad_out, False)[1:]
 
 
+class _BackwardPlan:
+    """The workspace views of one backward geometry: the phase buffer `buf`
+    and its `writes`, the stacked gradient grid, the part of it grad_out
+    fills and the part a tap's weight-gradient GEMM reads, per running tap
+    its read of the phase buffer, its weight-gradient slot, the grid shifted
+    back by its offset and its phase of the input gradient, then the weight
+    gradients in the kernel's order and the input gradient's `reads`."""
+
+    def __init__(self, walk: _TapWalk, spec: ConvSpec, dtype):
+        n, g, oh, ow, pitch = walk.n, spec.groups, walk.oh, walk.ow, walk.pitch
+        og, cg = spec.out_channels // g, spec.in_channels // g
+        size = n * walk.slot  # the stacked slots, which hold every input cell
+        k = size - walk.slot + oh * pitch  # what one tap reads of the stacked line
+        m = walk.margin
+        buf, self.grad_slots, self.grid, self.tmp, grad_w = _workspace(
+            dtype,
+            walk.shape,
+            (*spec.stride, n, g, walk.slot, cg),
+            (g, m + walk.base + size, og),
+            (n, g, walk.slot, cg),
+            (len(walk.taps), g, cg, og),
+        )
+        self.walk, self.buf, self.writes = walk, buf, walk.writes(buf)
+        self.grad_out = self.grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow]
+        self.grads = self.grid[:, m : m + k]
+        self.taps = []
+        for i, (a, b, off) in enumerate(walk.taps):
+            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
+            shifted = self.grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
+            self.taps.append((buf[a, b, ..., off : off + k], grad_w[i], shifted, self.grad_slots[a, b]))
+        self.grad_w = grad_w.transpose(1, 3, 2, 0)
+        self.reads = walk.reads(self.grad_slots)
+
+
 def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input_grad: bool):
     """(gx, gw, gb) of both backward entry points; gx is None unless input_grad.
     Every tap runs its weight-gradient GEMM; with input_grad it also adds its
     input-gradient product into its phase."""
     _check_input(x, w, spec)
-    walk = _tap_walk(spec, x.shape)
-    n, g, o, oh, ow, pitch = walk.n, spec.groups, spec.out_channels, walk.oh, walk.ow, walk.pitch
+    plan = _plan(_BackwardPlan, spec, x.shape, x.dtype)
+    walk, g, o = plan.walk, spec.groups, spec.out_channels
+    n, oh, ow = walk.n, walk.oh, walk.ow
     if grad_out.shape != (n, o, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
-    og, cg = o // g, spec.in_channels // g
-    size = n * walk.slot  # the stacked slots, which hold every input cell
-    k = size - walk.slot + oh * pitch  # what one tap reads of the stacked line
-    m = walk.margin
-    buf, grad_slots, grid, tmp, grad_w = _workspace(
-        x.dtype,
-        walk.shape,
-        (*spec.stride, n, g, walk.slot, cg),
-        (g, m + walk.base + size, og),
-        (n, g, walk.slot, cg),
-        (len(walk.taps), g, cg, og),
-    )
-    buf = walk.phases(x.data, buf)
-    grid[...] = 0
-    stacked_out = grad_out.data.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
-    grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow] = stacked_out
-    grads = grid[:, m : m + k]
+    walk.phases(x.data, plan.writes)
+    plan.grid[...] = 0
+    plan.grad_out[...] = grad_out.data.reshape(n, g, o // g, oh, ow).transpose(1, 0, 3, 4, 2)
     if input_grad:
-        grad_slots[...] = 0  # 0 in phases that no tap reads
+        plan.grad_slots[...] = 0  # 0 in phases that no tap reads
         wt = _tap_weights(w, spec, walk, x.dtype)
-    for i, (a, b, off) in enumerate(walk.taps):
-        np.matmul(buf[a, b, ..., off : off + k], grads, out=grad_w[i])
+    for i, (read, grad_w, shifted, grad_slots) in enumerate(plan.taps):
+        np.matmul(read, plan.grads, out=grad_w)
         if input_grad:
-            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
-            shifted = grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
-            grad_slots[a, b] += np.matmul(shifted, wt[:, :, i], out=tmp)
+            grad_slots += np.matmul(shifted, wt[:, :, i], out=plan.tmp)
     gw = np.zeros(spec.weight_shape, dtype=x.dtype)  # 0 at the kernel cells of taps that do not run
-    gw.reshape(g, og, cg, -1)[..., walk.kernel_taps] = grad_w.transpose(1, 3, 2, 0)
-    gx = Tensor(walk.unphase(grad_slots)) if input_grad else None
+    gw.reshape(g, o // g, spec.in_channels // g, -1)[..., walk.kernel_taps] = plan.grad_w
+    gx = Tensor(walk.unphase(plan.reads)) if input_grad else None
     return gx, Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, conv2d_weight_grads, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
 from .decomp import StageWeights, dilated_stage, frozen, stage_specs, stride_stage
-from .jpu import JpuConfig, JpuParams, jpu_backward, jpu_forward, jpu_init
+from .jpu import JpuConfig, JpuParams, jpu_forward, jpu_init, jpu_param_grads
 from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int, bilinear_resize, random_uniform
 
 DILATED = DILATED_MODE
@@ -246,7 +246,7 @@ def train_approximator(
                 g_w, g_b = conv2d_weight_grads(feat, head, head_spec, grad_out)
             else:
                 g_feat, g_w, g_b = conv2d_backward(feat, head, head_spec, grad_out)
-                grads = jpu_backward(cache, g_feat)[0]
+                grads = jpu_param_grads(cache, g_feat)
                 jpu_params = JpuParams.from_convs(
                     _sgd(w, g.weight.data, g.bias, scale) for (_, w), (_, g) in zip(jpu_params.convs(), grads.convs())
                 )

@@ -24,6 +24,7 @@ from .conv import (
     ConvWeights,
     conv2d,
     conv2d_backward,
+    conv2d_weight_grads,
     init_weights,
     relu_backward,
 )
@@ -195,15 +196,29 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     Parameter gradients come back in a JpuParams with the same structure as
     the parameters themselves.
     """
+    return _gradients(cache, grad_y, True)
+
+
+def jpu_param_grads(cache: JpuCache, grad_y: Tensor) -> JpuParams:
+    """`jpu_backward(cache, grad_y)[0]`, byte for byte, without the input
+    gradients: for a JPU whose pyramid is fixed data, as in training, the level
+    convs run `conv2d_weight_grads` and skip their input gradients' GEMMs."""
+    return _gradients(cache, grad_y, False)[0]
+
+
+def _gradients(cache: JpuCache, grad_y: Tensor, input_grads: bool):
+    """(parameter gradients, input gradients) of both backward entry points;
+    the input gradients are None unless input_grads."""
     layers, convs = cache.layers, cache.convs
     if grad_y.shape != convs["fusion"][3].shape:
         raise ShapeError(f"grad shape {grad_y.shape} vs output {convs['fusion'][3].shape}")
 
-    def back(name: str, g: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
+    def back(name: str, g: Tensor, input_grad: bool = True) -> tuple[Tensor | None, Tensor, np.ndarray]:
         """Mirror of a forward conv: from the gradient of its ReLU output,
-        those of its input, weight and bias."""
+        those of its input (None unless input_grad), weight and bias."""
         spec, cw, x, y = convs[name]
-        return conv2d_backward(x, cw, spec, relu_backward(y, g))  # relu(z) > 0 exactly where z > 0
+        g = relu_backward(y, g)  # relu(z) > 0 exactly where z > 0
+        return conv2d_backward(x, cw, spec, g) if input_grad else (None, *conv2d_weight_grads(x, cw, spec, g))
 
     width = layers["level0"][0].out_channels  # every level and branch emits `width` channels
     g_fused, *fusion = back("fusion", grad_y)
@@ -216,9 +231,9 @@ def jpu_backward(cache: JpuCache, grad_y: Tensor) -> tuple[JpuParams, tuple[Tens
     g_levels = [g_yc[:, :width]] + [
         bilinear_resize_backward(g_yc[:, i * width : (i + 1) * width], *convs[f"level{i}"][3].shape[2:]) for i in (1, 2)
     ]
-    levels = [back(f"level{i}", Tensor(g)) for i, g in enumerate(g_levels)]
+    levels = [back(f"level{i}", Tensor(g), input_grads) for i, g in enumerate(g_levels)]
     grads = JpuParams([ConvWeights(g_w, g_b) for _, g_w, g_b in levels], branches, ConvWeights(*fusion))
-    return grads, tuple(g_x for g_x, _, _ in levels)
+    return grads, tuple(g_x for g_x, _, _ in levels) if input_grads else None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -415,23 +416,83 @@ def test_backward_batch_is_the_per_sample_backwards(case):
     [(1, (8, 8), 81, 477), (2, (8, 8), 100, 580), (4, (8, 8), 144, 816), (8, (8, 8), 64, 384),
      (1, (4, 4), 25, 145), (1, (2, 2), 9, 51)],
 )
-def test_slots_share_their_zero_bands(rate, hw, slot, k, monkeypatch):
+def test_slots_share_their_zero_bands(rate, hw, slot, k):
     """At the JPU's training shapes (N 6; 8x8, 4x4 and 2x2 maps), a sample's
     slot is its map plus one band of `rate` zeros per axis, shared with the next
     row and sample, so a tap's GEMM sums over k = 5 slots plus one output grid
     of the row pitch. At rate 8 only the centre tap runs and no band is left.
-    The forward and the backward lay the phases out alike: both ask the
-    workspace for a phase buffer of the walk's one shape."""
+    The forward and the backward lay the phases out alike: each pass's plan
+    holds a phase buffer of the walk's one shape."""
     spec = ConvSpec(8, 8, dilation=(rate, rate), padding=(rate, rate))
     walk = conv._tap_walk(spec, (6, 8, *hw))
     assert walk.slot == slot
     assert (walk.n - 1) * walk.slot + walk.oh * walk.pitch == k
-    requested, workspace = [], conv._workspace
-    monkeypatch.setattr(conv, "_workspace", lambda dtype, *shapes: requested.append(shapes[0]) or workspace(dtype, *shapes))
-    x, w, spec, grad_out = oracle_case(spec, hw, 6, np.float64, rate)
-    conv2d(x, w, spec)
-    conv2d_backward(x, w, spec, grad_out)
-    assert requested == [walk.shape, walk.shape]
+    for build in (conv._ForwardPlan, conv._BackwardPlan):
+        plan = conv._plan(build, spec, (6, 8, *hw), np.dtype(np.float64))
+        assert plan.walk is walk and plan.buf.shape == walk.shape
+
+
+# (name, spec, input grid, row blocks at f64 and f32): forwards of the bench
+# config at 256x256 whose output spans several row blocks of the workspace
+MULTI_BLOCK = (
+    ("stage5.body0", ConvSpec(64, 64, dilation=(4, 4), padding=(4, 4)), (32, 32), (3, 2)),
+    ("stem", ConvSpec(3, 16, stride=(2, 2), padding=(1, 1)), (256, 256), (9, 5)),
+    ("stage2.head", ConvSpec(16, 24, stride=(2, 2), padding=(1, 1)), (128, 128), (4, 2)),
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name, spec, hw, blocks", MULTI_BLOCK, ids=[case[0] for case in MULTI_BLOCK])
+def test_forwards_over_several_row_blocks(name, spec, hw, blocks, dtype):
+    """The wide rate-4 body, the thin stride-2 stem (one copy per tap) and the
+    wide stride-2 head run their output in several row blocks; each matches
+    the unrolled `count_macs=True` conv to rounding, and each sample's bytes
+    at N 2 are its bytes at N 1."""
+    x, w, _, _ = oracle_case(spec, hw, 2, dtype, 3)
+    plan = conv._plan(conv._ForwardPlan, spec, x.shape, x.dtype)
+    assert len(plan.blocks) == blocks[dtype == np.float32]
+    assert plan.thin == (spec.in_channels == 3)
+    y = conv2d(x, w, spec).data
+    assert close(y, conv2d(x, w, spec, count_macs=True)[0].data, ORACLE_TOL[x.dtype])
+    for k in range(2):
+        assert conv2d(Tensor(x.data[k : k + 1]), w, spec).data.tobytes() == y[k : k + 1].tobytes()
+
+
+def test_plans_keep_no_old_workspace_and_stay_bounded(monkeypatch):
+    """On a fresh thread: a conv that grows the workspace drops every plan, so
+    the old memory is freed; a geometry planned before it then reruns to the
+    same bytes, in the new memory; and past `_PLAN_LIMIT` plans the oldest go."""
+    monkeypatch.setattr(conv, "_PLAN_LIMIT", 4)
+    small = oracle_case(ConvSpec(4, 6, padding=(1, 1)), (6, 6), 2, np.float64, 0)
+    big = oracle_case(ConvSpec(12, 8, dilation=(2, 2), padding=(2, 2)), (40, 40), 2, np.float64, 1)
+    others = [oracle_case(ConvSpec(4, 6, padding=(1, 1)), (6, 6 + i), 1, np.float32, i) for i in range(6)]
+    seen, errors = {}, []
+
+    def run(case):
+        gx, gw, gb = conv2d_backward(*case)
+        return [conv2d(*case[:3]).data.tobytes(), gx.data.tobytes(), gw.data.tobytes(), gb.tobytes()]
+
+    def work():
+        try:
+            before = run(small)
+            run(small)  # each pass planned, in the workspace both need
+            seen["plans before"] = len(conv._scratch.plans)
+            old = weakref.ref(conv._scratch.mem)
+            run(big)
+            seen["old memory freed"] = old() is None
+            seen["same bytes"] = run(small) == before
+            for case in others:
+                run(case)
+            seen["plans after"] = len(conv._scratch.plans)
+            seen["newest kept"] = (conv._ForwardPlan, others[-1][2], others[-1][0].shape, np.dtype(np.float32)) in conv._scratch.plans
+        except Exception as e:  # reported by the assertion below
+            errors.append(repr(e))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join()
+    assert errors == []
+    assert seen == {"plans before": 2, "old memory freed": True, "same bytes": True, "plans after": 4, "newest kept": True}
 
 
 _WARM_SPECS = {
@@ -694,7 +755,9 @@ def test_phase_buffer_zeroed_whole_or_by_bands_is_the_same(spec, width, monkeypa
     monkeypatch.setattr(conv, "_ZERO_WHOLE_WIDTH", 0)
     bands = conv._TapWalk(spec, x.shape)
     assert not bands.zero_whole
-    got, want = (w.phases(x.data, np.full(w.shape, np.nan)) for w in (walk, bands))
+    got, want = (np.full(w.shape, np.nan) for w in (walk, bands))
+    for w, buf in ((walk, got), (bands, want)):
+        w.phases(x.data, w.writes(buf))
     assert not np.isnan(want).any()
     assert got.tobytes() == want.tobytes()
 

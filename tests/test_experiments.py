@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jpulite import experiments
+from jpulite import experiments, jpu
 from jpulite.conv import ConvSpec
 from jpulite.decomp import reduce_even
 from jpulite.experiments import (
@@ -22,7 +22,7 @@ from jpulite.experiments import (
     synthetic_teacher,
     train_approximator,
 )
-from jpulite.jpu import JpuConfig
+from jpulite.jpu import DILATION_RATES, JpuConfig
 from jpulite.tensor import Rng, ShapeError, max_abs_diff, random_uniform
 
 from reference import per_sample_train_approximator
@@ -279,8 +279,9 @@ def test_train_rejects_a_non_int_step_or_holdout_count(small_dataset, setting, v
 def test_only_the_jpu_heads_backward_computes_an_input_gradient(small_dataset, method, per_step, monkeypatch):
     """The bilinear student's head reads a fixed resize of the data, so its
     step runs only conv2d_weight_grads; the JPU student's step runs
-    conv2d_backward once, for its head (the JPU's own convs run theirs inside
-    jpu_backward)."""
+    conv2d_backward once here, for its head. The JPU's own convs run theirs
+    inside jpu_param_grads, and its level convs, whose input is the fixed
+    pyramid, none (see the next test)."""
     calls, original = [], experiments.conv2d_backward
 
     def spy(x, w, spec, grad_out):
@@ -293,6 +294,22 @@ def test_only_the_jpu_heads_backward_computes_an_input_gradient(small_dataset, m
     head_in = JpuConfig((ds.c3.shape[1], ds.c4.shape[1], ds.c5.shape[1]), width=8).out_channels
     head_spec = ConvSpec(head_in, ds.target.shape[1], padding=(1, 1))
     assert calls == [head_spec] * (3 * per_step)
+
+
+def test_a_jpu_step_computes_no_pyramid_gradient(small_dataset, monkeypatch):
+    """The JPU student's pyramid is fixed data: each step runs conv2d_backward
+    on the fusion and the four folded branches only, in that order, and the
+    three level convs through conv2d_weight_grads."""
+    calls = {"conv2d_backward": [], "conv2d_weight_grads": []}
+    for name, seen in calls.items():
+        original = getattr(jpu, name)
+        monkeypatch.setattr(jpu, name, lambda x, w, spec, g, seen=seen, f=original: seen.append(spec) or f(x, w, spec, g))
+    train_approximator("jpu", small_dataset, steps=3, lr=0.1, seed=0)
+    ds = small_dataset
+    specs = {name: spec for name, spec, _ in JpuConfig((ds.c3.shape[1], ds.c4.shape[1], ds.c5.shape[1]), 8).layers()}
+    branches = [ConvSpec(24, 8, dilation=(r, r), padding=(r, r)) for r in DILATION_RATES]
+    assert calls["conv2d_backward"] == [specs["fusion"], *branches] * 3
+    assert calls["conv2d_weight_grads"] == [specs[f"level{i}"] for i in range(3)] * 3
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -5.0, -1e-300])

@@ -20,6 +20,7 @@ from jpulite.jpu import (
     jpu_backward,
     jpu_forward,
     jpu_init,
+    jpu_param_grads,
     load_jpu_params,
     save_jpu_params,
 )
@@ -283,6 +284,29 @@ def test_step_folds_each_branch_once(monkeypatch):
     got = [np.asarray(a).tobytes() for _, a in grads.named_tensors()] + [g.data.tobytes() for g in in_grads]
     want = [np.asarray(a).tobytes() for _, a in want_grads.named_tensors()] + [g.data.tobytes() for g in want_in]
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def teacher():
+    """The default config's 64x64 teacher, 6 samples: the pyramid train-demo and criterion 8 train on."""
+    return experiments.synthetic_teacher(0, 6, experiments.MiniBackboneConfig())
+
+
+@pytest.mark.parametrize("n, dtype", [(6, np.float64), (3, np.float32)])
+def test_param_grads_are_the_backwards_byte_for_byte(teacher, n, dtype):
+    """jpu_param_grads leaves out the pyramid's gradients and nothing else: on
+    the training pyramid its parameter gradients are jpu_backward's, byte for
+    byte, in f64 and f32."""
+    cfg = JpuConfig(experiments.MiniBackboneConfig().level_channels, width=8)
+    params = JpuParams.from_convs(
+        ConvWeights(Tensor(w.weight.data.astype(dtype)), w.bias.astype(dtype)) for _, w in jpu_init(cfg, Rng(1)).convs()
+    )
+    levels = (Tensor(t.data[:n].astype(dtype)) for t in (teacher.c3, teacher.c4, teacher.c5))
+    y, cache = jpu_forward(*levels, params, cfg)
+    go = random_uniform(y.shape, Rng(2), -1.0, 1.0, dtype=dtype)
+    want, got = jpu_backward(cache, go)[0], jpu_param_grads(cache, go)
+    for (name, a), (got_name, b) in zip(want.named_tensors(), got.named_tensors(), strict=True):
+        assert (got_name, b.dtype, b.shape, b.tobytes()) == (name, a.dtype, a.shape, a.tobytes())
 
 
 def test_backward_finite_differences():
