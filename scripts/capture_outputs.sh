@@ -20,7 +20,11 @@
 # sha256 per conv geometry of a `forward_256` operation (both wirings of the
 # bench config at 256x256, the JPU's levels, folded branches and fusion) of
 # the `conv2d` output and the `conv2d_backward` gradients at N 1 in f32 and
-# f64, and (`train_64`) the loss curves and the repr of the held-out MSE of
+# f64, (`tap_walks`) a sha256 of the geometry fields of each `conv._TapWalk`
+# (shape, base, slot, slot_rows, pitch, tail, margin, taps, kernel_taps and
+# grid) of the `thin_forward` geometries at N 1-3, the `wide_forward` ones at
+# N 1 and the JPU's convs at `Train64`'s training and held-out batches, and
+# (`train_64`) the loss curves and the repr of the held-out MSE of
 # `train_approximator` at `Train64`'s settings, both methods, two seeds.
 #
 # scripts/diff_outputs.sh [REV] runs it on a `git archive` copy of REV and on
@@ -160,16 +164,13 @@ for n, dtype in ((6, np.float64), (3, np.float32)):
     for level, g in zip(("c3", "c4", "c5"), input_grads):
         print(label, level, sha(g.data))
 EOF
-capture thin_forward python3 - <<'EOF'
-import hashlib
+thin_cases() {  # Python that lists the thin convs' (spec, input grid) as `thin`
+    cat <<'EOF'
 import itertools
 
-import numpy as np
+from jpulite.conv import ConvSpec
 
-from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights
-from jpulite.tensor import Rng, random_uniform
-
-cases = [  # (spec, input grid)
+thin = [
     (ConvSpec(c, o, stride=(s, s), dilation=(d, d), padding=(d, d), groups=g), hw)
     for s, d, (c, o, g), hw in itertools.product(
         (1, 2), (1, 2, 3, 4), ((3, 8, 1), (8, 4, 2), (6, 6, 6)), ((3, 3), (3, 7), (7, 5), (8, 8))
@@ -184,7 +185,53 @@ cases = [  # (spec, input grid)
     (ConvSpec(4, 4, (5, 3), dilation=(2, 3), padding=(3, 2)), (9, 10)),
     (ConvSpec(3, 16, (7, 7), stride=(2, 2), padding=(3, 3)), (32, 32)),
 ]
-for i, (spec, hw) in enumerate(cases):
+EOF
+}
+
+wide_cases() {  # Python that lists as `wide`, in order, the (spec, input grid) of each conv a forward_256 operation runs
+    cat <<'EOF'
+from jpulite import experiments as exp
+from jpulite.conv import ConvSpec
+from jpulite.jpu import DILATION_RATES, JpuConfig
+from workloads import Forward256
+
+
+def jpu_convs(level_channels, width, c3_hw):
+    """A JPU's level and fusion convs, then each branch as the forward runs it,
+    one dense conv of its folded weights, as (spec, input grid)."""
+    jpu_config = JpuConfig(level_channels, width=width)
+    convs = [
+        (spec, tuple(s >> level for s in c3_hw))
+        for name, spec, level in jpu_config.layers()
+        if name.startswith("level") or name == "fusion"
+    ]
+    return convs + [(ConvSpec(3 * width, width, dilation=(r, r), padding=(r, r)), c3_hw) for r in DILATION_RATES]
+
+
+config, hw0 = Forward256.config, Forward256.input_hw
+wide = {}
+for mode in (exp.DILATED, exp.STRIDE):
+    hw = hw0
+    for _, spec in config.layers(mode):
+        wide.setdefault((spec, hw), None)
+        hw = spec.out_hw(hw)
+for case in jpu_convs(config.level_channels, Forward256.jpu_width, tuple(s // 8 for s in hw0)):
+    wide.setdefault(case, None)
+EOF
+}
+
+thin_forward() {
+    {
+        thin_cases
+        cat <<'EOF'
+import hashlib
+
+import numpy as np
+
+from jpulite.conv import ConvWeights, conv2d, init_weights
+from jpulite.tensor import Rng, random_uniform
+
+for i, (spec, hw) in enumerate(thin):
     h = hashlib.sha256()
     for n, dtype in itertools.product((1, 2, 3), (np.float32, np.float64)):
         rng = Rng(i)
@@ -193,33 +240,21 @@ for i, (spec, hw) in enumerate(cases):
         h.update(conv2d(x, w, spec).data.tobytes())
     print(spec, hw, h.hexdigest())
 EOF
-capture wide_forward python3 - <<'EOF'
+    } | python3 -
+}
+
+wide_forward() {
+    {
+        wide_cases
+        cat <<'EOF'
 import hashlib
 
 import numpy as np
 
-from jpulite import experiments as exp
-from jpulite.conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, init_weights
-from jpulite.jpu import DILATION_RATES, JpuConfig
+from jpulite.conv import ConvWeights, conv2d, conv2d_backward, init_weights
 from jpulite.tensor import Rng, random_uniform
-from workloads import Forward256
 
-config, hw0 = Forward256.config, Forward256.input_hw
-cases = {}  # (spec, input grid) of each conv one forward_256 operation runs, in order
-for mode in (exp.DILATED, exp.STRIDE):
-    hw = hw0
-    for _, spec in config.layers(mode):
-        cases.setdefault((spec, hw), None)
-        hw = spec.out_hw(hw)
-c3_hw = tuple(s // 8 for s in hw0)
-jpu_config = JpuConfig(config.level_channels, width=Forward256.jpu_width)
-for name, spec, level in jpu_config.layers():
-    if name.startswith("level") or name == "fusion":
-        cases.setdefault((spec, tuple(s >> level for s in c3_hw)), None)
-w = jpu_config.width
-for r in DILATION_RATES:  # each branch as the forward runs it, one dense conv of its folded weights
-    cases.setdefault((ConvSpec(3 * w, w, dilation=(r, r), padding=(r, r)), c3_hw), None)
-for i, (spec, hw) in enumerate(cases):
+for i, (spec, hw) in enumerate(wide):
     h = hashlib.sha256()
     for dtype in (np.float32, np.float64):
         rng = Rng(i)
@@ -231,6 +266,39 @@ for i, (spec, hw) in enumerate(cases):
             h.update(a.tobytes())
     print(spec, hw, h.hexdigest())
 EOF
+    } | python3 -
+}
+
+tap_walks() {
+    {
+        thin_cases
+        wide_cases
+        cat <<'EOF'
+import hashlib
+
+import numpy as np
+
+from jpulite.conv import _TapWalk
+from workloads import Train64 as T
+
+shapes = [(spec, (n, spec.in_channels, *hw)) for spec, hw in thin for n in (1, 2, 3)]
+shapes += [(spec, (1, spec.in_channels, *hw)) for spec, hw in wide]
+for spec, hw in jpu_convs(T.config.level_channels, T.jpu_width, tuple(s // 8 for s in T.image_hw)):
+    shapes += [(spec, (n, spec.in_channels, *hw)) for n in (T.samples - T.holdout, T.holdout)]
+for spec, x_shape in shapes:
+    walk = _TapWalk(spec, x_shape)
+    h = hashlib.sha256()
+    for name in ("shape", "base", "slot", "slot_rows", "pitch", "tail", "margin", "taps", "kernel_taps", "grid"):
+        value = getattr(walk, name)
+        h.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    print(spec, x_shape, h.hexdigest())
+EOF
+    } | python3 -
+}
+
+capture thin_forward thin_forward
+capture wide_forward wide_forward
+capture tap_walks tap_walks
 capture train_64 python3 - <<'EOF'
 from jpulite import experiments as exp
 from workloads import Train64 as T

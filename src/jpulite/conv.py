@@ -60,17 +60,19 @@ workspace, so the Tensors they become can still be shared across threads.
 `relu=True` applies the ReLU in place on the forward's output.
 
 Each thread also keeps one plan per (pass, spec, input shape, dtype), built
-on the first call, like an FFTW plan: every view of the workspace that pass
-reads or writes. For the forward, those are the phase buffer's zero bands
-and input slots, and per row block the accumulator and column-block slices,
-each tap's read (or the stride-1 block read) and the output columns kept.
-For the backward, they are the gradient grid and the part grad_out fills,
-and per tap its phase read, weight-gradient slot, shifted grid and input
-gradient phase. A later call builds no view of the workspace: it runs its
-copies and GEMMs, in the tap walk's order, through the plan's views. When
-the workspace grows, every plan is dropped, so none keeps old memory alive;
-past `_PLAN_LIMIT` plans the oldest is dropped. A plan is a few kB of numpy
-views, one per tap and row block.
+on the first call, like an FFTW plan. A plan is that pass's tap walk, and
+the thread's plans are the one cache of conv geometry. It holds every view
+of the workspace its pass reads or writes, built once. For the forward,
+those are the phase buffer's zero bands and input slots, and per row block
+the accumulator and column-block slices, each tap's read (or the stride-1
+block read) and the output columns kept. For the backward, they are the
+gradient grid and the part grad_out fills, per tap its phase read,
+weight-gradient slot, shifted grid and input gradient phase, and the input
+gradient's reads of its phases. A later call builds no view of the
+workspace: it runs its copies and GEMMs, in the tap walk's order, through
+the plan's views. When the workspace grows, every plan is dropped, so none
+keeps old memory alive; past `_PLAN_LIMIT` plans the oldest is dropped. A
+plan is a few kB: its walk and numpy views, one per tap and row block.
 
 Sums inside a tap are up to BLAS: results are byte-identical on one machine at
 a fixed BLAS thread count and agree to rounding elsewhere. How OpenBLAS rounds
@@ -101,7 +103,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -185,23 +186,24 @@ def _check_input(x: Tensor, w: ConvWeights, spec: ConvSpec) -> None:
 
 
 class _TapWalk:
-    """The geometry conv2d and conv2d_backward share for one (spec, input shape);
-    `_tap_walk` builds each one once.
+    """The geometry of one (spec, input shape) that both passes share. Each
+    plan, `_ForwardPlan` or `_BackwardPlan`, is one, and `_plan` builds it
+    once per thread: the thread's plans are the one cache of conv geometry.
 
     `taps` lists each tap that runs, the product of the kernel rows and columns
     `_axis_taps` keeps, as (phase row, phase column, flat offset in the
     phase), in the order both passes accumulate them; tap i's weights are
-    those of kernel cell `kernel_taps[i]` (row * kw + column). `phases(x, buf)`
+    those of kernel cell `kernel_taps[i]` (row * kw + column). `phases(x)`
     writes the input, zero-padded only as far as those taps reach and split
-    into its sh x sw stride phases, into a buffer of `shape`,
-    (sh, sw, groups, cg_in, line). Each phase is one flat line per channel: a
-    leading zero band of `base` cells, then one slot per sample of `slot_rows`
-    rows of `pitch` cells, then a zero tail for the last tap's over-read. A
-    row holds its input at the front and zeros behind it, and those zeros are
-    also the leading padding of the next row; the rows below the input in a
-    slot are the bottom padding, and also the top padding of the next
-    sample's slot. So every tap reads whole rows of the wide output grid
-    (pitch columns, at least the output's width) at one offset from the
+    into its sh x sw stride phases, into the plan's phase buffer `buf` of
+    `shape`, (sh, sw, groups, cg_in, line). Each phase is one flat line per
+    channel: a leading zero band of `base` cells, then one slot per sample of
+    `slot_rows` rows of `pitch` cells, then a zero tail for the last tap's
+    over-read. A row holds its input at the front and zeros behind it, and
+    those zeros are also the leading padding of the next row; the rows below
+    the input in a slot are the bottom padding, and also the top padding of
+    the next sample's slot. So every tap reads whole rows of the wide output
+    grid (pitch columns, at least the output's width) at one offset from the
     start of a sample's slot minus `base`: a tap at offset off reads every
     sample at once in one slice of length (n - 1) * slot + oh * pitch. Per
     axis, the pitch and the slot's rows are `_axis_layout`'s; a read never
@@ -223,9 +225,8 @@ class _TapWalk:
         self.taps = tuple((a, b, r * self.pitch + q) for _, a, r in row_taps for _, b, q in col_taps)
         self.kernel_taps = np.array([u * spec.kernel[1] + v for u, *_ in row_taps for v, *_ in col_taps])
         # at stride 1 the live taps are one grid of (rows, columns), dilation·pitch cells
-        # apart down and dilation across, that `block` reads as one view
+        # apart down and dilation across, that the forward reads as one view
         self.grid = (len(row_taps), len(col_taps)) if spec.stride == (1, 1) else None
-        self.dilation = spec.dilation
         reach = max(off for *_, off in self.taps) - self.base  # the furthest a tap reads past a slot's start
         self.tail = max(0, reach + self.oh * self.pitch - self.slot)
         self.margin = max(0, reach)  # the backward's zeros before its gradient grid
@@ -253,72 +254,30 @@ class _TapWalk:
         # else `phases` zeroes only the bands around the input; with no bands the copy writes every cell
         self.zero_whole = w <= _ZERO_WHOLE_WIDTH and bool(self.pads or self.base or self.tail)
 
-    def writes(self, buf: np.ndarray):
-        """What `phases` writes into buf (of `shape`): the views it zeroes
-        (the whole buffer, or the bands around the input), then per phase the
-        view of its slots that holds input and the grouped-input index it reads."""
-        slots = buf[..., self.base : self.base + self.n * self.slot]
-        slots = slots.reshape(*buf.shape[:-1], self.n, self.slot_rows, self.pitch)
+    def take_workspace(self, dtype, *shapes) -> list[np.ndarray]:
+        """This thread's workspace: the phase buffer `buf`, kept with the views
+        `phases` writes (the whole buffer or the bands around the input to
+        zero, then per phase its input slots and the grouped-input index they
+        hold), and one view per further shape."""
+        self.buf, *views = _workspace(dtype, self.shape, *shapes)
+        slots = self.buf[..., self.base : self.base + self.n * self.slot]
+        slots = slots.reshape(*self.shape[:-1], self.n, self.slot_rows, self.pitch)
         if self.zero_whole:
-            zeros = (buf,)
+            self.zeros = (self.buf,)
         else:
-            zeros = tuple(slots[at] for at in self.pads)
-            zeros += (buf[..., : self.base],) if self.base else ()
-            zeros += (buf[..., -self.tail :],) if self.tail else ()
-        return zeros, tuple((slots[at], src) for at, src in self.views)
+            self.zeros = tuple(slots[at] for at in self.pads)
+            self.zeros += (self.buf[..., : self.base],) if self.base else ()
+            self.zeros += (self.buf[..., -self.tail :],) if self.tail else ()
+        self.fills = tuple((slots[at], src) for at, src in self.views)
+        return views
 
-    def phases(self, x: np.ndarray, writes) -> None:
-        """Write the phase buffer of x through `writes(buf)`; buf may hold anything before."""
-        zeros, copies = writes
+    def phases(self, x: np.ndarray) -> None:
+        """Write the phase buffer of x into `buf`, which may hold anything before."""
         xg = x.reshape(self.n, *self.shape[2:4], *x.shape[2:]).transpose(1, 2, 0, 3, 4)
-        for z in zeros:
+        for z in self.zeros:
             z[...] = 0
-        for dst, src in copies:
+        for dst, src in self.fills:
             dst[...] = xg[src]
-
-    def reads(self, slots: np.ndarray):
-        """What `unphase` reads of slots, (sh, sw, n, groups, slot, cg_in): per
-        phase the grouped-input index it fills and the view of its slots."""
-        sh, sw, g, cg = self.shape[:4]
-        slots = slots.reshape(sh, sw, self.n, g, self.slot_rows, self.pitch, cg).transpose(0, 1, 2, 3, 6, 4, 5)
-        return tuple((src, slots[at]) for at, src in self.views)
-
-    def unphase(self, reads) -> np.ndarray:
-        """A new (n, c, h, w) array read out of each sample's slots through `reads(slots)`."""
-        g, cg = self.shape[2:4]
-        x = np.empty((self.n, g * cg, self.h, self.w), dtype=reads[0][1].dtype)
-        xg = x.reshape(self.n, g, cg, self.h, self.w)
-        for src, read in reads:
-            xg[src] = read
-        return x
-
-    def samples(self, buf: np.ndarray) -> np.ndarray:
-        """A phase buffer seen as (sh, sw, n, groups, cg_in, base + slot + tail):
-        each sample's line starts `slot` cells after the previous sample's, so
-        neighbouring lines overlap. Only read it."""
-        s_a, s_b, s_g, s_c, cell = buf.strides
-        shape = (*self.shape[:2], self.n, *self.shape[2:4], self.base + self.slot + self.tail)
-        return np.ndarray(shape, buf.dtype, buf, 0, (s_a, s_b, self.slot * cell, s_g, s_c, cell))
-
-    def tap(self, lines: np.ndarray, a: int, b: int, off: int, r0: int, r1: int) -> np.ndarray:
-        """What a tap reads for wide output rows r0 to r1 of every sample, from
-        `samples(buf)`: per sample one contiguous slice of phase (a, b)."""
-        return lines[a, b, ..., off + r0 * self.pitch : off + r1 * self.pitch]
-
-    def block(self, buf: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        """Every tap's read for wide output rows r0 to r1 at once, from the phase
-        buffer of a stride-1 walk (one with a `grid`), as (n, groups, tap rows,
-        tap columns, cg_in, cells): the column block's order."""
-        s_g, s_c, cell = buf.strides[2:]
-        (dh, dw), pitch = self.dilation, self.pitch
-        shape = (self.n, self.shape[2], *self.grid, self.shape[3], (r1 - r0) * pitch)
-        strides = (self.slot * cell, s_g, dh * pitch * cell, dw * cell, s_c, cell)
-        return np.ndarray(shape, buf.dtype, buf, (self.taps[0][2] + r0 * pitch) * cell, strides)
-
-
-@lru_cache(maxsize=1024)  # a walk is 8-12 us of Python; a handful of geometries recur, forward and backward
-def _tap_walk(spec: ConvSpec, x_shape: tuple[int, int, int, int]) -> _TapWalk:
-    return _TapWalk(spec, x_shape)
 
 
 def _axis_taps(size: int, k: int, s: int, d: int, p: int, o: int):
@@ -383,8 +342,8 @@ _ZERO_WHOLE_WIDTH = 16
 # through more geometries than this builds a plan on every call. The
 # benchmark's `identity_checks` batch cycles through 230 (f64 and f32), a
 # `train_64` run through 42, a `forward_256` operation through 20. A plan
-# holds one numpy view per tap and row block, about 3 kB at 8x8 maps and 7 kB
-# on average at 256x256, so a full cache is about 1-2 MB.
+# holds its tap walk and one numpy view per tap and row block, about 5 kB at
+# the `identity_checks` shapes and 10 kB at 256x256, so a full cache is about 1-3 MB.
 _PLAN_LIMIT = 256
 
 
@@ -427,7 +386,7 @@ def _plan(build, spec: ConvSpec, x_shape: tuple[int, int, int, int], dtype):
     key = (build, spec, x_shape, dtype)
     plan = _scratch.plans.get(key)
     if plan is None:
-        plan = build(_tap_walk(spec, x_shape), spec, dtype)
+        plan = build(spec, x_shape, dtype)
         plans = _scratch.plans  # after the build, which may have grown the workspace and dropped them all
         if len(plans) >= _PLAN_LIMIT:
             del plans[next(iter(plans))]
@@ -455,17 +414,18 @@ def conv2d(x: Tensor, w: ConvWeights, spec: ConvSpec, count_macs: bool = False, 
     return (Tensor(out), macs) if count_macs else Tensor(out)
 
 
-class _ForwardPlan:
-    """The workspace views of one forward geometry: the phase buffer `buf`
-    and its `writes`, and per row block of the wide output grid its output
-    rows, its accumulator and tmp slices, the column block's (target, read)
+class _ForwardPlan(_TapWalk):
+    """One forward geometry's tap walk with its workspace views: the phase
+    buffer `buf`, and per row block of the wide output grid its output rows,
+    its accumulator and tmp slices, the column block's (target, read)
     copies, each tap's read and the accumulator's columns kept in the output."""
 
-    def __init__(self, walk: _TapWalk, spec: ConvSpec, dtype):
-        n, g, o, pitch, taps = walk.n, spec.groups, spec.out_channels, walk.pitch, walk.taps
+    def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int], dtype):
+        super().__init__(spec, x_shape)
+        n, g, o, pitch, taps = self.n, spec.groups, spec.out_channels, self.pitch, self.taps
         cg = spec.in_channels // g
         # rows per block from one sample's size, so each sample's GEMMs are the same whatever the batch
-        rows = max(1, min(walk.oh, _BLOCK_BYTES // (o * pitch * dtype.itemsize)))
+        rows = max(1, min(self.oh, _BLOCK_BYTES // (o * pitch * dtype.itemsize)))
         # A one-cell product with one output channel per group is a dot product, and BLAS
         # picks its kernel by the column's stride: one phase line, which grows with the
         # batch. The column block's stride does not, so that product reads the block.
@@ -473,30 +433,35 @@ class _ForwardPlan:
         acc_shape = (n, g, o // g, rows * pitch)
         # tmp: in the thin path the column block, each tap's cg rows in tap order
         tmp_shape = (n, g, len(taps) * cg, rows * pitch) if self.thin else acc_shape
-        buf, acc, tmp = _workspace(dtype, walk.shape, acc_shape, tmp_shape)
-        self.walk, self.buf, self.writes = walk, buf, walk.writes(buf)
-        lines = walk.samples(buf)
+        acc, tmp = self.take_workspace(dtype, acc_shape, tmp_shape)
+        # every read is a view of the phase buffer, each sample's `slot` cells after the previous one's
+        buf, (s_a, s_b, s_g, s_c, cell), (dh, dw) = self.buf, self.buf.strides, spec.dilation
+        tap_strides = (self.slot * cell, s_g, s_c, cell)
+        grid_strides = (self.slot * cell, s_g, dh * pitch * cell, dw * cell, s_c, cell)
         self.blocks = []
-        for r0 in range(0, walk.oh, rows):
-            r1 = min(walk.oh, r0 + rows)
+        for r0 in range(0, self.oh, rows):
+            r1 = min(self.oh, r0 + rows)
             cells = (r1 - r0) * pitch
             acc_r, tmp_r = acc[..., :cells], tmp[..., :cells]
-            if self.thin and walk.grid:  # every tap in one copy
-                reads, copies = (), ((tmp.reshape(n, g, *walk.grid, cg, -1)[..., :cells], walk.block(buf, r0, r1)),)
-            else:
-                reads = tuple(walk.tap(lines, a, b, off, r0, r1) for a, b, off in taps)
+            if self.thin and self.grid:  # every tap in one copy, from one view in the column block's order
+                at = (taps[0][2] + r0 * pitch) * cell
+                block = np.ndarray((n, g, *self.grid, cg, cells), dtype, buf, at, grid_strides)
+                reads, copies = (), ((tmp.reshape(n, g, *self.grid, cg, -1)[..., :cells], block),)
+            else:  # per tap, one contiguous slice of its phase per sample
+                at = (a * s_a + b * s_b + (off + r0 * pitch) * cell for a, b, off in taps)
+                reads = tuple(np.ndarray((n, g, cg, cells), dtype, buf, i, tap_strides) for i in at)
                 copies = tuple((tmp_r[:, :, i * cg : (i + 1) * cg], read) for i, read in enumerate(reads) if self.thin)
-            kept = acc_r.reshape(n, o, r1 - r0, pitch)[..., : walk.ow]
+            kept = acc_r.reshape(n, o, r1 - r0, pitch)[..., : self.ow]
             self.blocks.append((slice(r0, r1), acc_r, tmp_r, copies, reads, kept))
 
 
 def _forward(x: np.ndarray, w: ConvWeights, spec: ConvSpec) -> np.ndarray:
     """The tap walk over row blocks of the wide output grid, in this thread's workspace."""
     plan = _plan(_ForwardPlan, spec, x.shape, x.dtype)
-    walk, g, o = plan.walk, spec.groups, spec.out_channels
-    walk.phases(x, plan.writes)
-    wt = _tap_weights(w, spec, walk, x.dtype)
-    out = np.empty((walk.n, o, walk.oh, walk.ow), dtype=x.dtype)
+    g, o = spec.groups, spec.out_channels
+    plan.phases(x)
+    wt = _tap_weights(w, spec, plan, x.dtype)
+    out = np.empty((plan.n, o, plan.oh, plan.ow), dtype=x.dtype)
     for rows, acc, tmp, copies, reads, kept in plan.blocks:
         if plan.thin:  # the weights as (groups, cg_out, taps x cg_in), in the column block's order
             for target, read in copies:
@@ -557,38 +522,48 @@ def conv2d_weight_grads(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Ten
     return _backward(x, w, spec, grad_out, False)[1:]
 
 
-class _BackwardPlan:
-    """The workspace views of one backward geometry: the phase buffer `buf`
-    and its `writes`, the stacked gradient grid, the part of it grad_out
-    fills and the part a tap's weight-gradient GEMM reads, per running tap
-    its read of the phase buffer, its weight-gradient slot, the grid shifted
-    back by its offset and its phase of the input gradient, then the weight
-    gradients in the kernel's order and the input gradient's `reads`."""
+class _BackwardPlan(_TapWalk):
+    """One backward geometry's tap walk with its workspace views: the phase
+    buffer `buf`, the stacked gradient grid, the part of it grad_out fills
+    and the part a tap's weight-gradient GEMM reads, per running tap its read
+    of the phase buffer, its weight-gradient slot, the grid shifted back by
+    its offset and its phase of the input gradient, then the weight
+    gradients in the kernel's order and, per phase, the input indices it
+    fills and its view of the input gradient's slots."""
 
-    def __init__(self, walk: _TapWalk, spec: ConvSpec, dtype):
-        n, g, oh, ow, pitch = walk.n, spec.groups, walk.oh, walk.ow, walk.pitch
+    def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int], dtype):
+        super().__init__(spec, x_shape)
+        n, g, oh, ow, pitch = self.n, spec.groups, self.oh, self.ow, self.pitch
         og, cg = spec.out_channels // g, spec.in_channels // g
-        size = n * walk.slot  # the stacked slots, which hold every input cell
-        k = size - walk.slot + oh * pitch  # what one tap reads of the stacked line
-        m = walk.margin
-        buf, self.grad_slots, self.grid, self.tmp, grad_w = _workspace(
+        size = n * self.slot  # the stacked slots, which hold every input cell
+        k = size - self.slot + oh * pitch  # what one tap reads of the stacked line
+        m = self.margin
+        self.grad_slots, self.grad_grid, self.tmp, grad_w = self.take_workspace(
             dtype,
-            walk.shape,
-            (*spec.stride, n, g, walk.slot, cg),
-            (g, m + walk.base + size, og),
-            (n, g, walk.slot, cg),
-            (len(walk.taps), g, cg, og),
+            (*spec.stride, n, g, self.slot, cg),
+            (g, m + self.base + size, og),
+            (n, g, self.slot, cg),
+            (len(self.taps), g, cg, og),
         )
-        self.walk, self.buf, self.writes = walk, buf, walk.writes(buf)
-        self.grad_out = self.grid[:, m : m + size].reshape(g, n, walk.slot_rows, pitch, og)[:, :, :oh, :ow]
-        self.grads = self.grid[:, m : m + k]
-        self.taps = []
-        for i, (a, b, off) in enumerate(walk.taps):
-            at = m + walk.base - off  # the grid under the slots, shifted back by the tap's offset
-            shifted = self.grid[:, at : at + size].reshape(g, n, walk.slot, og).swapaxes(0, 1)
-            self.taps.append((buf[a, b, ..., off : off + k], grad_w[i], shifted, self.grad_slots[a, b]))
+        self.grad_out = self.grad_grid[:, m : m + size].reshape(g, n, self.slot_rows, pitch, og)[:, :, :oh, :ow]
+        self.grads = self.grad_grid[:, m : m + k]
+        self.tap_gemms = []
+        for i, (a, b, off) in enumerate(self.taps):
+            at = m + self.base - off  # the grid under the slots, shifted back by the tap's offset
+            shifted = self.grad_grid[:, at : at + size].reshape(g, n, self.slot, og).swapaxes(0, 1)
+            self.tap_gemms.append((self.buf[a, b, ..., off : off + k], grad_w[i], shifted, self.grad_slots[a, b]))
         self.grad_w = grad_w.transpose(1, 3, 2, 0)
-        self.reads = walk.reads(self.grad_slots)
+        slots = self.grad_slots.reshape(*spec.stride, n, g, self.slot_rows, pitch, cg).transpose(0, 1, 2, 3, 6, 4, 5)
+        self.reads = tuple((src, slots[at]) for at, src in self.views)
+
+    def unphase(self) -> np.ndarray:
+        """A new (n, c, h, w) array of the input gradient read out of each sample's slots."""
+        g, cg = self.shape[2:4]
+        x = np.empty((self.n, g * cg, self.h, self.w), dtype=self.buf.dtype)
+        xg = x.reshape(self.n, g, cg, self.h, self.w)
+        for src, read in self.reads:
+            xg[src] = read
+        return x
 
 
 def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input_grad: bool):
@@ -597,23 +572,23 @@ def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input
     input-gradient product into its phase."""
     _check_input(x, w, spec)
     plan = _plan(_BackwardPlan, spec, x.shape, x.dtype)
-    walk, g, o = plan.walk, spec.groups, spec.out_channels
-    n, oh, ow = walk.n, walk.oh, walk.ow
-    if grad_out.shape != (n, o, oh, ow):
-        raise ShapeError(f"grad_out shape {grad_out.shape} vs {(n, o, oh, ow)}")
-    walk.phases(x.data, plan.writes)
-    plan.grid[...] = 0
+    g, o = spec.groups, spec.out_channels
+    n, oh, ow = plan.n, plan.oh, plan.ow
+    if grad_out.shape != (n, o, oh, ow) or grad_out.dtype != x.dtype:
+        raise ShapeError(f"grad_out {grad_out.shape}/{grad_out.dtype} vs {(n, o, oh, ow)}/{x.dtype}")
+    plan.phases(x.data)
+    plan.grad_grid[...] = 0
     plan.grad_out[...] = grad_out.data.reshape(n, g, o // g, oh, ow).transpose(1, 0, 3, 4, 2)
     if input_grad:
         plan.grad_slots[...] = 0  # 0 in phases that no tap reads
-        wt = _tap_weights(w, spec, walk, x.dtype)
-    for i, (read, grad_w, shifted, grad_slots) in enumerate(plan.taps):
+        wt = _tap_weights(w, spec, plan, x.dtype)
+    for i, (read, grad_w, shifted, grad_slots) in enumerate(plan.tap_gemms):
         np.matmul(read, plan.grads, out=grad_w)
         if input_grad:
             grad_slots += np.matmul(shifted, wt[:, :, i], out=plan.tmp)
     gw = np.zeros(spec.weight_shape, dtype=x.dtype)  # 0 at the kernel cells of taps that do not run
-    gw.reshape(g, o // g, spec.in_channels // g, -1)[..., walk.kernel_taps] = plan.grad_w
-    gx = Tensor(walk.unphase(plan.reads)) if input_grad else None
+    gw.reshape(g, o // g, spec.in_channels // g, -1)[..., plan.kernel_taps] = plan.grad_w
+    gx = Tensor(plan.unphase()) if input_grad else None
     return gx, Tensor(gw), grad_out.data.sum(axis=(0, 2, 3))
 
 

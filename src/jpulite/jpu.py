@@ -154,6 +154,8 @@ def _check_pyramid(c3: Tensor, c4: Tensor, c5: Tensor, config: JpuConfig) -> Non
         expect = (n, spec.in_channels, h >> level, w >> level)  # c3's grid halved once per level
         if t.shape != expect:
             raise ShapeError(f"{name} input shape {t.shape}, expected {expect}")
+        if t.dtype != c3.dtype:
+            raise ShapeError(f"{name} input dtype {t.dtype}, expected level0's {c3.dtype}")
 
 
 def _layer_weights(params: JpuParams, config: JpuConfig) -> dict[str, tuple[ConvSpec, ConvWeights]]:

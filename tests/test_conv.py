@@ -422,14 +422,14 @@ def test_slots_share_their_zero_bands(rate, hw, slot, k):
     row and sample, so a tap's GEMM sums over k = 5 slots plus one output grid
     of the row pitch. At rate 8 only the centre tap runs and no band is left.
     The forward and the backward lay the phases out alike: each pass's plan
-    holds a phase buffer of the walk's one shape."""
+    holds a phase buffer of one shape."""
     spec = ConvSpec(8, 8, dilation=(rate, rate), padding=(rate, rate))
-    walk = conv._tap_walk(spec, (6, 8, *hw))
-    assert walk.slot == slot
-    assert (walk.n - 1) * walk.slot + walk.oh * walk.pitch == k
-    for build in (conv._ForwardPlan, conv._BackwardPlan):
-        plan = conv._plan(build, spec, (6, 8, *hw), np.dtype(np.float64))
-        assert plan.walk is walk and plan.buf.shape == walk.shape
+    builds = (conv._ForwardPlan, conv._BackwardPlan)
+    plans = [conv._plan(build, spec, (6, 8, *hw), np.dtype(np.float64)) for build in builds]
+    for plan in plans:
+        assert plan.slot == slot
+        assert (plan.n - 1) * plan.slot + plan.oh * plan.pitch == k
+        assert plan.buf.shape == plan.shape == plans[0].shape
 
 
 # (name, spec, input grid, row blocks at f64 and f32): forwards of the bench
@@ -709,7 +709,7 @@ def test_weight_grads_are_the_backwards_byte_for_byte(case):
 
 
 def _bad_backward_args():
-    """(x, w, spec, grad_out) with one shape wrong, for a 3->2 3x3 conv on 5x5, N 2."""
+    """(x, w, spec, grad_out) with one shape or dtype wrong, for a 3->2 3x3 conv on 5x5, N 2."""
     x, w, spec, grad_out = oracle_case(ConvSpec(3, 2, padding=(1, 1)), (5, 5), 2, np.float64, 0)
     other = init_weights(ConvSpec(3, 4, padding=(1, 1)), Rng(1))
     return {
@@ -717,6 +717,7 @@ def _bad_backward_args():
         "weight shape": (x, other, spec, grad_out),
         "grad grid": (x, w, spec, Tensor(grad_out.data[:, :, :4])),
         "grad batch": (x, w, spec, Tensor(grad_out.data[:1])),
+        "grad dtype": (x, w, spec, Tensor(grad_out.data.astype(np.float32))),
     }
 
 
@@ -748,16 +749,19 @@ def test_phase_buffer_zeroed_whole_or_by_bands_is_the_same(spec, width, monkeypa
     around the input. Written into a buffer full of NaN, both ways give the
     bytes of the bands alone, and no NaN is left."""
     x = random_uniform((3, 4, 7, width), Rng(width), -1.0, 1.0)
-    walk = conv._TapWalk(spec, x.shape)
-    has_bands = bool(walk.pads or walk.base or walk.tail)
+    plan = conv._ForwardPlan(spec, x.shape, x.dtype)
+    has_bands = bool(plan.pads or plan.base or plan.tail)
     assert has_bands == (spec.padding != (0, 0) or spec.stride != (1, 1))
-    assert walk.zero_whole == (width <= conv._ZERO_WHOLE_WIDTH and has_bands)
+    assert plan.zero_whole == (width <= conv._ZERO_WHOLE_WIDTH and has_bands)
     monkeypatch.setattr(conv, "_ZERO_WHOLE_WIDTH", 0)
-    bands = conv._TapWalk(spec, x.shape)
+    bands = conv._ForwardPlan(spec, x.shape, x.dtype)
     assert not bands.zero_whole
-    got, want = (np.full(w.shape, np.nan) for w in (walk, bands))
-    for w, buf in ((walk, got), (bands, want)):
-        w.phases(x.data, w.writes(buf))
+    written = []
+    for p in (plan, bands):  # one after the other: both plans' buffers are the thread's one workspace
+        p.buf[...] = np.nan
+        p.phases(x.data)
+        written.append(p.buf.copy())
+    got, want = written
     assert not np.isnan(want).any()
     assert got.tobytes() == want.tobytes()
 

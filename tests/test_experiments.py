@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jpulite import experiments, jpu
+from jpulite import conv, experiments, jpu
 from jpulite.conv import ConvSpec
 from jpulite.decomp import reduce_even
 from jpulite.experiments import (
@@ -100,16 +101,50 @@ def test_layer_table_routes():
         CFG.layers("os4")
 
 
-def test_bench_config_is_the_benchmark_forward_config(monkeypatch):
-    # `jpulite bench` and the benchmark's forward_256 workload time one network;
-    # the workload module is only read, never changed or cached to disk
+def _workloads(monkeypatch):
+    """The benchmark's workload module, only read, never changed or cached to disk."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    assert workloads.Forward256.config == BENCH_CONFIG
+    return workloads
+
+
+def test_bench_config_is_the_benchmark_forward_config(monkeypatch):
+    # `jpulite bench` and the benchmark's forward_256 workload time one network
+    assert _workloads(monkeypatch).Forward256.config == BENCH_CONFIG
+
+
+def test_train_64_plans_every_conv_by_its_second_operation(monkeypatch):
+    """On a fresh thread, after two operations of the benchmark's train_64
+    workload (a teacher, then bilinear and JPU training), a third builds no
+    tap walk and adds no plan: the thread's plans are the one cache of conv
+    geometry, and they hold every geometry the workload runs."""
+    train = _workloads(monkeypatch).Train64(0, "")
+    init, walks, seen, errors = conv._TapWalk.__init__, [], {}, []
+
+    def counted_init(self, spec, x_shape):
+        walks.append((spec, x_shape))
+        init(self, spec, x_shape)
+
+    def work():
+        try:
+            failures = [train.run(k, lambda fn, *args: (0.0, fn(*args)))[2] for k in range(2)]
+            plans = list(conv._scratch.plans)
+            monkeypatch.setattr(conv._TapWalk, "__init__", counted_init)
+            failures.append(train.run(2, lambda fn, *args: (0.0, fn(*args)))[2])
+            seen.update(failures=failures, walks=walks, same_plans=list(conv._scratch.plans) == plans)
+        except Exception as e:  # reported by the assertion below
+            errors.append(repr(e))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive()
+    assert errors == []
+    assert seen == {"failures": [[], [], []], "walks": [], "same_plans": True}
 
 
 def test_forward_shapes_stride():

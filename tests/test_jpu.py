@@ -139,6 +139,20 @@ def test_forward_rejects_bad_pyramid(level, bad, expect):
         jpu_forward(*levels, p, TINY)
 
 
+@pytest.mark.parametrize("level, dtypes", [(1, (np.float64, np.float32)), (2, (np.float32, np.float64))])
+def test_forward_rejects_mixed_dtype_pyramid(level, dtypes, monkeypatch):
+    """A pyramid level in another dtype than level0's is named before any conv runs."""
+    p = jpu_init(TINY, Rng(0))
+    levels = [Tensor(t.data.astype(dtypes[0])) for t in pyramid(TINY, 0)]
+    levels[level] = Tensor(levels[level].data.astype(dtypes[1]))
+    convs = []
+    monkeypatch.setattr(jpu, "conv2d", lambda *args, **kw: convs.append(args) or conv2d(*args, **kw))
+    want = f"level{level} input dtype {np.dtype(dtypes[1])}, expected level0's {np.dtype(dtypes[0])}"
+    with pytest.raises(ShapeError, match=re.escape(want)):
+        jpu_forward(*levels, p, TINY)
+    assert convs == []
+
+
 # One weight of another shape per layer kind of TINY (width 2, so each branch reads
 # 3w = 6 channels). Folding would read the depthwise and pointwise ones only in part
 # (the first input slice, the [0, 0] tap), so only the check can reject them.
