@@ -5,10 +5,12 @@
 #   scripts/diff_outputs.sh [REV]   # REV defaults to HEAD
 #
 # Extracts REV with `git archive` into a temporary directory, runs this
-# checkout's scripts/capture_outputs.sh on both trees (working-tree changes
+# checkout's scripts/capture_outputs.py on both trees (working-tree changes
 # included on this side), prints `diff -r` of the two captures, removes the
 # temporary directory and exits with diff's status: 0 identical, 1 outputs
-# differ, 2 trouble.
+# differ, 2 trouble, which includes a capture that exits nonzero on this
+# side. A capture that fails on REV only shows in the diff, since an older
+# REV may lack what a newer capture calls.
 set -u
 if [ $# -gt 1 ]; then
     echo "usage: $0 [REV]" >&2
@@ -24,7 +26,12 @@ tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 2' HUP INT TERM
 mkdir "$tmp/tree" && git archive "$rev" | tar -x -C "$tmp/tree" || exit 2
-cp scripts/capture_outputs.sh "$tmp/tree/scripts/capture_outputs.sh" || exit 2
-"$tmp/tree/scripts/capture_outputs.sh" "$tmp/base" || exit 2
-scripts/capture_outputs.sh "$tmp/work" || exit 2
+cp scripts/capture_outputs.py "$tmp/tree/scripts/capture_outputs.py" || exit 2
+python3 "$tmp/tree/scripts/capture_outputs.py" "$tmp/base"
+[ $? -le 1 ] || exit 2
+python3 scripts/capture_outputs.py "$tmp/work"
+work=$?
 diff -r "$tmp/base" "$tmp/work"
+status=$?
+[ $work -eq 0 ] || status=2
+exit $status

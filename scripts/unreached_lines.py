@@ -1,8 +1,8 @@
 """List the statements of src/jpulite that no command and no benchmark operation runs.
 
 Under a line tracer (sys.settrace), with BLAS on one thread, this runs
-  * every `cli` command that scripts/capture_outputs.sh runs, in-process,
-    with stdout suppressed and `$out` read as a temporary directory, and
+  * the `jpulite` commands of the CLI table of scripts/capture_outputs.py,
+    in-process, with stdout suppressed and {out} read as a temporary directory, and
   * two operations of each workload in perfbench/workloads.py, which is only
     read (no bytecode is written),
 then prints each statement of src/ that never ran as `module:line: text`.
@@ -22,7 +22,6 @@ import contextlib
 import importlib.util
 import io
 import os
-import shlex
 import sys
 import tempfile
 import time
@@ -54,35 +53,24 @@ def statements(path: Path) -> list[tuple[int, int]]:
     )
 
 
-def cli_commands(outdir: str) -> list[list[str]]:
-    """The argument lists of the `capture NAME cli ARGS...` lines of
-    capture_outputs.sh and of its `cli ARGS... | ...` pipelines, with `$out` as outdir."""
-    commands = []
-    for line in (ROOT / "scripts" / "capture_outputs.sh").read_text().splitlines():
-        words = line.split()
-        if words[:1] == ["capture"] and words[2:3] == ["cli"]:
-            argv = shlex.split(line)[3:]
-        elif words[:1] == ["cli"]:
-            argv = shlex.split(line)[1:]
-        else:
-            continue
-        argv = argv[: argv.index("|")] if "|" in argv else argv
-        commands.append([w.replace("$out", outdir) for w in argv])
-    return commands
+def run_commands(outdir: str) -> list[str]:
+    """Run the CLI table's commands, {out} read as outdir; return what went wrong."""
+    from capture_outputs import CLI, argv
+    from jpulite import cli
+
+    problems = []
+    for _, args in CLI:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv(args, outdir))
+        if code != 0:
+            problems.append(f"jpulite {args}: exit {code}")
+    return problems
 
 
 def run_everything() -> list[str]:
     """Run the commands and the workload operations; return what went wrong."""
-    from jpulite import cli
-
-    problems = []
     with tempfile.TemporaryDirectory(prefix="capture-") as outdir:
-        for argv in cli_commands(outdir):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            if code != 0:
-                problems.append(f"jpulite {' '.join(argv)}: exit {code}")
-
+        problems = run_commands(outdir)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)

@@ -95,6 +95,8 @@ class Rng:
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
     def next_u64(self, count: int) -> np.ndarray:
+        if not (_is_int(count) and count >= 0):  # before the counter moves
+            raise ValueError(f"count must be a non-negative int, got {count!r}")
         base = _mix64(np.array([self.seed], dtype=np.uint64))[0]
         idx = np.arange(self.counter, self.counter + count, dtype=np.uint64)
         self.counter += count

@@ -47,6 +47,23 @@ def test_rng_takes_only_uint64_seeds():
             Rng(seed)
 
 
+@pytest.mark.parametrize("draw", ["next_u64", "uniform"])
+@pytest.mark.parametrize("count", [-2, -1, 2.5, 1.0, True, False, None, "3", np.int64(3)])
+def test_rng_takes_only_non_negative_int_counts(draw, count):
+    rng = Rng(0)
+    rng.uniform(2)
+    with pytest.raises(ValueError, match="count"):
+        getattr(rng, draw)(count)
+    assert rng.counter == 2
+    assert rng.next_u64(1).tobytes() == Rng(0).next_u64(3)[2:].tobytes()  # the stream goes on at draw 2
+
+
+def test_rng_draws_nothing_at_count_zero():
+    rng = Rng(0)
+    assert rng.next_u64(0).shape == rng.uniform(0).shape == (0,)
+    assert rng.counter == 0
+
+
 def test_rng_counter_is_not_an_argument():
     assert Rng(0).counter == 0
     with pytest.raises(TypeError):
