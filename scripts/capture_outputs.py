@@ -182,15 +182,13 @@ def _thin_cases() -> list:
 def _jpu_convs(level_channels, width: int, c3_hw: tuple[int, int]) -> list:
     """A JPU's level and fusion convs, then each branch as the forward runs it, one dense conv
     of its folded weights, as (spec, input grid)."""
-    from jpulite.conv import ConvSpec
-    from jpulite.jpu import DILATION_RATES, JpuConfig
+    from jpulite.jpu import DILATION_RATES, JpuConfig, _folded_spec
 
-    convs = [
-        (spec, tuple(s >> level for s in c3_hw))
-        for name, spec, level in JpuConfig(level_channels, width=width).layers()
-        if name.startswith("level") or name == "fusion"
-    ]
-    return convs + [(ConvSpec(3 * width, width, dilation=(r, r), padding=(r, r)), c3_hw) for r in DILATION_RATES]
+    table = {name: (spec, level) for name, spec, level in JpuConfig(level_channels, width=width).layers()}
+    convs = [(spec, tuple(s >> level for s in c3_hw)) for name, (spec, level) in table.items() if "branch" not in name]
+    for i in range(len(DILATION_RATES)):  # folded as the forward folds it
+        convs.append((_folded_spec(table[f"branch{i}.depthwise"][0], table[f"branch{i}.pointwise"][0]), c3_hw))
+    return convs
 
 
 def _wide_cases() -> list:

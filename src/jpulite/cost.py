@@ -7,10 +7,10 @@ Bilinear resizing is charged a documented flat 8 MACs per output element.
 
 The bottleneck block follows the original placement with the stride on the
 first 1x1 conv (and on the projection shortcut), so every conv of a block runs
-at the block's own grid. Freezing a downsampling step (`decomp.frozen`)
-therefore multiplies every conv in the affected stages by exactly the area
-ratio: x4 for one frozen step, x16 for two; the dilation it moves to every
-later 3x3, the block's own conv2 first, changes no count.
+at the block's own grid. Both modes route every conv by `decomp.frozen`, at
+output stride 8 (dilated) or 32 (stride). Each frozen step multiplies every conv
+in the affected stages by exactly the area ratio, x4 for one, x16 for two; the
+dilation it moves to every later 3x3, the block's own conv2 first, changes none.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .conv import ConvSpec
-from .decomp import frozen
+from .decomp import DILATED_OS, STRIDE_OS, frozen
 from .jpu import JpuConfig
 from .tensor import ShapeError
 
@@ -26,7 +26,8 @@ RESIZE_MACS_PER_ELEM = 8
 
 DILATED_MODE = "dilated_os8"
 STRIDE_JPU_MODE = "stride_os32_plus_jpu"
-MODES = (DILATED_MODE, STRIDE_JPU_MODE)
+_OUTPUT_STRIDE = {DILATED_MODE: DILATED_OS, STRIDE_JPU_MODE: STRIDE_OS}  # where `frozen` stops each mode
+MODES = tuple(_OUTPUT_STRIDE)
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,9 @@ class BackboneSpec:
         """The convs in execution order, as (name, spec, input grid). A 64-channel
         7x7 stem reads RGB and a 3x3 stride-2 max pool (0 MACs) follows it; then
         stage i (0-based) has 64·2^i mid and 256·2^i out channels and enters at
-        stride 1, then 2. In dilated mode each conv takes the stride and
-        dilation `decomp.frozen` gives it at its own input's output stride."""
-        if mode not in MODES:
-            raise KeyError(f"unknown mode {mode!r}")
-        route = frozen if mode == DILATED_MODE else lambda a, s: (s, 1)
+        stride 1, then 2. `decomp.frozen` gives each conv its stride and dilation from
+        its input's output stride and the mode's stop; an unknown mode is a KeyError."""
+        target = _OUTPUT_STRIDE[mode]
         grid = _check_input_hw(input_hw)
         stem = ConvSpec(3, 64, kernel=(7, 7), stride=(2, 2), padding=(3, 3))
         table = [("stem.conv", stem, grid)]
@@ -84,7 +83,7 @@ class BackboneSpec:
             mid, out, s = 64 << i, 256 << i, 2 if i else 1
             for b in range(blocks):
                 prefix = f"stage{i + 1}.block{b:02d}"
-                (t, _), (_, d) = route(a, s), route(a * s, 1)
+                (t, _), (_, d) = frozen(a, s, target), frozen(a * s, 1, target)
                 conv1 = ConvSpec(ci, mid, kernel=(1, 1), stride=(t, t))
                 inner = conv1.out_hw(grid)
                 table += [
@@ -139,10 +138,10 @@ class CostReport:
 
 def _check_input_hw(input_hw) -> tuple[int, int]:
     """The runtime backbone and the cost model take only positive multiples of
-    32; flooring any other size would cost geometry that no forward pass produces."""
+    STRIDE_OS; flooring any other size would cost geometry that no forward pass produces."""
     h, w = input_hw
-    if h < 32 or w < 32 or h % 32 or w % 32:
-        raise ShapeError(f"input dims must be positive multiples of 32, got {(h, w)}")
+    if h < STRIDE_OS or w < STRIDE_OS or h % STRIDE_OS or w % STRIDE_OS:
+        raise ShapeError(f"input dims must be positive multiples of {STRIDE_OS}, got {(h, w)}")
     return h, w
 
 
@@ -152,9 +151,9 @@ def jpu_cost_entries(config: JpuConfig, input_hw) -> list[CostEntry]:
     h, w = _check_input_hw(input_hw)
     entries = []
     for name, spec, level in config.layers():
-        grid = (h // (8 << level), w // (8 << level))
+        grid = (h // (DILATED_OS << level), w // (DILATED_OS << level))
         entries.append(CostEntry(f"jpu.{name}", conv_cost_from_spec(spec, grid, with_bias=True)))
-    resize_elems = 2 * config.width * (h // 8) * (w // 8)
+    resize_elems = 2 * config.width * (h // DILATED_OS) * (w // DILATED_OS)
     upsample = CostEntry("jpu.upsample", LayerCost(macs=RESIZE_MACS_PER_ELEM * resize_elems, activation_elems=resize_elems))
     entries.insert(len(config.in_channels), upsample)
     return entries

@@ -90,14 +90,17 @@ def stage_specs(in_channels: int, channels: int, depth: int, stride: int, head_d
     return head, (body,) * depth
 
 
-def frozen(output_stride: int, stride: int) -> tuple[int, int]:
-    """(stride, dilation) in the dilated wiring of a conv that reads a map at
-    `output_stride` of the stride wiring with stride `stride`. The dilated
-    wiring stops at output stride 8, and every stride dropped before a conv
-    dilates that conv (DeepLab's atrous rule), so its output is the stride
-    output's phase. The only place a stride becomes a dilation."""
-    held = min(output_stride, 8)
-    return min(output_stride * stride, 8) // held, output_stride // held
+DILATED_OS, STRIDE_OS = 8, 32  # where each wiring's output stride stops
+
+
+def frozen(output_stride: int, stride: int, target: int) -> tuple[int, int]:
+    """(stride, dilation) of a conv of stride `stride` that reads a map at
+    `output_stride` of the fully strided network, in a wiring that stops at output
+    stride `target`: DILATED_OS, or STRIDE_OS, where the backbones drop no stride.
+    Every stride dropped before a conv dilates it (DeepLab's atrous rule), so its
+    output is a phase of the strided one. Each conv of either wiring asks it."""
+    held = min(output_stride, target)
+    return min(output_stride * stride, target) // held, output_stride // held
 
 
 class StageOutput(NamedTuple):

@@ -2,13 +2,13 @@
 comparison, and a forward-pass timing harness.
 
 The mini backbone mirrors a five-level feature hierarchy: a stride-2 stem plus
-four stride-2 stages, each run by a decomp stage composer along the route that
-`decomp.frozen` gives its convs. `MiniBackboneConfig.layers(mode)` lists the
-convs of either wiring. One parameter set serves both; only the routing
-differs, which is what makes the teacher/student study and the end-to-end
-phase-consistency checks honest. The teacher continues the dilated stages 4-5
-from the stride pass's c3 and stacks its samples along N, which the trainer
-splits into train and held-out views. `jpulite bench` times `BENCH_CONFIG`.
+four stride-2 stages, each run by a stage composer along the route that
+`decomp.frozen` gives its convs in both wirings, at output stride 8 (dilated)
+or 32 (stride); `MiniBackboneConfig.layers(mode)` lists them. One parameter
+set serves both wirings; only the routing differs, so the teacher/student
+study and the phase-consistency checks are honest. The teacher continues the
+dilated stages 4-5 from the stride pass's c3 and stacks its samples along N
+for the trainer's train and held-out views. `jpulite bench` times BENCH_CONFIG.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, conv2d_weight_grads, init_weights, relu
 from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
-from .decomp import StageWeights, dilated_stage, frozen, stage_specs, stride_stage
+from .decomp import DILATED_OS, STRIDE_OS, StageWeights, dilated_stage, frozen, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_forward, jpu_init, jpu_param_grads
 from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int, bilinear_resize, random_uniform
 
@@ -33,11 +33,9 @@ STRIDE = "stride_os32"
 
 
 def _routes(mode: str) -> tuple[tuple[int, int, int], ...]:
-    """Each stage's (stride, head dilation, body dilation); the dilated wiring's from `decomp.frozen`."""
-    if mode not in (STRIDE, DILATED):
-        raise KeyError(f"unknown mode {mode!r}")
-    route = frozen if mode == DILATED else lambda a, s: (s, 1)
-    return tuple((*route(a, 2), route(2 * a, 1)[1]) for a in (2, 4, 8, 16))
+    """Each stage's (stride, head dilation, body dilation): `decomp.frozen` at the mode's output stride."""
+    target = {STRIDE: STRIDE_OS, DILATED: DILATED_OS}[mode]
+    return tuple((*frozen(a, 2, target), frozen(2 * a, 1, target)[1]) for a in (2, 4, 8, 16))
 
 
 class TrainingDiverged(RuntimeError):

@@ -103,8 +103,8 @@ class Rng:
         return _mix64(base + (idx + _U64(1)) * _GOLDEN)
 
     def uniform(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got {lo} >= {hi}")
+        if not (lo < hi and hi - lo < np.inf):  # before the counter moves; lo < hi leaves no NaN width
+            raise ValueError(f"need lo < hi and a finite hi - lo, got lo={lo}, hi={hi}")
         u = (self.next_u64(count) >> _U64(11)).astype(np.float64) * 2.0**-53
         return lo + u * (hi - lo)
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights
+from jpulite.conv import ConvSpec, ConvWeights, conv2d, init_weights, relu
 from jpulite.decomp import (
+    DILATED_OS,
+    STRIDE_OS,
     StageWeights,
     check_phase_consistency,
     dilated_stage,
@@ -17,6 +19,14 @@ from jpulite.decomp import (
     split_parity,
     stage_specs,
     stride_stage,
+)
+from jpulite.experiments import (
+    DILATED,
+    STRIDE,
+    MiniBackboneConfig,
+    MiniBackboneParams,
+    init_mini_backbone,
+    mini_backbone_forward,
 )
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
 
@@ -223,25 +233,60 @@ def test_float32_tolerance():
 
 
 @pytest.mark.parametrize("output_stride, stride, routed", [
+    # {stop: (stride, dilation)}. At the stride wiring's stop every conv that either backbone
+    # asks keeps its stride, undilated; only a stride past 32 would be dropped
     # stride-2 convs: the mini backbone's stage heads read output stride 2, 4, 8 and 16, and a
     # ResNet's first 1x1 conv of stages 2-4 reads 4, 8 and 16; both wirings keep the first two
-    (2, 2, (2, 1)), (4, 2, (2, 1)), (8, 2, (1, 1)), (16, 2, (1, 2)), (32, 2, (1, 4)),
+    (2, 2, {8: (2, 1), 32: (2, 1)}), (4, 2, {8: (2, 1), 32: (2, 1)}), (8, 2, {8: (1, 1), 32: (2, 1)}),
+    (16, 2, {8: (1, 2), 32: (2, 1)}), (32, 2, {8: (1, 4), 32: (1, 1)}),
     # stride-1 convs: the mini backbone's bodies and a ResNet's 3x3s of stages 1-4 read 4, 8, 16
     # and 32; the dilated wiring reads each at 8 at most, dilated by the strides it dropped
-    (1, 1, (1, 1)), (4, 1, (1, 1)), (8, 1, (1, 1)), (16, 1, (1, 2)), (32, 1, (1, 4)), (64, 1, (1, 8)),
+    (1, 1, {8: (1, 1), 32: (1, 1)}), (4, 1, {8: (1, 1), 32: (1, 1)}), (8, 1, {8: (1, 1), 32: (1, 1)}),
+    (16, 1, {8: (1, 2), 32: (1, 1)}), (32, 1, {8: (1, 4), 32: (1, 1)}), (64, 1, {8: (1, 8), 32: (1, 2)}),
 ])
 def test_frozen_literal(output_stride, stride, routed):
-    assert frozen(output_stride, stride) == routed
+    assert {stop: frozen(output_stride, stride, stop) for stop in routed} == routed
 
 
 @given(strides=st.lists(st.sampled_from([1, 2]), max_size=8).map(tuple), output_stride=st.sampled_from([1, 2, 4, 8, 16, 32]))
 def test_frozen_rule(strides, output_stride):
-    # a chain of convs entered at `output_stride` of the stride wiring, whose dilated twin enters at most at 8
-    a, os = output_stride, min(output_stride, 8)
-    for s in strides:
-        stride, dilation = frozen(a, s)
-        assert stride in (1, s)  # a conv keeps its stride or drops it whole
-        assert dilation == a // os  # the strides dropped before a conv dilate it, and its own does not
-        a, os = a * s, os * stride
-        assert os <= 8
-    assert os == min(8, output_stride * math.prod(strides))  # and no more stride is dropped than that takes
+    # a chain of convs entered at `output_stride` of the stride wiring, whose twin in a wiring
+    # that stops at `target` enters at most at the stop: the dilated wiring's, OS 16 and the stride's
+    for target in (DILATED_OS, 16, STRIDE_OS):
+        a, os = output_stride, min(output_stride, target)
+        for s in strides:
+            stride, dilation = frozen(a, s, target)
+            assert stride in (1, s)  # a conv keeps its stride or drops it whole
+            assert dilation == a // os  # the strides dropped before a conv dilate it, and its own does not
+            a, os = a * s, os * stride
+            assert os <= target
+        assert os == min(target, output_stride * math.prod(strides))  # and no more stride is dropped than that takes
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)], ids=["f64", "f32"])
+def test_c5_at_output_stride_16_is_the_phase_at_8(dtype, tol):
+    """Criterion 3 at a stop no command asks for: the default mini backbone routed by
+    `frozen` at output stride 16, built here, gives the [::2, ::2] phase of its c5 at 8,
+    and c5 at 32 is in turn the [::2, ::2] phase of that. The routes at 8 and 32 are the
+    dilated and stride wirings, byte for byte."""
+    def cast(w):
+        return ConvWeights(Tensor(w.weight.data.astype(dtype)), w.bias.astype(dtype))
+
+    config = MiniBackboneConfig()
+    p = init_mini_backbone(config, Rng(16))
+    params = MiniBackboneParams(cast(p.stem), tuple(StageWeights(cast(sw.head), [*map(cast, sw.body)]) for sw in p.stages))
+    x = random_uniform((2, 3, 64, 64), Rng(17), -1, 1, dtype=dtype)
+
+    def c5(target):
+        a = conv2d(x, params.stem, config.layers(STRIDE)[0][1], relu=True)
+        for sw, os in zip(params.stages, (2, 4, 8, 16)):  # each stage's head reads output stride os
+            (stride, head_dilation), (_, body_dilation) = frozen(os, 2, target), frozen(2 * os, 1, target)
+            a = relu((dilated_stage(a, sw, head_dilation, body_dilation) if stride == 1 else stride_stage(a, sw)).y)
+        return a
+
+    c5_8, c5_16, c5_32 = c5(DILATED_OS), c5(16), c5(STRIDE_OS)
+    assert c5_16.shape == (2, 16, 4, 4)
+    assert max_abs_diff(reduce_even(c5_8), c5_16) <= tol
+    assert max_abs_diff(reduce_even(c5_16), c5_32) <= tol
+    for y, mode in ((c5_8, DILATED), (c5_32, STRIDE)):
+        assert y.data.tobytes() == mini_backbone_forward(x, params, config, mode)[2].data.tobytes()

@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
+import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,21 @@ def test_rng_counter_is_not_an_argument():
 def test_rng_rejects_bad_range():
     with pytest.raises(ValueError):
         random_uniform((1, 1, 1, 1), Rng(0), lo=1.0, hi=1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (math.nan, 1.0)],
+                         ids=["infinite_hi", "infinite_lo", "width_overflows", "nan_lo"])
+def test_rng_uniform_takes_only_a_finite_width(lo, hi):
+    # an infinite or overflowing hi - lo would draw inf or NaN, the latter with a RuntimeWarning
+    rng = Rng(0)
+    rng.uniform(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            rng.uniform(3, lo, hi)
+    assert rng.counter == 2
+    assert rng.next_u64(1).tobytes() == Rng(0).next_u64(3)[2:].tobytes()  # the stream goes on at draw 2
+    assert np.all(np.isfinite(Rng(0).uniform(1000, -1e307, 1e307)))  # the widest finite ranges still draw
 
 
 def test_bilinear_constant_preserved():
