@@ -2,7 +2,8 @@
 # Tier-1 tests, the benchmark's self-tests, scripts/capture_outputs.py into a
 # temporary directory (about 10 s; nonzero when a capture fails), then
 # scripts/unreached_lines.py (about 5 s; nonzero when a captured command or a
-# workload operation fails). Tier-1's testpaths leave out perfbench/, whose
+# workload operation fails), and last the line count of src/'s Python files,
+# which ROADMAP aim 2 tracks. Tier-1's testpaths leave out perfbench/, whose
 # tests pin the library names listed under "Tests" in README.md, so a change
 # can pass tier-1 and still break them. All four always run; the exit status
 # is the last failing one's, so criterion 4b's honest failure alone makes it
@@ -14,4 +15,5 @@ out=$(mktemp -d) || exit 2
 trap 'rm -rf "$out"' EXIT
 python3 scripts/capture_outputs.py "$out" || status=$?
 python3 scripts/unreached_lines.py || status=$?
+echo "src/: $(find src -name '*.py' -exec cat {} + | wc -l) lines"
 exit $status

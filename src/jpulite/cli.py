@@ -212,10 +212,7 @@ def _environment() -> dict:
 
 
 def cmd_bench(args) -> int:
-    results = {
-        mode: exp.bench_forward(exp.BENCH_CONFIG, mode, input_hw=tuple(args.input), repeats=args.repeats, seed=args.seed)
-        for mode in costmod.MODES
-    }
+    results = exp.bench_forward(exp.BENCH_CONFIG, input_hw=tuple(args.input), repeats=args.repeats, seed=args.seed)
     doc = {"command": "bench", "repeats": args.repeats, "input_hw": list(args.input), "results": results}
     doc["dilated_slower"] = results[costmod.DILATED_MODE]["mean_ms"] > results[costmod.STRIDE_JPU_MODE]["mean_ms"]
     if args.no_timing:

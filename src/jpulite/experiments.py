@@ -8,7 +8,9 @@ or 32 (stride); `MiniBackboneConfig.layers(mode)` lists them. One parameter
 set serves both wirings; only the routing differs, so the teacher/student
 study and the phase-consistency checks are honest. The teacher continues the
 dilated stages 4-5 from the stride pass's c3 and stacks its samples along N
-for the trainer's train and held-out views. `jpulite bench` times BENCH_CONFIG.
+for the trainer's train and held-out views. `bench_forward`, which `jpulite
+bench` runs on BENCH_CONFIG, times both wirings in one call from one draw of
+the inputs, the stride one followed by a width-8 JPU.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .conv import ConvSpec, ConvWeights, conv2d, conv2d_backward, conv2d_weight_grads, init_weights, relu
-from .cost import DILATED_MODE, STRIDE_JPU_MODE, _check_input_hw
+from .cost import DILATED_MODE, MODES, STRIDE_JPU_MODE, _check_input_hw
 from .decomp import DILATED_OS, STRIDE_OS, StageWeights, dilated_stage, frozen, stage_specs, stride_stage
 from .jpu import JpuConfig, JpuParams, jpu_forward, jpu_init, jpu_param_grads
 from .tensor import Rng, ShapeError, Tensor, _is_count, _is_int, bilinear_resize, random_uniform
@@ -264,33 +266,27 @@ def train_approximator(
 # timing harness
 
 
-def bench_forward(
-    config: MiniBackboneConfig,
-    mode: str,
-    input_hw=(256, 256),
-    repeats: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Wall-clock statistics of a full forward pass, and the minor page faults
-    per pass over the timed repeats; 'stride_os32_plus_jpu' appends a width-8
-    pyramid upsampling module to the stride backbone."""
+def bench_forward(config: MiniBackboneConfig, input_hw=(256, 256), repeats: int = 100, seed: int = 0) -> dict:
+    """Wall-clock statistics of a full forward pass of each wiring, and the
+    minor page faults per pass over its timed repeats, as `{mode: stats}` for
+    `cost.MODES` in order. One draw of the parameters, a width-8 JPU and the
+    image serves both; the stride wiring's pass ends in that JPU."""
     if repeats < 10:
         raise ValueError("need at least 10 repeats")
-    with_jpu = mode == STRIDE_JPU_MODE
-    bb_mode = STRIDE if with_jpu else DILATED
-    if not with_jpu and mode != DILATED:
-        raise KeyError(f"unknown bench mode {mode!r}")
+    input_hw = _check_input_hw(input_hw)  # before anything is drawn
     rng = Rng(seed)
     params = init_mini_backbone(config, rng)
     jpu_cfg = JpuConfig(config.level_channels, width=8)
     jpu_params = jpu_init(jpu_cfg, rng)
     img = random_uniform((1, config.in_channels, *input_hw), rng, -1.0, 1.0)
+    wirings = {
+        DILATED_MODE: lambda: mini_backbone_forward(img, params, config, DILATED),
+        STRIDE_JPU_MODE: lambda: jpu_forward(*mini_backbone_forward(img, params, config, STRIDE), jpu_params, jpu_cfg),
+    }
+    return {mode: _time_passes(mode, wirings[mode], input_hw, repeats) for mode in MODES}
 
-    def run():
-        c3, c4, c5 = mini_backbone_forward(img, params, config, bb_mode)
-        if with_jpu:
-            jpu_forward(c3, c4, c5, jpu_params, jpu_cfg)
 
+def _time_passes(mode: str, run, input_hw, repeats: int) -> dict:
     warmup = 3  # untimed passes first
     for _ in range(warmup):
         run()

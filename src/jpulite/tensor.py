@@ -75,6 +75,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
+_F64_MIN, _F64_MAX = float(np.finfo(np.float64).min), float(np.finfo(np.float64).max)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -103,8 +104,8 @@ class Rng:
         return _mix64(base + (idx + _U64(1)) * _GOLDEN)
 
     def uniform(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        if not (lo < hi and hi - lo < np.inf):  # before the counter moves; lo < hi leaves no NaN width
-            raise ValueError(f"need lo < hi and a finite hi - lo, got lo={lo}, hi={hi}")
+        if not (_F64_MIN <= lo < hi <= _F64_MAX and hi - lo <= _F64_MAX):  # before the counter moves; int bounds too
+            raise ValueError(f"need lo < hi within the float64 range and a finite hi - lo, got lo={lo}, hi={hi}")
         u = (self.next_u64(count) >> _U64(11)).astype(np.float64) * 2.0**-53
         return lo + u * (hi - lo)
 

@@ -261,8 +261,8 @@ def test_criterion_8_upsampler_beats_bilinear():
 
 def test_criterion_9_timing_ordering():
     t0 = time.perf_counter()
-    dil = bench_forward(BENCH_CONFIG, "dilated_os8", input_hw=(256, 256), repeats=100)
-    jpu = bench_forward(BENCH_CONFIG, "stride_os32_plus_jpu", input_hw=(256, 256), repeats=100)
+    out = bench_forward(BENCH_CONFIG, input_hw=(256, 256), repeats=100)
+    dil, jpu = out[DILATED_MODE], out[STRIDE_JPU_MODE]
     elapsed = time.perf_counter() - t0
     ok = dil["mean_ms"] > jpu["mean_ms"] and elapsed < 180
     report(9, "dilated forward slower than stride+upsampler (100 repeats)", ok,

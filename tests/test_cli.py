@@ -300,6 +300,18 @@ def test_train_demo_usage_error_exits_2_before_any_teacher(capsys, monkeypatch, 
     assert captured.err.splitlines() == [f"error: {error}"]
 
 
+@pytest.mark.parametrize("hw", [(-32, 32), (0, 64), (48, 48)], ids=["negative", "zero", "not_a_multiple"])
+def test_bench_rejects_its_grid_before_drawing(capsys, monkeypatch, hw):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("parameters were drawn before the grid was checked")
+
+    monkeypatch.setattr(cli.exp, "init_mini_backbone", no_draw)
+    code = main(["bench", "--repeats", "10", "--input", *map(str, hw)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: input dims must be positive multiples of 32, got {hw}"]
+
+
 def test_degenerate_problem_exits_1(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateProblemError("singular normal equations")

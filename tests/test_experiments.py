@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jpulite import conv, experiments, jpu
 from jpulite.conv import ConvSpec
+from jpulite.cost import MODES
 from jpulite.decomp import reduce_even
 from jpulite.experiments import (
     BENCH_CONFIG,
@@ -354,14 +355,29 @@ def test_train_rejects_non_finite_or_negative_lr(small_dataset, lr):
 
 
 def test_bench_basic():
-    cfg = MiniBackboneConfig()
-    out = bench_forward(cfg, "dilated_os8", input_hw=(64, 64), repeats=10)
-    assert out["repeats"] == 10 and out["warmup"] == 3
-    assert out["min_ms"] <= out["mean_ms"] <= out["max_ms"]
-    out2 = bench_forward(cfg, "stride_os32_plus_jpu", input_hw=(64, 64), repeats=10)
-    assert out2["mode"] == "stride_os32_plus_jpu"
+    out = bench_forward(MiniBackboneConfig(), input_hw=(64, 64), repeats=10)
+    assert list(out) == list(MODES)
+    for mode, r in out.items():
+        assert r["mode"] == mode
+        assert r["input_hw"] == [64, 64] and r["repeats"] == 10 and r["warmup"] == 3
+        assert r["min_ms"] <= r["mean_ms"] <= r["max_ms"]
+
+
+def test_bench_draws_its_inputs_once(monkeypatch):
+    calls = {"init_mini_backbone": 0, "jpu_init": 0}
+    for name in calls:
+        original = getattr(experiments, name)
+
+        def counted(*args, name=name, f=original):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    for n in (1, 2):
+        bench_forward(MiniBackboneConfig(), input_hw=(32, 32), repeats=10)
+        assert calls == {"init_mini_backbone": n, "jpu_init": n}
 
 
 def test_bench_rejects_low_repeats():
     with pytest.raises(ValueError):
-        bench_forward(MiniBackboneConfig(), "dilated_os8", repeats=5)
+        bench_forward(MiniBackboneConfig(), repeats=5)

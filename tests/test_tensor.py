@@ -77,10 +77,15 @@ def test_rng_rejects_bad_range():
         random_uniform((1, 1, 1, 1), Rng(0), lo=1.0, hi=1.0)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (math.nan, 1.0)],
-                         ids=["infinite_hi", "infinite_lo", "width_overflows", "nan_lo"])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (math.nan, 1.0), (0, 10**400), (-10**400, 0), (0.0, 2**1024)],
+    ids=["infinite_hi", "infinite_lo", "width_overflows", "nan_lo", "int_hi_past_float", "int_lo_past_float",
+         "int_hi_at_2_1024"],
+)
 def test_rng_uniform_takes_only_a_finite_width(lo, hi):
-    # an infinite or overflowing hi - lo would draw inf or NaN, the latter with a RuntimeWarning
+    # an infinite or overflowing hi - lo would draw inf or NaN, the latter with a RuntimeWarning;
+    # an int bound past the float range would raise OverflowError, after the draw or from the width
     rng = Rng(0)
     rng.uniform(2)
     with warnings.catch_warnings():
