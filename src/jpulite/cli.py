@@ -217,7 +217,7 @@ def cmd_bench(args) -> int:
     doc["dilated_slower"] = results[costmod.DILATED_MODE]["mean_ms"] > results[costmod.STRIDE_JPU_MODE]["mean_ms"]
     if args.no_timing:
         for r in doc["results"].values():
-            for key in ("mean_ms", "std_ms", "min_ms", "max_ms", "minor_faults"):
+            for key in ("mean_ms", "std_ms", "min_ms", "max_ms", "p10_ms", "median_ms", "p90_ms", "minor_faults"):
                 r.pop(key, None)
         doc.pop("dilated_slower")
     else:

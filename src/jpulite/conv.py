@@ -16,7 +16,11 @@ bias (a BatchNorm folded in for inference is one).
 
 The backward puts grad_out on the wide grid of the whole stacked line, zero
 in the columns and rows the forward drops. A tap's weight gradient is then
-one GEMM, `slice @ grad` over the whole batch at once. The input gradient
+one GEMM, `slice @ grad` over the whole batch at once. The running taps of
+one stride phase read it at offsets evenly spaced down and across, so their
+slices are one strided view, and one batched `matmul` per phase (one in
+all at stride 1) runs each tap's GEMM with its own shape and strides: the
+bytes equal a per-tap loop's. The input gradient
 starts at zero, and each tap, in the forward's order, adds its `grad @ W`
 into its phase, reading the grid shifted back by its offset: the adjoint of
 the forward's slices, with no scatter. A phase no tap reads stays zero. The
@@ -66,9 +70,9 @@ of the workspace its pass reads or writes, built once. For the forward,
 those are the phase buffer's zero bands and input slots, and per row block
 the accumulator and column-block slices, each tap's read (or the stride-1
 block read) and the output columns kept. For the backward, they are the
-gradient grid and the part grad_out fills, per tap its phase read,
-weight-gradient slot, shifted grid and input gradient phase, and the input
-gradient's reads of its phases. A later call builds no view of the
+gradient grid and the part grad_out fills, per phase its taps' reads and
+weight-gradient slots, per tap its shifted grid and input gradient phase,
+and the input gradient's reads of its phases. A later call builds no view of the
 workspace: it runs its copies and GEMMs, in the tap walk's order, through
 the plan's views. When the workspace grows, every plan is dropped, so none
 keeps old memory alive; past `_PLAN_LIMIT` plans the oldest is dropped. A
@@ -224,9 +228,18 @@ class _TapWalk:
         self.base = lead_h * self.pitch + lead_w  # the leading zero band; tap offsets count from the line's start
         self.taps = tuple((a, b, r * self.pitch + q) for _, a, r in row_taps for _, b, q in col_taps)
         self.kernel_taps = np.array([u * spec.kernel[1] + v for u, *_ in row_taps for v, *_ in col_taps])
+        self.tap_grid = (len(row_taps), len(col_taps))  # `taps` in row-major order
+        # per stride phase that holds a running tap: (row phase, column phase, its taps'
+        # rows and columns of `tap_grid` as slices, its first tap's offset, the offset steps
+        # down and across), a grid of taps evenly spaced in both (`_phase_runs`)
+        self.phase_grids = tuple(
+            (a, b, (rows, cols), r * self.pitch + q, (dr * self.pitch, dq))
+            for a, rows, r, dr in _phase_runs(row_taps)
+            for b, cols, q, dq in _phase_runs(col_taps)
+        )
         # at stride 1 the live taps are one grid of (rows, columns), dilation·pitch cells
         # apart down and dilation across, that the forward reads as one view
-        self.grid = (len(row_taps), len(col_taps)) if spec.stride == (1, 1) else None
+        self.grid = self.tap_grid if spec.stride == (1, 1) else None
         reach = max(off for *_, off in self.taps) - self.base  # the furthest a tap reads past a slot's start
         self.tail = max(0, reach + self.oh * self.pitch - self.slot)
         self.margin = max(0, reach)  # the backward's zeros before its gradient grid
@@ -298,6 +311,20 @@ def _axis_taps(size: int, k: int, s: int, d: int, p: int, o: int):
     lo = max(0, p - live[0] * d)
     hi = max(0, live[-1] * d - p + s * (o - 1) - (size - 1))
     return tuple((u, (u * d - p + lo) % s, (u * d - p + lo) // s) for u in live), (lo, hi)
+
+
+def _phase_runs(axis_taps):
+    """Per stride phase that holds a tap of one axis: (phase, the slice of
+    `axis_taps` in it, its first offset, the offset step). Whether tap u
+    reads input depends on u·d - p only through one interval and its residue
+    mod s, which also sets its phase, so a phase's taps are evenly spaced in both."""
+    runs = []
+    for a in sorted({a for _, a, _ in axis_taps}):
+        (i0, off0), *rest = held = [(i, off) for i, (_, b, off) in enumerate(axis_taps) if b == a]
+        i1, off1 = rest[0] if rest else (i0 + 1, off0)
+        assert held == [(i0 + t * (i1 - i0), off0 + t * (off1 - off0)) for t in range(len(held))]
+        runs.append((a, slice(i0, held[-1][0] + 1, i1 - i0), off0, off1 - off0))
+    return runs
 
 
 def _axis_layout(size: int, stride: int, lo: int, hi: int, o: int):
@@ -525,11 +552,12 @@ def conv2d_weight_grads(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Ten
 class _BackwardPlan(_TapWalk):
     """One backward geometry's tap walk with its workspace views: the phase
     buffer `buf`, the stacked gradient grid, the part of it grad_out fills
-    and the part a tap's weight-gradient GEMM reads, per running tap its read
-    of the phase buffer, its weight-gradient slot, the grid shifted back by
-    its offset and its phase of the input gradient, then the weight
-    gradients in the kernel's order and, per phase, the input indices it
-    fills and its view of the input gradient's slots."""
+    and the part a tap's weight-gradient GEMM reads, per stride phase its
+    taps' reads of the phase buffer and their weight-gradient slots, per
+    running tap the grid shifted back by its offset and its phase of the
+    input gradient, then the weight gradients in the kernel's order and, per
+    phase, the input indices it fills and its view of the input gradient's
+    slots."""
 
     def __init__(self, spec: ConvSpec, x_shape: tuple[int, int, int, int], dtype):
         super().__init__(spec, x_shape)
@@ -547,11 +575,20 @@ class _BackwardPlan(_TapWalk):
         )
         self.grad_out = self.grad_grid[:, m : m + size].reshape(g, n, self.slot_rows, pitch, og)[:, :, :oh, :ow]
         self.grads = self.grad_grid[:, m : m + k]
+        # per phase, its taps' reads of the phase buffer as one (rows, cols, g, cg, k) view,
+        # `dr` and `dq` cells apart, and their weight-gradient slots as one (rows, cols, g, cg, og) view
+        s_a, s_b, s_g, s_c, cell = self.buf.strides
+        grad_w_grid = grad_w.reshape(*self.tap_grid, g, cg, og)
+        self.weight_gemms = []
+        for a, b, (rows, cols), off, (dr, dq) in self.phase_grids:
+            slots = grad_w_grid[rows, cols]
+            at, strides = a * s_a + b * s_b + off * cell, (dr * cell, dq * cell, s_g, s_c, cell)
+            self.weight_gemms.append((np.ndarray((*slots.shape[:-1], k), dtype, self.buf, at, strides), slots))
         self.tap_gemms = []
-        for i, (a, b, off) in enumerate(self.taps):
+        for a, b, off in self.taps:
             at = m + self.base - off  # the grid under the slots, shifted back by the tap's offset
             shifted = self.grad_grid[:, at : at + size].reshape(g, n, self.slot, og).swapaxes(0, 1)
-            self.tap_gemms.append((self.buf[a, b, ..., off : off + k], grad_w[i], shifted, self.grad_slots[a, b]))
+            self.tap_gemms.append((shifted, self.grad_slots[a, b]))
         self.grad_w = grad_w.transpose(1, 3, 2, 0)
         slots = self.grad_slots.reshape(*spec.stride, n, g, self.slot_rows, pitch, cg).transpose(0, 1, 2, 3, 6, 4, 5)
         self.reads = tuple((src, slots[at]) for at, src in self.views)
@@ -568,8 +605,8 @@ class _BackwardPlan(_TapWalk):
 
 def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input_grad: bool):
     """(gx, gw, gb) of both backward entry points; gx is None unless input_grad.
-    Every tap runs its weight-gradient GEMM; with input_grad it also adds its
-    input-gradient product into its phase."""
+    Each phase runs its taps' weight-gradient GEMMs in one batched `matmul`;
+    with input_grad each tap then adds its input-gradient product into its phase."""
     _check_input(x, w, spec)
     plan = _plan(_BackwardPlan, spec, x.shape, x.dtype)
     g, o = spec.groups, spec.out_channels
@@ -579,12 +616,12 @@ def _backward(x: Tensor, w: ConvWeights, spec: ConvSpec, grad_out: Tensor, input
     plan.phases(x.data)
     plan.grad_grid[...] = 0
     plan.grad_out[...] = grad_out.data.reshape(n, g, o // g, oh, ow).transpose(1, 0, 3, 4, 2)
+    for reads, grad_w in plan.weight_gemms:
+        np.matmul(reads, plan.grads, out=grad_w)
     if input_grad:
         plan.grad_slots[...] = 0  # 0 in phases that no tap reads
         wt = _tap_weights(w, spec, plan, x.dtype)
-    for i, (read, grad_w, shifted, grad_slots) in enumerate(plan.tap_gemms):
-        np.matmul(read, plan.grads, out=grad_w)
-        if input_grad:
+        for i, (shifted, grad_slots) in enumerate(plan.tap_gemms):
             grad_slots += np.matmul(shifted, wt[:, :, i], out=plan.tmp)
     gw = np.zeros(spec.weight_shape, dtype=x.dtype)  # 0 at the kernel cells of taps that do not run
     gw.reshape(g, o // g, spec.in_channels // g, -1)[..., plan.kernel_taps] = plan.grad_w

@@ -161,8 +161,11 @@ def _sgd(w: ConvWeights, gw: np.ndarray, gb: np.ndarray, lr: float) -> ConvWeigh
 
 
 def _sample_mses(diff: np.ndarray) -> list[float]:
-    """Mean squared error of each sample of an N-batched prediction error."""
-    return [float(np.mean(d**2)) for d in diff]
+    """Mean squared error of each sample of an N-batched prediction error, as
+    Python floats: one reduction over the batch, byte-identical to
+    `float(np.mean(d**2))` per sample: in a C-contiguous diff each sample's
+    cells are one contiguous run, which numpy sums the same way either way."""
+    return np.mean(diff**2, axis=(1, 2, 3)).tolist()
 
 
 def _check_training(n: int, steps: int, lr: float, holdout: int | None) -> int:
@@ -298,6 +301,7 @@ def _time_passes(mode: str, run, input_hw, repeats: int) -> dict:
         times_ms.append((time.perf_counter() - t0) * 1e3)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     arr = np.array(times_ms)
+    p10, median, p90 = np.percentile(arr, (10, 50, 90))
     return {
         "mode": mode,
         "input_hw": list(input_hw),
@@ -307,5 +311,8 @@ def _time_passes(mode: str, run, input_hw, repeats: int) -> dict:
         "std_ms": float(arr.std()),
         "min_ms": float(arr.min()),
         "max_ms": float(arr.max()),
+        "p10_ms": float(p10),
+        "median_ms": float(median),
+        "p90_ms": float(p90),
         "minor_faults": faults / repeats,
     }

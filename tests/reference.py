@@ -70,6 +70,23 @@ def naive_conv2d_backward(x, weight, grad_out, stride, dilation, padding, groups
     return gx, gw, gb
 
 
+def per_tap_weight_grads(plan, spec):
+    """The weight gradient as one GEMM per running tap, the loop that one
+    batched `matmul` per stride phase replaces. Reads a backward plan whose
+    phase buffer `plan.buf` and gradient grid `plan.grads` a backward has just
+    filled: tap i's slice of its phase, `buf[a, b, ..., off : off + k]`, times
+    the grid, in its own `matmul`, then put in its kernel cell. Returns
+    (out_channels, in_channels/groups, kh, kw)."""
+    g, kw = spec.groups, spec.kernel[1]
+    k = plan.grads.shape[1]
+    gw = np.zeros(spec.weight_shape, dtype=plan.buf.dtype)
+    for (a, b, off), cell in zip(plan.taps, plan.kernel_taps):
+        tap = np.matmul(plan.buf[a, b, ..., off : off + k], plan.grads)  # (groups, cg_in, cg_out)
+        u, v = divmod(int(cell), kw)
+        gw[:, :, u, v] = tap.transpose(0, 2, 1).reshape(spec.out_channels, spec.in_channels // g)
+    return gw
+
+
 def naive_bilinear_resize(x, out_h, out_w):
     """Half-pixel-center bilinear resampling, one output pixel at a time."""
     n, c, h, w = x.shape

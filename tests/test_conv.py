@@ -24,7 +24,7 @@ from jpulite.cost import conv_cost_from_spec
 from jpulite.jpu import DILATION_RATES, JpuConfig
 from jpulite.tensor import Rng, ShapeError, Tensor, max_abs_diff, random_uniform
 
-from reference import central_difference, naive_conv2d, naive_conv2d_backward
+from reference import central_difference, naive_conv2d, naive_conv2d_backward, per_tap_weight_grads
 
 
 def random_case(seed, *, max_k=3, max_dim=9, groups_ok=True):
@@ -706,6 +706,56 @@ def test_weight_grads_are_the_backwards_byte_for_byte(case):
     want = (gw.data.dtype, gw.shape, gw.data.tobytes(), gb.dtype, gb.shape, gb.tobytes())
     for got_w, got_b in (first, after):
         assert (got_w.data.dtype, got_w.shape, got_w.data.tobytes(), got_b.dtype, got_b.shape, got_b.tobytes()) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases(max_n=5))
+# stride 3 on both axes
+@example(case=oracle_case(ConvSpec(4, 6, stride=(3, 3), padding=(1, 2), groups=2), (8, 7), 4, np.float64, 30))
+# asymmetric stride and dilation: phases of two rows by three columns of taps
+@example(case=oracle_case(ConvSpec(3, 2, (4, 5), stride=(2, 3), dilation=(3, 1), padding=(2, 1)), (9, 10), 2, np.float32, 31))
+# dilation a multiple of the stride: every tap in one phase
+@example(case=oracle_case(ConvSpec(2, 3, stride=(2, 2), dilation=(2, 4), padding=(2, 4)), (7, 9), 3, np.float64, 32))
+@examples(DEAD_TAPS)
+@layout_edges
+def test_weight_grads_are_a_per_tap_loop_byte_for_byte(case):
+    """The running taps of one stride phase are one evenly spaced grid of
+    the phase buffer, and one batched `matmul` per phase gives the bytes of
+    a loop of one GEMM per tap (`reference.per_tap_weight_grads`)."""
+    x, w, spec, grad_out = case
+    gw, _ = conv2d_weight_grads(x, w, spec, grad_out)
+    plan = conv._plan(conv._BackwardPlan, spec, x.shape, x.dtype)  # its buffers as that call left them
+    assert gw.data.tobytes() == per_tap_weight_grads(plan, spec).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, phases",
+    [
+        (ConvSpec(16, 16, padding=(1, 1)), 1),  # the bilinear student's head
+        (ConvSpec(8, 8, dilation=(4, 4), padding=(4, 4), groups=8), 1),
+        (ConvSpec(8, 8, stride=(2, 2), padding=(1, 1)), 4),
+        (ConvSpec(8, 8, stride=(2, 2), padding=(1, 1), groups=2), 4),
+        (ConvSpec(8, 8, (1, 3), stride=(2, 2)), 2),  # one kernel row: one row phase
+        (ConvSpec(8, 8, stride=(2, 2), dilation=(2, 2), padding=(2, 2)), 1),  # every tap in phase (0, 0)
+        (ConvSpec(8, 8, stride=(3, 3), padding=(1, 1)), 9),  # one tap per phase
+        (ConvSpec(8, 8, dilation=(16, 16), padding=(16, 16)), 1),  # past the map: the centre tap alone
+    ],
+    ids=["head", "depthwise_rate4", "stride2", "stride2_groups2", "1x3_stride2", "stride2_rate2", "stride3", "centre_tap"],
+)
+def test_weight_grads_run_one_matmul_per_phase(spec, phases, monkeypatch):
+    """The weight gradient makes one `matmul` call per stride phase that
+    holds a running tap, not one per tap: 1 at stride 1, at most 4 for a 3x3
+    stride-2 conv."""
+    x, w, spec, grad_out = oracle_case(spec, (8, 8), 6, np.float64, 5)
+    conv2d_weight_grads(x, w, spec, grad_out)  # plans it
+    plan = conv._plan(conv._BackwardPlan, spec, x.shape, x.dtype)
+    assert len({(a, b) for a, b, _ in plan.taps}) == phases
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: calls.append(args[0].shape) or matmul(*args, **kw))
+    conv2d_weight_grads(x, w, spec, grad_out)
+    assert len(calls) == phases
+    assert sum(np.prod(shape[:-3]) for shape in calls) == len(plan.taps)  # each tap's GEMM once
 
 
 def _bad_backward_args():

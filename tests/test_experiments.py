@@ -282,6 +282,23 @@ def test_batched_step_matches_per_sample_loop(small_dataset, method, holdout):
     assert run.param_count == n_params
 
 
+@given(
+    n=st.integers(1, 8),
+    shape=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)),  # up to 4096 elements a sample
+    dtype=st.sampled_from([np.float32, np.float64]),
+    exponent=st.floats(-12, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_mses_are_the_per_sample_means(n, shape, dtype, exponent, seed):
+    """The trainer's one reduction over the batch gives each sample's
+    `float(np.mean(d**2))`, byte for byte, as a Python float."""
+    diff = (np.random.default_rng(seed).standard_normal((n, *shape)) * 10.0**exponent).astype(dtype)
+    got = experiments._sample_mses(diff)
+    want = [float(np.mean(d**2)) for d in diff]
+    assert [type(v) for v in got] == [float] * n
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_unknown_method_rejected(small_dataset):
     with pytest.raises(KeyError):
         train_approximator("fpn", small_dataset, steps=1, lr=0.1, seed=0)
@@ -361,6 +378,7 @@ def test_bench_basic():
         assert r["mode"] == mode
         assert r["input_hw"] == [64, 64] and r["repeats"] == 10 and r["warmup"] == 3
         assert r["min_ms"] <= r["mean_ms"] <= r["max_ms"]
+        assert r["min_ms"] <= r["p10_ms"] <= r["median_ms"] <= r["p90_ms"] <= r["max_ms"]
 
 
 def test_bench_draws_its_inputs_once(monkeypatch):
